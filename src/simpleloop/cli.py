@@ -122,7 +122,9 @@ def cmd_verify(args):
     witnesses = search_kernel_elements(ctx, args.kernel_len)
     timing["search_s"] = round(time.perf_counter() - start, 3)
 
+    start = time.perf_counter()
     rank = empirical_image_rank(ctx, seed=args.seed)
+    timing["image_rank_s"] = round(time.perf_counter() - start, 3)
 
     if report.kernel_hits:
         status = "kernel_hit"
@@ -224,10 +226,19 @@ def cmd_search_kernel(args):
 
 
 def cmd_lemma_check(args):
+    timing = {}
+    start = time.perf_counter()
     cover = build_mod2_cover(args.genus)
     ctx = GroupContext(cover)
+    timing["build_s"] = round(time.perf_counter() - start, 3)
+
+    start = time.perf_counter()
     classes = generate_simple_classes(args.genus, args.depth, args.max_len)
+    timing["generate_s"] = round(time.perf_counter() - start, 3)
+
+    start = time.perf_counter()
     lemma = lemma_check(ctx, classes)
+    timing["lemma_s"] = round(time.perf_counter() - start, 3)
     summary = {
         "schema": SCHEMA,
         "kind": "summary",
@@ -238,6 +249,7 @@ def cmd_lemma_check(args):
         "nonseparating_checked": lemma.n_nonseparating,
         "lifts_per_class": lemma.lifts_per_class,
         "failures": lemma.failures,
+        "timing": timing,
     }
     if args.format == "json":
         _write(_json_lines([summary]), args.out)
@@ -248,6 +260,7 @@ def cmd_lemma_check(args):
                 % (lemma.n_separating, lemma.lifts_per_class),
                 "nonseparating classes checked: %d" % lemma.n_nonseparating,
                 "result: %s" % ("pass" if lemma.ok else "FAIL"),
+                "timing: %s" % json.dumps(timing, sort_keys=True),
             ],
             args.out,
         )
@@ -385,7 +398,12 @@ def build_parser():
             p.add_argument(
                 "--kernel-len", type=int, default=8, dest="kernel_len"
             )
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument(
+                "--workers",
+                type=int,
+                default=1,
+                help="accepted for compatibility; evaluation is single-threaded",
+            )
             p.add_argument("--seed", type=int, default=0)
 
     p_info = sub.add_parser("info", help="cover statistics")

@@ -4,14 +4,18 @@ The base surface of genus g has one vertex, 2g loop edges and one face. Its
 mod-2 homology cover has deck group Z2^(2g): vertices are bitmasks v in
 [0, 2^(2g)), the lift of loop k starting at v is an edge from v to
 v ^ (1 << (k - 1)), and one face per vertex carries the lifted relator.
-Everything downstream (H1 classes of lifted loops, deck action, the finite
-quotient group) reads off this complex.
+Every edge carries its H1 class: 0 on the spanning tree, the class of its
+fundamental cycle otherwise. The class of any lifted loop, closed up
+through the tree, is then the XOR of these entries along the lift, which is
+how everything downstream (H1 classes of lifted loops, deck action, the
+finite quotient group) reads off this complex.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gf2 import GF2Matrix, QuotientMap, matmul
-from .words import abelianization_mod2, surface_relator
+from .words import inverse, surface_relator
 
 MAX_GENUS = 4
 
@@ -39,14 +43,16 @@ class CoverCW:
     Attributes:
         genus: genus of the base surface.
         n_vertices, n_edges, n_faces: cell counts (2^2g, 2g*2^2g, 2^2g).
-        d1: vertex-by-edge boundary matrix over GF(2).
-        d2: edge-by-face boundary matrix over GF(2).
+        d1: vertex-by-edge boundary matrix over GF(2), built on first read.
+        d2: edge-by-face boundary matrix over GF(2), built on first read.
         tree_chains: per vertex, the edge chain of the BFS tree path from 0.
         tree_words: per vertex, the word spelling that tree path.
         nontree_edges: edges outside the spanning tree, ascending.
         cycle_basis: one fundamental cycle per non-tree edge.
         quotient: map from 1-cycles to H1 coordinates.
         h1_dim: dimension of H1 of the cover over GF(2).
+        edge_classes: per edge, its H1 coordinates: 0 for a tree edge, the
+            class of its fundamental cycle for a non-tree edge.
     """
 
     def __init__(self, genus: int):
@@ -95,9 +101,41 @@ class CoverCW:
                 chain ^= 1 << self.edge_index(v, k)
         return chain, v
 
+    def walk(self, word, start: int) -> tuple[int, int]:
+        """XOR the edge classes along a word's lift from a start vertex.
+
+        Returns:
+            (h, end): H1 class of the lift closed up through the spanning
+            tree (tree edges add 0), and the vertex where the lift ends.
+            A letter outside the genus raises KeyError.
+        """
+        classes = self._letter_classes
+        flips = self._letter_flips
+        h = 0
+        v = start
+        for x in word:
+            h ^= classes[x][v]
+            v ^= flips[x]
+        return h, v
+
     def loop_class(self, chain: int) -> int:
         """H1 coordinates of a closed edge chain (raises if not a cycle)."""
-        return self.quotient.coords(chain)
+        if chain < 0 or chain >> self.n_edges:
+            raise ValueError("chain has bits outside the edge range")
+        width = 2 * self.genus
+        classes = self.edge_classes
+        h = 0
+        boundary = 0
+        while chain:
+            low = chain & -chain
+            e = low.bit_length() - 1
+            v, j = divmod(e, width)
+            boundary ^= (1 << v) ^ (1 << (v ^ (1 << j)))
+            h ^= classes[e]
+            chain ^= low
+        if boundary:
+            raise ValueError("chain is not a cycle")
+        return h
 
     def closed_up_class(self, start: int, word) -> int:
         """H1 class of a word's lift from a vertex, closed up through the tree.
@@ -105,9 +143,7 @@ class CoverCW:
         The lift runs from start to start ^ phi(word); tree paths 0 -> start
         and endpoint -> 0 make it a loop at vertex 0.
         """
-        chain, end = self.lift(word, start)
-        chain ^= self.tree_chains[start] ^ self.tree_chains[end]
-        return self.quotient.coords(chain)
+        return self.walk(word, start)[0]
 
     def translate_chain(self, chain: int, u: int) -> int:
         """Image of an edge chain under the deck translation by u."""
@@ -126,15 +162,13 @@ class CoverCW:
     def deck_action(self, u: int) -> tuple[int, ...]:
         """Matrix of the deck translation by u on H1, as H1-coordinate columns.
 
-        Column j is the class of the translated j-th basis cycle; apply with
-        deck_apply. Results are cached per u.
+        Column j is the class of the translate of a fundamental cycle whose
+        class is 1 << j, walked from vertex u; apply with deck_apply. Results
+        are cached per u.
         """
         cached = self._deck_cache.get(u)
         if cached is None:
-            cached = tuple(
-                self.quotient.coords(self.translate_chain(c, u))
-                for c in self.quotient.basis_cycles()
-            )
+            cached = tuple(self.walk(w, u)[0] for w in self._unit_cycle_words)
             self._deck_cache[u] = cached
         return cached
 
@@ -151,14 +185,21 @@ class CoverCW:
             h1_dim=self.h1_dim,
         )
 
-    def _build_boundaries(self) -> None:
-        d1_rows = [0] * self.n_vertices
+    @cached_property
+    def d1(self) -> GF2Matrix:
+        rows = [0] * self.n_vertices
         for e in range(self.n_edges):
             v, w = self.edge_endpoints(e)
-            d1_rows[v] |= 1 << e
-            d1_rows[w] |= 1 << e
-        self.d1 = GF2Matrix(self.n_vertices, self.n_edges, tuple(d1_rows))
+            rows[v] |= 1 << e
+            rows[w] |= 1 << e
+        return GF2Matrix(self.n_vertices, self.n_edges, tuple(rows))
 
+    @cached_property
+    def d2(self) -> GF2Matrix:
+        faces_by_edges = GF2Matrix(self.n_faces, self.n_edges, self._face_chains)
+        return faces_by_edges.transpose()
+
+    def _build_boundaries(self) -> None:
         relator = surface_relator(self.genus)
         face_chains = []
         for v in range(self.n_faces):
@@ -167,8 +208,6 @@ class CoverCW:
                 raise AssertionError("relator lift must close up")
             face_chains.append(chain)
         self._face_chains = tuple(face_chains)
-        faces_by_edges = GF2Matrix(self.n_faces, self.n_edges, self._face_chains)
-        self.d2 = faces_by_edges.transpose()
 
     def _build_tree(self) -> None:
         chains = [0] * self.n_vertices
@@ -205,6 +244,29 @@ class CoverCW:
         self.cycle_basis = tuple(cycles)
         self.quotient = QuotientMap(self.cycle_basis, self._face_chains, self.n_edges)
         self.h1_dim = self.quotient.dim
+
+        classes = [0] * self.n_edges
+        unit_words = {}
+        for e, h in zip(self.nontree_edges, self.quotient.cycle_coords):
+            classes[e] = h
+            if h.bit_count() == 1 and h not in unit_words:
+                v, w = self.edge_endpoints(e)
+                unit_words[h] = (
+                    self.tree_words[v] + (e % (2 * self.genus) + 1,)
+                    + inverse(self.tree_words[w])
+                )
+        self.edge_classes = tuple(classes)
+        self._unit_cycle_words = tuple(unit_words[1 << j] for j in range(self.h1_dim))
+        # The edge table by (letter, start vertex): letter k from v runs
+        # along edge (v, k), letter -k along edge (v ^ bit, k) backwards.
+        self._letter_classes = {}
+        self._letter_flips = {}
+        for k in range(1, 2 * self.genus + 1):
+            bit = 1 << (k - 1)
+            forward = tuple(classes[self.edge_index(v, k)] for v in range(self.n_vertices))
+            self._letter_classes[k] = forward
+            self._letter_classes[-k] = tuple(forward[v ^ bit] for v in range(self.n_vertices))
+            self._letter_flips[k] = self._letter_flips[-k] = bit
 
 
 def deck_apply(columns: tuple[int, ...], h: int) -> int:

@@ -12,7 +12,6 @@ replayable certificate (standard curve name plus twist names) that proves
 simplicity; the enumeration makes no completeness claim.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -193,6 +192,8 @@ def generate_simple_classes(
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     table = twist_table(genus)
     names = sorted(table)
     seen: dict[Word, SimpleClass] = {}
@@ -277,13 +278,11 @@ def verify_non_geometric(
     """Evaluate rho on every certified class and collect kernel hits.
 
     A kernel hit would contradict the non-geometric-kernel claim and is
-    reported with its full certificate rather than raised.
+    reported with its full certificate rather than raised. The workers
+    argument is accepted for compatibility and ignored: the evaluation is
+    pure Python, so threads only add contention for the interpreter lock.
     """
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda sc: _class_record(ctx, sc), classes))
-    else:
-        records = [_class_record(ctx, sc) for sc in classes]
+    records = [_class_record(ctx, sc) for sc in classes]
     hits = [rec for rec in records if rec["in_kernel"]]
     n_sep = sum(1 for sc in classes if sc.separating)
     return VerificationReport(
@@ -302,7 +301,8 @@ def lemma_check(ctx: GroupContext, classes: list[SimpleClass]) -> LemmaReport:
     Separating classes must have mod-2 class zero and every one of the
     2^(2g) lifts must be a closed loop with nonzero H1 class (closed but
     non-separating upstairs). Nonseparating classes must have nonzero mod-2
-    class, so their lifts are not loops.
+    class, so their lifts are not loops. Every lift is walked explicitly,
+    reading off its end vertex and closed-up H1 class.
     """
     cover = ctx.cover
     failures = []
@@ -318,12 +318,12 @@ def lemma_check(ctx: GroupContext, classes: list[SimpleClass]) -> LemmaReport:
                 )
                 continue
             for v in range(cover.n_vertices):
-                chain, end = cover.lift(sc.cls, v)
+                h, end = cover.walk(sc.cls, v)
                 if end != v:
                     failures.append(
                         {"word": word_to_str(sc.cls), "reason": "lift from vertex %d not closed" % v}
                     )
-                elif cover.loop_class(chain) == 0:
+                elif h == 0:
                     failures.append(
                         {"word": word_to_str(sc.cls), "reason": "lift from vertex %d separates the cover" % v}
                     )

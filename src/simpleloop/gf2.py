@@ -126,6 +126,45 @@ def matmul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     return GF2Matrix(a.rows, b.cols, tuple(data))
 
 
+class _Echelon:
+    """Echelon rows over GF(2), keyed by pivot (the lowest set bit of a row).
+
+    Every row carries a tag, XORed into the result whenever the row is used.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, tuple[int, int]] = {}
+        self.mask = 0
+
+    def reduce(self, vec: int) -> tuple[int, int]:
+        """Clear every pivot bit of vec; returns (remainder, tag sum).
+
+        Pivot bits are cleared lowest first; a row only touches bits at or
+        above its pivot, so the remainder is the unique reduced form.
+        """
+        tag = 0
+        hits = vec & self.mask
+        while hits:
+            row, t = self.rows[hits & -hits]
+            vec ^= row
+            tag ^= t
+            hits = vec & self.mask
+        return vec, tag
+
+    def insert(self, vec: int, tag: int) -> int | None:
+        """Add vec with a tag; None when it is independent of the rows so far.
+
+        A dependent vec adds no row; the tag sum it reduces to is returned.
+        """
+        rem, t = self.reduce(vec)
+        if rem == 0:
+            return t
+        pivot = rem & -rem
+        self.rows[pivot] = (rem, tag ^ t)
+        self.mask |= pivot
+        return None
+
+
 class QuotientMap:
     """Coordinates on a quotient space cycles/boundaries over GF(2).
 
@@ -135,37 +174,38 @@ class QuotientMap:
     Mapping a vector reduces it against the echelon and XORs the tags,
     so the map vanishes exactly on the boundary span and is a bijection
     from the quotient onto bitmasks of width ``dim``.
+
+    Attributes:
+        dim: dimension of the quotient.
+        cycle_coords: coordinates of each input cycle, in input order; the
+            cycle that opens coordinate j gets exactly ``1 << j``.
     """
 
     def __init__(self, cycles: list[int], boundaries: list[int], n_cols: int):
         self.n_cols = n_cols
-        cyc_ech, _ = rref([c for c in cycles if c], n_cols)
+        cycle_span = _Echelon()
+        for c in cycles:
+            cycle_span.insert(c, 0)
         for b in boundaries:
-            if _reduce(b, [(r, 0) for r in cyc_ech])[0]:
+            if cycle_span.reduce(b)[0]:
                 raise ValueError("boundary vector outside the cycle span")
-        # entries: (vector, tag) kept sorted by pivot = lowest set bit
-        self._entries: list[tuple[int, int]] = []
+        self._echelon = _Echelon()
         for b in boundaries:
-            self._insert(b, 0)
+            self._echelon.insert(b, 0)
         self.dim = 0
+        coords = []
         for z in cycles:
-            if self._insert(z, 1 << self.dim):
+            tag = self._echelon.insert(z, 1 << self.dim)
+            if tag is None:
+                tag = 1 << self.dim
                 self.dim += 1
+            coords.append(tag)
+        self.cycle_coords = tuple(coords)
         self._basis: list[int] | None = None
-
-    def _insert(self, vec: int, tag: int) -> bool:
-        rem, t = _reduce(vec, self._entries)
-        if t:
-            tag ^= t
-        if rem == 0:
-            return False
-        self._entries.append((rem, tag))
-        self._entries.sort(key=lambda e: e[0] & -e[0])
-        return True
 
     def coords(self, vec: int) -> int:
         """Quotient coordinates of a cycle vector; rejects non-cycles."""
-        rem, tag = _reduce(vec, self._entries)
+        rem, tag = self._echelon.reduce(vec)
         if rem:
             raise ValueError("vector is not in the cycle span")
         return tag
@@ -173,7 +213,7 @@ class QuotientMap:
     def basis_cycles(self) -> list[int]:
         """Representative cycles c_j with coords(c_j) == 1 << j."""
         if self._basis is None:
-            rows = [(e, t) for e, t in self._entries if t]
+            rows = [(e, t) for e, t in self._echelon.rows.values() if t]
             rows.sort(key=lambda et: et[1].bit_length())
             basis: list[int] = []
             for j, (vec, tag) in enumerate(rows):
@@ -183,16 +223,6 @@ class QuotientMap:
                 basis.append(vec)
             self._basis = basis
         return self._basis
-
-
-def _reduce(vec: int, entries: list[tuple[int, int]]) -> tuple[int, int]:
-    """Reduce vec against echelon entries; returns (remainder, tag sum)."""
-    tag = 0
-    for row, t in entries:
-        if vec & (row & -row):
-            vec ^= row
-            tag ^= t
-    return vec, tag
 
 
 def quotient_coordinates(cycles: list[int], boundaries: list[int], n_cols: int) -> QuotientMap:

@@ -33,9 +33,8 @@ class GElement:
 class GroupContext:
     """Arithmetic context for the quotient group of a surface group.
 
-    Immutable after construction except the cocycle memo table, which is an
-    idempotent cache (same key always maps to the same value), so concurrent
-    reads and fills from worker threads are safe.
+    Immutable after construction except the cocycle memo table, an
+    idempotent cache: the same key always maps to the same value.
     """
 
     def __init__(self, cover: CoverCW):
@@ -45,17 +44,15 @@ class GroupContext:
         self._cocycle_cache = {}
 
     def cocycle(self, v1: int, v2: int) -> int:
-        """H1 class of the tree loop 0 -> v1 -> v1+v2 -> 0 (memoized)."""
+        """H1 class of the tree loop 0 -> v1 -> v1+v2 -> 0 (memoized).
+
+        Only the middle leg, the tree path to v2 translated to start at v1,
+        leaves the spanning tree.
+        """
         key = (v1, v2)
         val = self._cocycle_cache.get(key)
         if val is None:
-            chains = self.cover.tree_chains
-            loop = (
-                chains[v1]
-                ^ self.cover.translate_chain(chains[v2], v1)
-                ^ chains[v1 ^ v2]
-            )
-            val = self.cover.loop_class(loop)
+            val = self.cover.walk(self.cover.tree_words[v2], v1)[0]
             self._cocycle_cache[key] = val
         return val
 

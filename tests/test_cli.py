@@ -151,6 +151,27 @@ def test_lemma_check_command(capsys):
     assert summary["failures"] == []
 
 
+def test_lemma_check_reports_stage_timing(capsys):
+    code, out = run_main(capsys, "lemma-check", "--depth", "0")
+    assert code == 0
+    (summary,) = json_records(out)
+    assert set(summary["timing"]) == {"build_s", "generate_s", "lemma_s"}
+
+
+def test_verify_times_image_rank(capsys):
+    code, out = run_main(capsys, "verify", "--depth", "0", "--kernel-len", "4")
+    assert code == 0
+    assert "image_rank_s" in json_records(out)[0]["timing"]
+
+
+@pytest.mark.parametrize("command", ["verify", "lemma-check"])
+@pytest.mark.parametrize("max_len", ["0", "-3"])
+def test_max_len_below_one_is_usage_error(capsys, command, max_len):
+    code, out = run_main(capsys, command, "--depth", "0", "--max-len", max_len)
+    assert code == 2
+    assert out == ""
+
+
 def test_torus_demo_json(capsys):
     code, out = run_main(capsys, "torus-demo")
     assert code == 0

@@ -188,3 +188,69 @@ def test_genus_bounds():
         build_mod2_cover(1)
     with pytest.raises(ResourceLimitError):
         build_mod2_cover(5)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_edge_classes_are_fundamental_cycle_classes(genus):
+    cover = build_mod2_cover(genus)
+    nontree = set(cover.nontree_edges)
+    for e in range(cover.n_edges):
+        if e not in nontree:
+            assert cover.edge_classes[e] == 0
+    for e, cycle in zip(cover.nontree_edges, cover.cycle_basis):
+        assert cover.edge_classes[e] == cover.quotient.coords(cycle)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_table_classes_match_quotient_coords_on_closed_lifts(genus):
+    cover = build_mod2_cover(genus)
+    rng = random.Random(41 + genus)
+    for _ in range(200):
+        w = random_reduced_word(rng, genus, rng.randrange(0, 16))
+        start = rng.randrange(cover.n_vertices)
+        chain, end = cover.lift(w, start)
+        closed = chain ^ cover.tree_chains[start] ^ cover.tree_chains[end]
+        h, walk_end = cover.walk(w, start)
+        assert walk_end == end
+        assert h == cover.quotient.coords(closed)
+        assert cover.closed_up_class(start, w) == h
+        assert cover.loop_class(closed) == h
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_table_classes_match_quotient_coords_on_translated_cycles(genus):
+    cover = build_mod2_cover(genus)
+    rng = random.Random(43 + genus)
+    for _ in range(200):
+        u = rng.randrange(cover.n_vertices)
+        cycle = cover.cycle_basis[rng.randrange(len(cover.cycle_basis))]
+        translated = cover.translate_chain(cycle, u)
+        assert cover.loop_class(translated) == cover.quotient.coords(translated)
+
+
+def test_deck_action_matches_translated_basis_cycles():
+    cover = build_mod2_cover(2)
+    basis = cover.quotient.basis_cycles()
+    for u in range(cover.n_vertices):
+        expected = tuple(
+            cover.quotient.coords(cover.translate_chain(c, u)) for c in basis
+        )
+        assert cover.deck_action(u) == expected
+
+
+def test_loop_class_rejects_open_chain():
+    cover = build_mod2_cover(2)
+    chain, end = cover.lift((1,), 0)
+    assert end != 0
+    with pytest.raises(ValueError):
+        cover.loop_class(chain)
+    with pytest.raises(ValueError):
+        cover.loop_class(1 << cover.n_edges)
+
+
+def test_boundary_matrices_built_on_first_read():
+    cover = build_mod2_cover(2)
+    assert "d1" not in vars(cover) and "d2" not in vars(cover)
+    assert cover.d2 is cover.d2
+    assert (cover.d1.rows, cover.d1.cols) == (16, 64)
+    assert (cover.d2.rows, cover.d2.cols) == (64, 16)

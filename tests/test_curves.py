@@ -198,6 +198,12 @@ def test_generation_rejects_negative_depth():
         generate_simple_classes(2, -1, 64)
 
 
+@pytest.mark.parametrize("max_len", [0, -3])
+def test_generation_rejects_max_len_below_one(max_len):
+    with pytest.raises(ValueError):
+        generate_simple_classes(2, 1, max_len)
+
+
 def test_verify_standard_curves():
     report = verify_non_geometric(CTX, standard_curves(2))
     assert report.ok
@@ -264,3 +270,17 @@ def test_twist_images_of_separating_curve_still_certified():
     report = lemma_check(CTX, separating)
     assert report.ok
     assert report.n_separating == len(separating)
+
+
+def test_lemma_check_catches_separating_lift_that_bounds():
+    liar = SimpleClass(
+        cls=canonical_class(surface_relator(2)),
+        root="s1",
+        twists=(),
+        separating=True,
+    )
+    report = lemma_check(CTX, [liar])
+    assert report.n_separating == 1
+    assert len(report.failures) == 16
+    for v, failure in enumerate(report.failures):
+        assert failure["reason"] == "lift from vertex %d separates the cover" % v

@@ -207,3 +207,11 @@ def test_search_rejects_bad_bound():
 def test_gelement_equality_is_structural():
     assert GElement(3, 5) == GElement(3, 5)
     assert GElement(3, 5) != GElement(3, 4)
+
+
+def test_rho_and_in_kernel_reject_letters_outside_genus():
+    for w in ((5,), (1, -5, 5), (-6, 6)):
+        with pytest.raises(ValueError):
+            rho(CTX, w)
+        with pytest.raises(ValueError):
+            in_kernel(CTX, w)

@@ -99,32 +99,27 @@ def cmd_info(args):
     return 0
 
 
+def _timed(timing, key, fn, *args, **kwargs):
+    """Call fn and record its wall time in seconds as timing[key]."""
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    timing[key] = round(time.perf_counter() - start, 3)
+    return result
+
+
 def cmd_verify(args):
     timing = {}
-    start = time.perf_counter()
-    cover = build_mod2_cover(args.genus)
+    cover = _timed(timing, "build_s", build_mod2_cover, args.genus)
     ctx = GroupContext(cover)
-    timing["build_s"] = round(time.perf_counter() - start, 3)
-
-    start = time.perf_counter()
-    classes = generate_simple_classes(args.genus, args.depth, args.max_len)
-    timing["generate_s"] = round(time.perf_counter() - start, 3)
-
-    start = time.perf_counter()
-    report = verify_non_geometric(ctx, classes, workers=args.workers)
-    timing["verify_s"] = round(time.perf_counter() - start, 3)
-
-    start = time.perf_counter()
-    lemma = lemma_check(ctx, classes)
-    timing["lemma_s"] = round(time.perf_counter() - start, 3)
-
-    start = time.perf_counter()
-    witnesses = search_kernel_elements(ctx, args.kernel_len)
-    timing["search_s"] = round(time.perf_counter() - start, 3)
-
-    start = time.perf_counter()
-    rank = empirical_image_rank(ctx, seed=args.seed)
-    timing["image_rank_s"] = round(time.perf_counter() - start, 3)
+    classes = _timed(
+        timing, "generate_s", generate_simple_classes, args.genus, args.depth, args.max_len
+    )
+    report = _timed(
+        timing, "verify_s", verify_non_geometric, ctx, classes, workers=args.workers
+    )
+    lemma = _timed(timing, "lemma_s", lemma_check, ctx, classes)
+    witnesses = _timed(timing, "search_s", search_kernel_elements, ctx, args.kernel_len)
+    rank = _timed(timing, "image_rank_s", empirical_image_rank, ctx, seed=args.seed)
 
     if report.kernel_hits:
         status = "kernel_hit"
@@ -227,18 +222,11 @@ def cmd_search_kernel(args):
 
 def cmd_lemma_check(args):
     timing = {}
-    start = time.perf_counter()
-    cover = build_mod2_cover(args.genus)
-    ctx = GroupContext(cover)
-    timing["build_s"] = round(time.perf_counter() - start, 3)
-
-    start = time.perf_counter()
-    classes = generate_simple_classes(args.genus, args.depth, args.max_len)
-    timing["generate_s"] = round(time.perf_counter() - start, 3)
-
-    start = time.perf_counter()
-    lemma = lemma_check(ctx, classes)
-    timing["lemma_s"] = round(time.perf_counter() - start, 3)
+    cover = _timed(timing, "build_s", build_mod2_cover, args.genus)
+    classes = _timed(
+        timing, "generate_s", generate_simple_classes, args.genus, args.depth, args.max_len
+    )
+    lemma = _timed(timing, "lemma_s", lemma_check, GroupContext(cover), classes)
     summary = {
         "schema": SCHEMA,
         "kind": "summary",
@@ -387,50 +375,40 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--genus", type=int, default=2, help="surface genus (2..4)")
+    common.add_argument("--format", choices=("json", "text"), default="json")
+    common.add_argument("--out", default=None, help="write report to this path")
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--depth", type=int, default=6, help="twist depth")
+    sweep.add_argument("--max-len", type=int, default=64, dest="max_len")
+    kernel = argparse.ArgumentParser(add_help=False)
+    kernel.add_argument("--kernel-len", type=int, default=8, dest="kernel_len")
 
-    def add_common(p, with_sweep=False):
-        p.add_argument("--genus", type=int, default=2, help="surface genus (2..4)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--out", default=None, help="write report to this path")
-        if with_sweep:
-            p.add_argument("--depth", type=int, default=6, help="twist depth")
-            p.add_argument("--max-len", type=int, default=64, dest="max_len")
-            p.add_argument(
-                "--kernel-len", type=int, default=8, dest="kernel_len"
-            )
-            p.add_argument(
-                "--workers",
-                type=int,
-                default=1,
-                help="accepted for compatibility; evaluation is single-threaded",
-            )
-            p.add_argument("--seed", type=int, default=0)
+    def add_command(name, func, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, parents=[common, *parents])
+        p.set_defaults(func=func)
+        return p
 
-    p_info = sub.add_parser("info", help="cover statistics")
-    add_common(p_info)
-    p_info.set_defaults(func=cmd_info)
-
-    p_verify = sub.add_parser("verify", help="full verification sweep")
-    add_common(p_verify, with_sweep=True)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_search = sub.add_parser("search-kernel", help="kernel witness search")
-    add_common(p_search)
-    p_search.add_argument("--kernel-len", type=int, default=8, dest="kernel_len")
-    p_search.set_defaults(func=cmd_search_kernel)
-
-    p_lemma = sub.add_parser("lemma-check", help="lift checks on generated classes")
-    add_common(p_lemma)
-    p_lemma.add_argument("--depth", type=int, default=6)
-    p_lemma.add_argument("--max-len", type=int, default=64, dest="max_len")
-    p_lemma.set_defaults(func=cmd_lemma_check)
-
-    p_torus = sub.add_parser("torus-demo", help="torus kernel scan and sidedness")
-    add_common(p_torus)
-    p_torus.set_defaults(func=cmd_torus_demo)
-
-    p_realize = sub.add_parser("realize", help="manifold recipe from a presentation")
-    add_common(p_realize)
+    add_command("info", cmd_info, "cover statistics")
+    p_verify = add_command(
+        "verify", cmd_verify, "full verification sweep", sweep, kernel
+    )
+    p_verify.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility; evaluation is single-threaded",
+    )
+    p_verify.add_argument("--seed", type=int, default=0)
+    add_command("search-kernel", cmd_search_kernel, "kernel witness search", kernel)
+    add_command(
+        "lemma-check", cmd_lemma_check, "lift checks on generated classes", sweep
+    )
+    add_command("torus-demo", cmd_torus_demo, "torus kernel scan and sidedness")
+    p_realize = add_command(
+        "realize", cmd_realize, "manifold recipe from a presentation"
+    )
     p_realize.add_argument(
         "presentation",
         nargs="?",
@@ -438,7 +416,6 @@ def build_parser():
         help="presentation file; omitted: template recipe for the quotient group",
     )
     p_realize.add_argument("--dimension", type=int, default=4)
-    p_realize.set_defaults(func=cmd_realize)
     return parser
 
 

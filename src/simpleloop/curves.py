@@ -127,35 +127,17 @@ def standard_curves(genus: int) -> list[SimpleClass]:
     """The standard simple curves: 2g handle curves and g-1 separating ones."""
     if genus < 2:
         raise ValueError("genus must be at least 2")
-    out = []
-    for i in range(1, genus + 1):
-        out.append(
-            SimpleClass(
-                cls=canonical_class((2 * i - 1,)),
-                root="a%d" % i,
-                twists=(),
-                separating=False,
-            )
+    roots = ["%s%d" % (fam, i) for i in range(1, genus + 1) for fam in "ab"]
+    roots += ["s%d" % k for k in range(1, genus)]
+    return [
+        SimpleClass(
+            cls=canonical_class(root_word(genus, root)),
+            root=root,
+            twists=(),
+            separating=root[0] == "s",
         )
-        out.append(
-            SimpleClass(
-                cls=canonical_class((2 * i,)),
-                root="b%d" % i,
-                twists=(),
-                separating=False,
-            )
-        )
-    for k in range(1, genus):
-        word = separating_word(genus, k)
-        out.append(
-            SimpleClass(
-                cls=canonical_class(word),
-                root="s%d" % k,
-                twists=(),
-                separating=True,
-            )
-        )
-    return out
+        for root in roots
+    ]
 
 
 def root_word(genus: int, root: str) -> Word:

@@ -18,7 +18,6 @@ __all__ = [
     "kernel_basis",
     "matmul",
     "QuotientMap",
-    "quotient_coordinates",
 ]
 
 
@@ -175,6 +174,12 @@ class QuotientMap:
     so the map vanishes exactly on the boundary span and is a bijection
     from the quotient onto bitmasks of width ``dim``.
 
+    Args:
+        cycles: basis of the cycle subspace, as bitmask vectors.
+        boundaries: spanning set of the boundary subspace; must lie in
+            the span of ``cycles``.
+        n_cols: ambient dimension.
+
     Attributes:
         dim: dimension of the quotient.
         cycle_coords: coordinates of each input cycle, in input order; the
@@ -223,18 +228,3 @@ class QuotientMap:
                 basis.append(vec)
             self._basis = basis
         return self._basis
-
-
-def quotient_coordinates(cycles: list[int], boundaries: list[int], n_cols: int) -> QuotientMap:
-    """Build the coordinate map on cycles modulo boundaries.
-
-    Args:
-        cycles: basis of the cycle subspace, as bitmask vectors.
-        boundaries: spanning set of the boundary subspace; must lie in
-            the span of ``cycles``.
-        n_cols: ambient dimension.
-
-    Returns:
-        A QuotientMap of dimension dim(cycles) - dim(boundaries).
-    """
-    return QuotientMap(cycles, boundaries, n_cols)

@@ -56,10 +56,6 @@ class GroupContext:
             self._cocycle_cache[key] = val
         return val
 
-    def deck_matrix(self, u: int) -> tuple[int, ...]:
-        """H1 action of the deck translation by u, as coordinate columns."""
-        return self.cover.deck_action(u)
-
     def group_order_log2(self) -> int:
         """Log base 2 of the order of the full extension group."""
         return 2 * self.genus + self.cover.h1_dim
@@ -73,13 +69,13 @@ def rho(ctx: GroupContext, w: Word) -> GElement:
 
 def mul(ctx: GroupContext, x: GElement, y: GElement) -> GElement:
     """Product in the extension group: twisted by deck action and cocycle."""
-    h = x.h ^ deck_apply(ctx.deck_matrix(x.v), y.h) ^ ctx.cocycle(x.v, y.v)
+    h = x.h ^ deck_apply(ctx.cover.deck_action(x.v), y.h) ^ ctx.cocycle(x.v, y.v)
     return GElement(x.v ^ y.v, h)
 
 
 def inv(ctx: GroupContext, x: GElement) -> GElement:
     """Inverse in the extension group."""
-    h = deck_apply(ctx.deck_matrix(x.v), x.h ^ ctx.cocycle(x.v, x.v))
+    h = deck_apply(ctx.cover.deck_action(x.v), x.h ^ ctx.cocycle(x.v, x.v))
     return GElement(x.v, h)
 
 
@@ -111,6 +107,7 @@ def search_kernel_elements(
         + [-k for k in range(1, 2 * genus + 1)],
         key=letter_order_key,
     )
+    position = {x: i for i, x in enumerate(alphabet)}
     hits: list[tuple[Word, bool]] = []
     word: list[int] = []
 
@@ -130,11 +127,10 @@ def search_kernel_elements(
         remaining = length - len(word)
         if phi.bit_count() > remaining:
             return
-        first_key = letter_order_key(word[0]) if word else None
-        for x in alphabet:
+        # A canonical word starts with its least letter, so no later letter
+        # may precede the first one in the canonical order.
+        for x in alphabet[position[word[0]]:] if word else alphabet:
             if word and x == -word[-1]:
-                continue
-            if first_key is not None and letter_order_key(x) < first_key:
                 continue
             word.append(x)
             extend(phi ^ (1 << (abs(x) - 1)), length)

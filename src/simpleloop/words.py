@@ -139,11 +139,7 @@ def separating_word(genus: int, k: int) -> Word:
     """Standard separating curve word [a1,b1]...[ak,bk], 1 <= k <= g-1."""
     if not 1 <= k <= genus - 1:
         raise ValueError("separating index out of range")
-    out = []
-    for i in range(1, k + 1):
-        a, b = 2 * i - 1, 2 * i
-        out.extend([a, b, -a, -b])
-    return tuple(out)
+    return surface_relator(genus)[:4 * k]
 
 
 def substitute(w: Word, images: dict[int, Word]) -> Word:
@@ -195,7 +191,7 @@ def dehn_normal_form(w, genus: int) -> Word:
     table = _dehn_table(genus)
     shortest = 2 * genus + 1
     longest = 4 * genus
-    w = cyclic_reduce(free_reduce(w))
+    w = cyclic_reduce(w)
     changed = True
     while changed and w:
         changed = False
@@ -225,51 +221,31 @@ def letter_order_key(x: int) -> int:
     return 2 * (abs(x) - 1) + (1 if x < 0 else 0)
 
 
-def _least_rotation(keys: list[int]) -> int:
-    """Index of the lexicographically least rotation (Booth's algorithm)."""
-    s = keys + keys
-    n = len(keys)
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k % n
-
-
 def canonical_class(w) -> Word:
     """Canonical representative of the free conjugacy class of w or w^-1.
 
     Cyclically reduces, then takes the least rotation of the word and of
     its inverse under the fixed letter order.  Rejects the empty word.
     """
-    w = cyclic_reduce(free_reduce(w))
+    w = cyclic_reduce(w)
     if not w:
         raise ValueError("the trivial word has no essential class")
-    best = None
+    n = len(w)
+    best = best_keys = None
     for cand in (w, inverse(w)):
-        keys = [letter_order_key(x) for x in cand]
-        i = _least_rotation(keys)
-        rot = cand[i:] + cand[:i]
-        if best is None or [letter_order_key(x) for x in rot] < best_keys:
-            best = rot
-            best_keys = [letter_order_key(x) for x in rot]
+        # Key lists, not tuples: the n transient slices per call would
+        # otherwise fill CPython's per-size tuple free lists.
+        keys = list(map(letter_order_key, cand)) * 2
+        i = min(range(n), key=lambda j: keys[j:j + n])
+        if best is None or keys[i:i + n] < best_keys:
+            best = cand[i:] + cand[:i]
+            best_keys = keys[i:i + n]
     return best
 
 
 def is_proper_power(w) -> bool:
     """True iff the cyclic reduction is a literal repetition u^k, k >= 2."""
-    v = cyclic_reduce(free_reduce(w))
+    v = cyclic_reduce(w)
     n = len(v)
     if n == 0:
         return False

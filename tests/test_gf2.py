@@ -6,11 +6,11 @@ import pytest
 
 from simpleloop.gf2 import (
     GF2Matrix,
+    QuotientMap,
     dot,
     rank,
     kernel_basis,
     matmul,
-    quotient_coordinates,
 )
 
 
@@ -105,7 +105,7 @@ def test_matmul_associativity():
 
 
 def test_quotient_whole_space_no_boundaries():
-    q = quotient_coordinates([vec(1, 0), vec(0, 1)], [0], 2)
+    q = QuotientMap([vec(1, 0), vec(0, 1)], [0], 2)
     assert q.dim == 2
     seen = {q.coords(v) for v in (0, 1, 2, 3)}
     assert seen == {0, 1, 2, 3}
@@ -114,7 +114,7 @@ def test_quotient_whole_space_no_boundaries():
 
 def test_quotient_everything_bounds():
     cycles = [vec(1, 1, 0), vec(0, 1, 1)]
-    q = quotient_coordinates(cycles, cycles, 3)
+    q = QuotientMap(cycles, cycles, 3)
     assert q.dim == 0
     for c in cycles:
         assert q.coords(c) == 0
@@ -122,11 +122,11 @@ def test_quotient_everything_bounds():
 
 def test_quotient_rejects_boundary_outside_cycles():
     with pytest.raises(ValueError):
-        quotient_coordinates([vec(1, 1, 0)], [vec(0, 0, 1)], 3)
+        QuotientMap([vec(1, 1, 0)], [vec(0, 0, 1)], 3)
 
 
 def test_quotient_rejects_non_cycle_vector():
-    q = quotient_coordinates([vec(1, 1, 0)], [], 3)
+    q = QuotientMap([vec(1, 1, 0)], [], 3)
     with pytest.raises(ValueError):
         q.coords(vec(1, 0, 0))
 
@@ -139,7 +139,7 @@ def test_quotient_vanishes_exactly_on_boundaries_brute():
         cycles_raw = [rng.randrange(1, 1 << n) for _ in range(nz)]
         cyc_span = span(cycles_raw)
         boundaries = [rng.choice(sorted(cyc_span)) for _ in range(rng.randrange(0, 3))]
-        q = quotient_coordinates(cycles_raw, boundaries, n)
+        q = QuotientMap(cycles_raw, boundaries, n)
         b_span = span(boundaries)
         for w in cyc_span:
             if w in b_span:
@@ -161,7 +161,7 @@ def test_quotient_basis_cycles_hit_unit_coordinates():
         n = rng.randrange(3, 12)
         cycles = [rng.randrange(1, 1 << n) for _ in range(rng.randrange(1, 7))]
         boundaries = [rng.choice(sorted(span(cycles))) for _ in range(rng.randrange(0, 3))]
-        q = quotient_coordinates(cycles, boundaries, n)
+        q = QuotientMap(cycles, boundaries, n)
         basis = q.basis_cycles()
         assert len(basis) == q.dim
         for j, c in enumerate(basis):

@@ -1,5 +1,6 @@
 """Tests for the quotient group arithmetic and kernel search."""
 
+import itertools
 import random
 
 import pytest
@@ -22,7 +23,9 @@ from simpleloop.words import (
     concat,
     free_reduce,
     inverse,
+    is_proper_power,
     is_trivial,
+    letter_order_key,
     random_reduced_word,
     surface_relator,
 )
@@ -93,7 +96,7 @@ def test_associativity_random_triples():
 def test_cocycle_identity_all_triples():
     n = CTX.cover.n_vertices
     for v1 in range(n):
-        a1 = CTX.deck_matrix(v1)
+        a1 = CTX.cover.deck_action(v1)
         for v2 in range(n):
             c12 = CTX.cocycle(v1, v2)
             for v3 in range(n):
@@ -166,6 +169,22 @@ def test_search_length8_finds_commutator_witness():
         assert not is_trivial(w, 2)
         assert canonical_class(w) == w
     assert len(set(words)) == len(words)
+
+
+def test_search_matches_brute_force_filter():
+    # Oracle: every cyclically reduced word, by length and then in the
+    # canonical letter order, kept when canonical, in the kernel and
+    # Dehn-nontrivial; the list order checks the search's discovery order.
+    alphabet = sorted((1, 2, 3, 4, -1, -2, -3, -4), key=letter_order_key)
+    expected = []
+    for length in range(1, 7):
+        for w in itertools.product(alphabet, repeat=length):
+            if any(x == -y for x, y in zip(w, w[1:] + w[:1])):
+                continue
+            if in_kernel(CTX, w) and canonical_class(w) == w and not is_trivial(w, 2):
+                expected.append((w, is_proper_power(w)))
+    assert expected
+    assert search_kernel_elements(CTX, 6) == expected
 
 
 def test_kernel_is_normal():

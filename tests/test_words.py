@@ -192,8 +192,17 @@ def test_canonical_class_least_rotation_matches_naive():
     from simpleloop.words import letter_order_key
 
     rng = random.Random(17)
-    for _ in range(300):
-        w = cyclic_reduce(random_reduced_word(rng, G, rng.randrange(1, 12)))
+    words = []
+    for genus in (2, 3, 4):
+        for _ in range(300):
+            words.append(random_reduced_word(rng, genus, rng.randrange(1, 41)))
+        # Periodic and near-periodic words have several least rotations, and
+        # w and w^-1 can tie.
+        for k in range(1, 21):
+            u = random_reduced_word(rng, genus, rng.randrange(1, 5))
+            words += [(1, 2) * k, (1, 2) * k + (3,), (1,) * k, u * k, u * k + (1,)]
+    for w in words:
+        w = cyclic_reduce(w)
         if not w:
             continue
         cands = []

@@ -1,7 +1,8 @@
 """Command-line interface for building, verifying, and reporting.
 
 Commands: info, verify, search-kernel, lemma-check, torus-demo, realize.
-Reports are JSON lines (schema field on every record) or plain text. Exit
+Each command returns (exit code, records, text lines), and main writes the
+records as JSON lines (schema field on every record) or the text. Exit
 codes: 0 success, 1 verification failure (including no kernel witness at
 the requested bound), 2 usage or configuration error, 3 resource bound.
 """
@@ -27,9 +28,16 @@ from .quotient import (
     search_kernel_elements,
 )
 from .realize import parse_presentation, realize, recipe_for_G
-from .words import dehn_normal_form, is_trivial, word_from_str, word_to_str
+from .words import (
+    check_length_bound,
+    dehn_normal_form,
+    is_trivial,
+    word_from_str,
+    word_to_str,
+)
 
 SCHEMA = 1
+NO_WITNESS = "no witness found at this bound"
 
 
 def _write(lines, out_path):
@@ -41,14 +49,9 @@ def _write(lines, out_path):
         sys.stdout.write(text)
 
 
-def _json_lines(records):
-    return [json.dumps(rec, sort_keys=True) for rec in records]
-
-
 def _witness_record(genus, word, proper_power):
     normal_form = dehn_normal_form(word, genus)
     return {
-        "schema": SCHEMA,
         "kind": "witness",
         "word": word_to_str(word),
         "length": len(word),
@@ -81,22 +84,14 @@ def _cover_stats_record(cover):
 
 
 def cmd_info(args):
-    cover = build_mod2_cover(args.genus)
-    record = _cover_stats_record(cover)
-    if args.format == "json":
-        _write(_json_lines([record]), args.out)
-    else:
-        _write(
-            [
-                "cover degree: %d" % record["degree"],
-                "euler characteristic: %d" % record["euler_characteristic"],
-                "cover genus: %d" % record["cover_genus"],
-                "h1 dimension: %d" % record["h1_dim"],
-                "group order: 2^%d" % record["group_order_log2"],
-            ],
-            args.out,
-        )
-    return 0
+    record = _cover_stats_record(build_mod2_cover(args.genus))
+    return 0, [record], [
+        "cover degree: %d" % record["degree"],
+        "euler characteristic: %d" % record["euler_characteristic"],
+        "cover genus: %d" % record["cover_genus"],
+        "h1 dimension: %d" % record["h1_dim"],
+        "group order: 2^%d" % record["group_order_log2"],
+    ]
 
 
 def _timed(timing, key, fn, *args, **kwargs):
@@ -108,6 +103,9 @@ def _timed(timing, key, fn, *args, **kwargs):
 
 
 def cmd_verify(args):
+    # A stage checks its bound only after the stages before it have run.
+    check_length_bound(args.max_len, "max_len")
+    check_length_bound(args.kernel_len, "kernel length")
     timing = {}
     cover = _timed(timing, "build_s", build_mod2_cover, args.genus)
     ctx = GroupContext(cover)
@@ -131,7 +129,6 @@ def cmd_verify(args):
         status = "ok"
 
     summary = {
-        "schema": SCHEMA,
         "kind": "summary",
         "status": status,
         "config": {
@@ -158,66 +155,47 @@ def cmd_verify(args):
         "completeness_note": report.completeness_note,
         "timing": timing,
     }
-    if args.format == "json":
-        records = [summary]
-        records.extend(
-            _witness_record(args.genus, w, flag) for w, flag in witnesses
-        )
-        for rec in report.records:
-            rec = dict(rec)
-            rec["schema"] = SCHEMA
-            rec["kind"] = "class"
-            records.append(rec)
-        _write(_json_lines(records), args.out)
-    else:
-        lines = [
-            "status: %s" % status,
-            "classes: %d (%d separating, %d nonseparating)"
-            % (report.total, report.n_separating, report.n_nonseparating),
-            "kernel hits among simple classes: %d" % len(report.kernel_hits),
-            "kernel witnesses found: %d" % len(witnesses),
-            "lemma check: %s (%d separating classes, %d lifts each)"
-            % ("pass" if lemma.ok else "FAIL", lemma.n_separating, lemma.lifts_per_class),
-            "image rank observed: v %d/%d, h %d/%d"
-            % (rank["v_rank"], rank["v_dim"], rank["h_rank"], rank["h_dim"]),
-            "timing: %s" % json.dumps(timing, sort_keys=True),
-        ]
-        if status == "no_witness_at_bound":
-            lines.append("no witness found at this bound")
-        _write(lines, args.out)
-    return 0 if status == "ok" else 1
+    records = [summary]
+    records.extend(_witness_record(args.genus, w, flag) for w, flag in witnesses)
+    records.extend({"kind": "class", **rec} for rec in report.records)
+    lines = [
+        "status: %s" % status,
+        "classes: %d (%d separating, %d nonseparating)"
+        % (report.total, report.n_separating, report.n_nonseparating),
+        "kernel hits among simple classes: %d" % len(report.kernel_hits),
+        "kernel witnesses found: %d" % len(witnesses),
+        "lemma check: %s (%d separating classes, %d lifts each)"
+        % ("pass" if lemma.ok else "FAIL", lemma.n_separating, lemma.lifts_per_class),
+        "image rank observed: v %d/%d, h %d/%d"
+        % (rank["v_rank"], rank["v_dim"], rank["h_rank"], rank["h_dim"]),
+        "timing: %s" % json.dumps(timing, sort_keys=True),
+    ]
+    if status == "no_witness_at_bound":
+        lines.append(NO_WITNESS)
+    return (0 if status == "ok" else 1), records, lines
 
 
 def cmd_search_kernel(args):
-    cover = build_mod2_cover(args.genus)
-    ctx = GroupContext(cover)
+    ctx = GroupContext(build_mod2_cover(args.genus))
     witnesses = search_kernel_elements(ctx, args.kernel_len)
-    status = "ok" if witnesses else "no_witness_at_bound"
-    summary = {
-        "schema": SCHEMA,
-        "kind": "summary",
-        "status": status,
-        "genus": args.genus,
-        "kernel_len": args.kernel_len,
-        "witness_count": len(witnesses),
-    }
-    if args.format == "json":
-        records = [summary]
-        records.extend(
-            _witness_record(args.genus, w, flag) for w, flag in witnesses
-        )
-        _write(_json_lines(records), args.out)
-    else:
-        lines = ["witnesses found: %d" % len(witnesses)]
-        lines.extend(
-            "%s (length %d%s)"
-            % (word_to_str(w), len(w), ", proper power" if flag else "")
-            for w, flag in witnesses
-        )
-        if not witnesses:
-            lines.append("no witness found at this bound")
-        _write(lines, args.out)
-    return 0 if witnesses else 1
+    records = [
+        {
+            "kind": "summary",
+            "status": "ok" if witnesses else "no_witness_at_bound",
+            "genus": args.genus,
+            "kernel_len": args.kernel_len,
+            "witness_count": len(witnesses),
+        }
+    ]
+    records.extend(_witness_record(args.genus, w, flag) for w, flag in witnesses)
+    lines = ["witnesses found: %d" % len(witnesses)]
+    lines.extend(
+        "%s (length %d%s)" % (word_to_str(w), len(w), ", proper power" if flag else "")
+        for w, flag in witnesses
+    )
+    if not witnesses:
+        lines.append(NO_WITNESS)
+    return (0 if witnesses else 1), records, lines
 
 
 def cmd_lemma_check(args):
@@ -228,7 +206,6 @@ def cmd_lemma_check(args):
     )
     lemma = _timed(timing, "lemma_s", lemma_check, GroupContext(cover), classes)
     summary = {
-        "schema": SCHEMA,
         "kind": "summary",
         "status": "ok" if lemma.ok else "lemma_failure",
         "genus": args.genus,
@@ -239,88 +216,68 @@ def cmd_lemma_check(args):
         "failures": lemma.failures,
         "timing": timing,
     }
-    if args.format == "json":
-        _write(_json_lines([summary]), args.out)
-    else:
-        _write(
-            [
-                "separating classes checked: %d (%d lifts each)"
-                % (lemma.n_separating, lemma.lifts_per_class),
-                "nonseparating classes checked: %d" % lemma.n_nonseparating,
-                "result: %s" % ("pass" if lemma.ok else "FAIL"),
-                "timing: %s" % json.dumps(timing, sort_keys=True),
-            ],
-            args.out,
-        )
-    return 0 if lemma.ok else 1
+    return (0 if lemma.ok else 1), [summary], [
+        "separating classes checked: %d (%d lifts each)"
+        % (lemma.n_separating, lemma.lifts_per_class),
+        "nonseparating classes checked: %d" % lemma.n_nonseparating,
+        "result: %s" % ("pass" if lemma.ok else "FAIL"),
+        "timing: %s" % json.dumps(timing, sort_keys=True),
+    ]
 
 
 def cmd_torus_demo(args):
     scan = torus_kernel_scan(100)
     reports = [
         torus_inclusion_sidedness(),
-        main_construction_sidedness(max(args.genus, 2)),
+        main_construction_sidedness(args.genus),
         free_factor_sidedness(),
     ]
-    extensions = [extend_to_dimension(n, bound=100) for n in (4, 5)]
     expected = [False, True, True]
     ok = scan["non_geometric"] and [r["two_sided"] for r in reports] == expected
-    if args.format == "json":
-        records = [
+    records = [
+        {
+            "kind": "summary",
+            "status": "ok" if ok else "demo_failure",
+            "non_geometric_kernel": scan["non_geometric"],
+            "scan_bound": scan["bound"],
+            "kernel_class_count": len(scan["kernel_classes"]),
+        }
+    ]
+    lines = [
+        "non-geometric kernel: %s" % str(scan["non_geometric"]).lower(),
+        "kernel classes up to bound %d: %d"
+        % (scan["bound"], len(scan["kernel_classes"])),
+    ]
+    for rep in reports:
+        records.append(
             {
-                "schema": SCHEMA,
-                "kind": "summary",
-                "status": "ok" if ok else "demo_failure",
-                "non_geometric_kernel": scan["non_geometric"],
-                "scan_bound": scan["bound"],
-                "kernel_class_count": len(scan["kernel_classes"]),
+                "kind": "sidedness",
+                "name": rep["name"],
+                "two_sided": rep["two_sided"],
+                "notes": rep["notes"],
             }
-        ]
-        for rep in reports:
-            records.append(
-                {
-                    "schema": SCHEMA,
-                    "kind": "sidedness",
-                    "name": rep["name"],
-                    "two_sided": rep["two_sided"],
-                    "notes": rep["notes"],
-                }
-            )
-        for ext in extensions:
-            records.append(
-                {
-                    "schema": SCHEMA,
-                    "kind": "extension",
-                    "dimension": ext["dimension"],
-                    "pi1_unchanged": ext["pi1_unchanged"],
-                    "non_geometric_kernel": ext["scan"]["non_geometric"],
-                    "warning": ext.get("warning"),
-                }
-            )
-        _write(_json_lines(records), args.out)
-    else:
-        lines = [
-            "non-geometric kernel: %s" % str(scan["non_geometric"]).lower(),
-            "kernel classes up to bound %d: %d"
-            % (scan["bound"], len(scan["kernel_classes"])),
-        ]
-        for rep in reports:
-            lines.append(
-                "%s: %s"
-                % (rep["name"], "2-sided" if rep["two_sided"] else "1-sided")
-            )
-        for ext in extensions:
-            note = " (%s)" % ext["warning"] if "warning" in ext else ""
-            lines.append(
-                "dimension %d: non-geometric kernel %s%s"
-                % (
-                    ext["dimension"],
-                    str(ext["scan"]["non_geometric"]).lower(),
-                    note,
-                )
-            )
-        _write(lines, args.out)
-    return 0 if ok else 1
+        )
+        lines.append(
+            "%s: %s" % (rep["name"], "2-sided" if rep["two_sided"] else "1-sided")
+        )
+    for n in (4, 5):
+        ext = extend_to_dimension(n, bound=100)
+        non_geometric = ext["scan"]["non_geometric"]
+        records.append(
+            {
+                "kind": "extension",
+                "dimension": ext["dimension"],
+                "pi1_unchanged": ext["pi1_unchanged"],
+                "non_geometric_kernel": non_geometric,
+                "warning": ext.get("warning"),
+            }
+        )
+        note = " (%s)" % ext["warning"] if "warning" in ext else ""
+        lines.append(
+            "dimension %d: non-geometric kernel %s%s"
+            % (ext["dimension"], str(non_geometric).lower(), note)
+        )
+    return (0 if ok else 1), records, lines
 
 
 def cmd_realize(args):
@@ -328,20 +285,17 @@ def cmd_realize(args):
         with open(args.presentation) as handle:
             pres = parse_presentation(handle.read())
         recipe = realize(pres, args.dimension)
+        group = recipe.resulting_group
         record = {
-            "schema": SCHEMA,
             "kind": "recipe",
             "dimension": recipe.dimension,
             "base": recipe.base,
             "steps": list(recipe.steps),
-            "generators": list(recipe.resulting_group.generators),
-            "relators": [
-                recipe.resulting_group.word_str(r)
-                for r in recipe.resulting_group.relators
-            ],
+            "generators": list(group.generators),
+            "relators": [group.word_str(r) for r in group.relators],
             "notes": list(recipe.notes),
         }
-        text_lines = [
+        lines = [
             "base: %s" % " # ".join(recipe.base["summands"]),
             "surgery steps: %d" % len(recipe.steps),
         ] + [
@@ -349,20 +303,17 @@ def cmd_realize(args):
             for s in recipe.steps
         ]
     else:
-        record = dict(recipe_for_G(args.genus, args.dimension))
-        record["schema"] = SCHEMA
-        record["kind"] = "recipe_template"
-        text_lines = [
+        record = {
+            "kind": "recipe_template",
+            **recipe_for_G(args.genus, args.dimension),
+        }
+        lines = [
             "group order: 2^%d" % record["group_order_log2"],
             "dimension: %d" % record["dimension"],
             record["template"],
             record["two_sidedness_note"],
         ]
-    if args.format == "json":
-        _write(_json_lines([record]), args.out)
-    else:
-        _write(text_lines, args.out)
-    return 0
+    return 0, [record], lines
 
 
 def build_parser():
@@ -425,14 +376,18 @@ def main(argv=None) -> int:
     if getattr(args, "workers", 1) < 1:
         parser.exit(2, "worker count must be at least 1\n")
     try:
-        return args.func(args)
+        code, records, lines = args.func(args)
+        if args.format == "json":
+            lines = [
+                json.dumps({"schema": SCHEMA, **rec}, sort_keys=True)
+                for rec in records
+            ]
+        _write(lines, args.out)
+        return code
     except ResourceLimitError as exc:
         sys.stderr.write("resource bound: %s\n" % exc)
         return 3
-    except ValueError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -15,15 +15,14 @@ simplicity; the enumeration makes no completeness claim.
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .quotient import GroupContext, in_kernel, rho
+from .quotient import GroupContext, rho
 from .words import (
     Word,
     abelianization_mod2,
     canonical_class,
-    concat,
+    check_length_bound,
     free_reduce,
     inverse,
-    is_proper_power,
     separating_word,
     substitute,
     surface_relator,
@@ -174,8 +173,7 @@ def generate_simple_classes(
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
+    check_length_bound(max_len, "max_len")
     table = twist_table(genus)
     names = sorted(table)
     seen: dict[Word, SimpleClass] = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
+    "Echelon",
     "GF2Matrix",
     "dot",
     "rank",
@@ -57,31 +58,18 @@ class GF2Matrix:
 
 
 def rref(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form.
+    """Reduced row echelon form of rows with entries in columns below n_cols.
 
     Returns (reduced nonzero rows, pivot column per row), pivots in
     increasing column order.
     """
-    rows = [r for r in rows]
-    out: list[int] = []
-    pivots: list[int] = []
-    for col in range(n_cols):
-        bit = 1 << col
-        src = None
-        for i, r in enumerate(rows):
-            if r & bit:
-                src = i
-                break
-        if src is None:
-            continue
-        piv = rows.pop(src)
-        rows = [r ^ piv if r & bit else r for r in rows]
-        out = [r ^ piv if r & bit else r for r in out]
-        out.append(piv)
-        pivots.append(col)
-        if not rows:
-            break
-    return out, pivots
+    ech = Echelon()
+    for r in rows:
+        ech.insert(r, 0)
+    pivots = sorted(ech.rows)
+    # Reducing a row without its pivot bit only uses rows with higher pivots.
+    reduced = [p | ech.reduce(ech.rows[p][0] ^ p)[0] for p in pivots]
+    return reduced, [p.bit_length() - 1 for p in pivots]
 
 
 def rank(m: GF2Matrix) -> int:
@@ -125,7 +113,7 @@ def matmul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     return GF2Matrix(a.rows, b.cols, tuple(data))
 
 
-class _Echelon:
+class Echelon:
     """Echelon rows over GF(2), keyed by pivot (the lowest set bit of a row).
 
     Every row carries a tag, XORed into the result whenever the row is used.
@@ -188,13 +176,13 @@ class QuotientMap:
 
     def __init__(self, cycles: list[int], boundaries: list[int], n_cols: int):
         self.n_cols = n_cols
-        cycle_span = _Echelon()
+        cycle_span = Echelon()
         for c in cycles:
             cycle_span.insert(c, 0)
         for b in boundaries:
             if cycle_span.reduce(b)[0]:
                 raise ValueError("boundary vector outside the cycle span")
-        self._echelon = _Echelon()
+        self._echelon = Echelon()
         for b in boundaries:
             self._echelon.insert(b, 0)
         self.dim = 0

@@ -12,10 +12,12 @@ homomorphism onto a group of order 2^(2g + 2g') without materializing it.
 from dataclasses import dataclass
 
 from .cover import CoverCW, deck_apply
+from .gf2 import Echelon
 from .words import (
     Word,
     abelianization_mod2,
     canonical_class,
+    check_length_bound,
     is_proper_power,
     is_trivial,
     letter_order_key,
@@ -99,8 +101,7 @@ def search_kernel_elements(
     Returns:
         List of (word, is_proper_power) pairs in discovery order.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
+    check_length_bound(max_len, "kernel length")
     genus = ctx.genus
     alphabet = sorted(
         [k for k in range(1, 2 * genus + 1)]
@@ -158,22 +159,14 @@ def empirical_image_rank(
     from .words import random_reduced_word
 
     rng = random.Random(seed)
-    v_basis: list[int] = []
-    h_basis: list[int] = []
-
-    def insert(basis: list[int], vec: int) -> None:
-        for b in basis:
-            vec = min(vec, vec ^ b)
-        if vec:
-            basis.append(vec)
-            basis.sort(reverse=True)
-
+    v_span = Echelon()
+    h_span = Echelon()
     elements = []
     for _ in range(n_samples):
         w = random_reduced_word(rng, ctx.genus, rng.randrange(1, 16))
         el = rho(ctx, w)
         elements.append(el)
-        insert(v_basis, el.v)
+        v_span.insert(el.v, 0)
     for _ in range(n_samples):
         x = elements[rng.randrange(len(elements))]
         y = elements[rng.randrange(len(elements))]
@@ -181,10 +174,10 @@ def empirical_image_rank(
         comm = mul(ctx, mul(ctx, x, y), inv(ctx, mul(ctx, y, x)))
         for el in (square, comm):
             if el.v == 0:
-                insert(h_basis, el.h)
+                h_span.insert(el.h, 0)
     return {
-        "v_rank": len(v_basis),
-        "h_rank": len(h_basis),
+        "v_rank": len(v_span.rows),
+        "h_rank": len(h_span.rows),
         "v_dim": 2 * ctx.genus,
         "h_dim": ctx.cover.h1_dim,
     }

@@ -43,6 +43,7 @@ __all__ = [
     "canonical_class",
     "is_proper_power",
     "random_reduced_word",
+    "check_length_bound",
 ]
 
 Word = tuple  # tuple of nonzero signed ints
@@ -267,3 +268,9 @@ def random_reduced_word(rng: random.Random, genus: int, length: int) -> Word:
             continue
         out.append(x)
     return tuple(out)
+
+
+def check_length_bound(value: int, name: str) -> None:
+    """Reject a word length bound below 1; the error names the bound."""
+    if value < 1:
+        raise ValueError("%s must be at least 1" % name)

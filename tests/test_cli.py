@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from simpleloop import cli
 from simpleloop.cli import main, verify_witness_record
 from simpleloop.cover import build_mod2_cover
 from simpleloop.quotient import GroupContext
@@ -170,6 +172,122 @@ def test_max_len_below_one_is_usage_error(capsys, command, max_len):
     code, out = run_main(capsys, command, "--depth", "0", "--max-len", max_len)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("genus", ["1", "-3"])
+def test_torus_demo_bad_genus_is_usage_error(capsys, genus):
+    code, out = run_main(capsys, "torus-demo", "--genus", genus)
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "flag, named", [("--kernel-len", "kernel"), ("--max-len", "max_len")]
+)
+def test_verify_rejects_bounds_before_any_stage(capsys, monkeypatch, flag, named):
+    def fail(*args, **kwargs):
+        raise AssertionError("a stage ran before the bounds were checked")
+
+    monkeypatch.setattr(cli, "generate_simple_classes", fail)
+    monkeypatch.setattr(cli, "search_kernel_elements", fail)
+    code = main(["verify", "--depth", "0", flag, "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert named in captured.err
+
+
+def test_verify_records_digest(capsys):
+    code, out = run_main(capsys, "verify", "--depth", "2", "--kernel-len", "6")
+    assert code == 0
+    summary, rest = out.split("\n", 1)
+    assert json.loads(summary)["kind"] == "summary"
+    assert len(rest.splitlines()) == 58
+    assert (
+        hashlib.sha256(rest.encode()).hexdigest()
+        == "2f0f33779394b866ca273bf5da885a50e709cb7ebe3ec38826f9c5780664e303"
+    )
+
+
+def text_lines(output):
+    """Output lines with the timing values masked."""
+    return [
+        "timing: ..." if line.startswith("timing: ") else line
+        for line in output.splitlines()
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (
+            ["verify", "--depth", "2", "--kernel-len", "6"],
+            0,
+            [
+                "status: ok",
+                "classes: 54 (13 separating, 41 nonseparating)",
+                "kernel hits among simple classes: 0",
+                "kernel witnesses found: 4",
+                "lemma check: pass (13 separating classes, 16 lifts each)",
+                "image rank observed: v 4/4, h 34/34",
+                "timing: ...",
+            ],
+        ),
+        (
+            ["verify", "--depth", "0", "--kernel-len", "3"],
+            1,
+            [
+                "status: no_witness_at_bound",
+                "classes: 5 (1 separating, 4 nonseparating)",
+                "kernel hits among simple classes: 0",
+                "kernel witnesses found: 0",
+                "lemma check: pass (1 separating classes, 16 lifts each)",
+                "image rank observed: v 4/4, h 34/34",
+                "timing: ...",
+                "no witness found at this bound",
+            ],
+        ),
+        (
+            ["lemma-check", "--depth", "2"],
+            0,
+            [
+                "separating classes checked: 13 (16 lifts each)",
+                "nonseparating classes checked: 41",
+                "result: pass",
+                "timing: ...",
+            ],
+        ),
+        (
+            ["realize", "--genus", "3"],
+            0,
+            [
+                "group order: 2^264",
+                "dimension: 4",
+                "for any presentation of the quotient group with k generators "
+                "and l relators: start from S^4 connected-sum k copies of "
+                "S^3 x S^1, then perform l relator surgeries",
+                "the target's orientation character is trivial, so the surface "
+                "map is 2-sided",
+            ],
+        ),
+    ],
+)
+def test_text_output(capsys, argv, code, expected):
+    got_code, out = run_main(capsys, *argv, "--format", "text")
+    assert got_code == code
+    assert text_lines(out) == expected
+
+
+def test_realize_from_file_text(tmp_path, capsys):
+    path = tmp_path / "pres.txt"
+    path.write_text("a\na a\n")
+    code, out = run_main(capsys, "realize", str(path), "--format", "text")
+    assert code == 0
+    assert out.splitlines() == [
+        "base: S^4 # S^3 x S^1",
+        "surgery steps: 1",
+        "  step 1: surgery along 'a a'",
+    ]
 
 
 def test_torus_demo_json(capsys):

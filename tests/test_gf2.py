@@ -11,6 +11,7 @@ from simpleloop.gf2 import (
     rank,
     kernel_basis,
     matmul,
+    rref,
 )
 
 
@@ -36,6 +37,32 @@ def span(vectors):
     for v in vectors:
         out |= {w ^ v for w in out}
     return out
+
+
+def rref_column_scan(rows, n_cols):
+    """Oracle: Gauss-Jordan elimination scanning the columns in order."""
+    rows = list(rows)
+    out, pivots = [], []
+    for col in range(n_cols):
+        bit = 1 << col
+        src = next((i for i, r in enumerate(rows) if r & bit), None)
+        if src is None:
+            continue
+        piv = rows.pop(src)
+        rows = [r ^ piv if r & bit else r for r in rows]
+        out = [r ^ piv if r & bit else r for r in out]
+        out.append(piv)
+        pivots.append(col)
+    return out, pivots
+
+
+def test_rref_matches_column_scan():
+    rng = random.Random(5)
+    for _ in range(300):
+        cols = rng.randrange(1, 40)
+        rows = [rng.randrange(1 << cols) for _ in range(rng.randrange(0, 30))]
+        rows += rng.sample(rows, len(rows) // 3)
+        assert rref(rows, cols) == rref_column_scan(rows, cols)
 
 
 def test_rank_identity():

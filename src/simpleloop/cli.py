@@ -23,6 +23,7 @@ from .demos import (
 )
 from .quotient import (
     GroupContext,
+    check_search_budget,
     empirical_image_rank,
     in_kernel,
     search_kernel_elements,
@@ -59,6 +60,10 @@ def _witness_record(genus, word, proper_power):
         "dehn_normal_form": word_to_str(normal_form),
         "dehn_nontrivial": normal_form != (),
     }
+
+
+def _witnesses_by_length(witnesses, max_len):
+    return [sum(len(w) == k for w, _ in witnesses) for k in range(1, max_len + 1)]
 
 
 def verify_witness_record(record, ctx) -> bool:
@@ -105,7 +110,7 @@ def _timed(timing, key, fn, *args, **kwargs):
 def cmd_verify(args):
     # A stage checks its bound only after the stages before it have run.
     check_length_bound(args.max_len, "max_len")
-    check_length_bound(args.kernel_len, "kernel length")
+    check_search_budget(args.genus, args.kernel_len)
     timing = {}
     cover = _timed(timing, "build_s", build_mod2_cover, args.genus)
     ctx = GroupContext(cover)
@@ -145,6 +150,7 @@ def cmd_verify(args):
         "classes_nonseparating": report.n_nonseparating,
         "kernel_hits": report.kernel_hits,
         "witness_count": len(witnesses),
+        "witnesses_by_length": _witnesses_by_length(witnesses, args.kernel_len),
         "lemma": {
             "separating_checked": lemma.n_separating,
             "nonseparating_checked": lemma.n_nonseparating,
@@ -176,6 +182,7 @@ def cmd_verify(args):
 
 
 def cmd_search_kernel(args):
+    check_search_budget(args.genus, args.kernel_len)
     ctx = GroupContext(build_mod2_cover(args.genus))
     witnesses = search_kernel_elements(ctx, args.kernel_len)
     records = [
@@ -185,6 +192,7 @@ def cmd_search_kernel(args):
             "genus": args.genus,
             "kernel_len": args.kernel_len,
             "witness_count": len(witnesses),
+            "witnesses_by_length": _witnesses_by_length(witnesses, args.kernel_len),
         }
     ]
     records.extend(_witness_record(args.genus, w, flag) for w, flag in witnesses)

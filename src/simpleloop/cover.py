@@ -24,6 +24,17 @@ class ResourceLimitError(RuntimeError):
     """Raised when a requested cover exceeds the supported size budget."""
 
 
+def check_genus(genus: int) -> None:
+    """Reject a genus below 2 (ValueError) or above MAX_GENUS (resource bound)."""
+    if genus < 2:
+        raise ValueError("genus must be at least 2")
+    if genus > MAX_GENUS:
+        raise ResourceLimitError(
+            "genus %d cover exceeds the supported size budget (max genus %d)"
+            % (genus, MAX_GENUS)
+        )
+
+
 @dataclass(frozen=True)
 class CoverStats:
     """Cell counts and derived invariants of a covering surface."""
@@ -56,13 +67,7 @@ class CoverCW:
     """
 
     def __init__(self, genus: int):
-        if genus < 2:
-            raise ValueError("genus must be at least 2")
-        if genus > MAX_GENUS:
-            raise ResourceLimitError(
-                "genus %d cover exceeds the supported size budget (max genus %d)"
-                % (genus, MAX_GENUS)
-            )
+        check_genus(genus)
         self.genus = genus
         self.n_vertices = 1 << (2 * genus)
         self.n_edges = self.n_vertices * 2 * genus

@@ -12,7 +12,7 @@ character equals the target character composed with the induced map.
 import math
 from dataclasses import dataclass
 
-from .cover import MAX_GENUS
+from .cover import check_genus
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,7 @@ def main_construction_sidedness(genus: int = 2) -> dict:
     target), so the map is 2-sided whatever the generator images are; the
     target word problem is not available here and the note records that.
     """
-    if genus < 2 or genus > MAX_GENUS:
-        raise ValueError("genus must be between 2 and %d" % MAX_GENUS)
+    check_genus(genus)
     names = []
     for i in range(1, genus + 1):
         names.extend(["a%d" % i, "b%d" % i])

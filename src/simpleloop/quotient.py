@@ -11,17 +11,22 @@ homomorphism onto a group of order 2^(2g + 2g') without materializing it.
 
 from dataclasses import dataclass
 
-from .cover import CoverCW, deck_apply
+from .cover import CoverCW, ResourceLimitError, check_genus, deck_apply
 from .gf2 import Echelon
 from .words import (
     Word,
     abelianization_mod2,
     canonical_class,
     check_length_bound,
+    inverse,
     is_proper_power,
     is_trivial,
     letter_order_key,
 )
+
+# Largest kernel search allowed: genus 3 at length 10 (193 260 half-words)
+# peaks near 70 MB; genus 4 at length 10 (867 856) would take over 300 MB.
+MAX_HALF_WORDS = 500_000
 
 
 @dataclass(frozen=True)
@@ -88,57 +93,69 @@ def in_kernel(ctx: GroupContext, w: Word) -> bool:
     return ctx.cover.closed_up_class(0, w) == 0
 
 
+def check_search_budget(genus: int, max_len: int) -> None:
+    """Reject a kernel search whose half-word tables exceed MAX_HALF_WORDS.
+
+    They hold the 4g (4g - 1)^(k - 1) reduced words of each length
+    k <= ceil(max_len / 2), a count known before any work starts.
+    """
+    check_length_bound(max_len, "kernel length")
+    check_genus(genus)
+    total = 0
+    for k in range((max_len + 1) // 2):
+        total += 4 * genus * (4 * genus - 1) ** k
+        if total > MAX_HALF_WORDS:
+            raise ResourceLimitError(
+                "kernel length %d needs more than %d half-words at genus %d"
+                % (max_len, MAX_HALF_WORDS, genus)
+            )
+
+
 def search_kernel_elements(
     ctx: GroupContext, max_len: int
 ) -> list[tuple[Word, bool]]:
     """Find nontrivial kernel words up to a length bound.
 
-    Enumerates freely and cyclically reduced words by increasing length, one
-    canonical representative per free conjugacy class (kernel membership is
-    a class property), and keeps the Dehn-nontrivial ones that map to the
-    identity. Each hit is paired with its proper-power flag.
+    Meet in the middle: a cyclically reduced word of length L is u v^-1 with
+    |u| = ceil(L/2), |v| = floor(L/2), and since edge classes are
+    direction-free over GF(2) it maps to the identity exactly when
+    walk(u, 0) == walk(v, 0). Half-words are bucketed by that pair, and of
+    the colliding pairs the canonical representatives of their free
+    conjugacy classes are kept when Dehn-nontrivial, each paired with its
+    proper-power flag.
 
     Returns:
-        List of (word, is_proper_power) pairs in discovery order.
+        List of (word, is_proper_power) pairs, by length and then in the
+        canonical letter order.
     """
-    check_length_bound(max_len, "kernel length")
-    genus = ctx.genus
-    alphabet = sorted(
-        [k for k in range(1, 2 * genus + 1)]
-        + [-k for k in range(1, 2 * genus + 1)],
-        key=letter_order_key,
-    )
-    position = {x: i for i, x in enumerate(alphabet)}
+    check_search_budget(ctx.genus, max_len)
+    genus, walk = ctx.genus, ctx.cover.walk
+    letters = [x for k in range(1, 2 * genus + 1) for x in (k, -k)]
+    # tables[k] maps walk(u, 0) to the reduced words u of length k.
+    tables = [{(0, 0): [()]}]
+    for _ in range((max_len + 1) // 2):
+        grown = {}
+        for (h, end), words in tables[-1].items():
+            for x in letters:
+                step, stop = walk((x,), end)
+                grown.setdefault((h ^ step, stop), []).extend(
+                    u + (x,) for u in words if not u or u[-1] != -x
+                )
+        tables.append(grown)
     hits: list[tuple[Word, bool]] = []
-    word: list[int] = []
-
-    def extend(phi: int, length: int) -> None:
-        if len(word) == length:
-            if phi != 0 or word[-1] == -word[0]:
-                return
-            w = tuple(word)
-            if canonical_class(w) != w:
-                return
-            if ctx.cover.closed_up_class(0, w) != 0:
-                return
-            if is_trivial(w, genus):
-                return
-            hits.append((w, is_proper_power(w)))
-            return
-        remaining = length - len(word)
-        if phi.bit_count() > remaining:
-            return
-        # A canonical word starts with its least letter, so no later letter
-        # may precede the first one in the canonical order.
-        for x in alphabet[position[word[0]]:] if word else alphabet:
-            if word and x == -word[-1]:
-                continue
-            word.append(x)
-            extend(phi ^ (1 << (abs(x) - 1)), length)
-            word.pop()
-
     for length in range(1, max_len + 1):
-        extend(0, length)
+        found = []
+        for key, us in tables[(length + 1) // 2].items():
+            for v in tables[length // 2].get(key, ()):
+                for u in us:
+                    # u v^-1 must be freely and cyclically reduced.
+                    if v and (u[-1] == v[-1] or u[0] == v[0]):
+                        continue
+                    w = u + inverse(v)
+                    if canonical_class(w) == w and not is_trivial(w, genus):
+                        found.append(w)
+        found.sort(key=lambda w: list(map(letter_order_key, w)))
+        hits.extend((w, is_proper_power(w)) for w in found)
     return hits
 
 

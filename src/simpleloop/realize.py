@@ -13,7 +13,7 @@ homeomorphism type.
 
 from dataclasses import dataclass
 
-from .cover import MAX_GENUS
+from .cover import check_genus
 from .words import Word, free_reduce
 
 DIMENSION_NOTE = "surgery loops embed disjointly and unknot in dimension >= 4"
@@ -154,8 +154,7 @@ def recipe_for_G(g: int, n: int) -> dict:
         raise ValueError(
             "ambient dimension must be at least 4: " + DIMENSION_NOTE
         )
-    if g < 2 or g > MAX_GENUS:
-        raise ValueError("genus must be between 2 and %d" % MAX_GENUS)
+    check_genus(g)
     cover_genus = 1 + (1 << (2 * g)) * (g - 1)
     order_log2 = 2 * g + 2 * cover_genus
     return {

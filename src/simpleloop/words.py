@@ -237,7 +237,13 @@ def canonical_class(w) -> Word:
         # Key lists, not tuples: the n transient slices per call would
         # otherwise fill CPython's per-size tuple free lists.
         keys = list(map(letter_order_key, cand)) * 2
-        i = min(range(n), key=lambda j: keys[j:j + n])
+        # Only a rotation that starts at the least key can be the least; the
+        # doubled list ends the scan at the first such start past n.
+        least = min(keys)
+        i = j = keys.index(least)
+        while (j := keys.index(least, j + 1)) < n:
+            if keys[j:j + n] < keys[i:i + n]:
+                i = j
         if best is None or keys[i:i + n] < best_keys:
             best = cand[i:] + cand[:i]
             best_keys = keys[i:i + n]

@@ -135,6 +135,43 @@ def test_search_kernel_empty_bound(capsys):
     assert records[0]["witness_count"] == 0
 
 
+def test_search_kernel_witnesses_by_length(capsys):
+    code, out = run_main(capsys, "search-kernel", "--kernel-len", "8")
+    assert code == 0
+    summary = json_records(out)[0]
+    assert summary["witnesses_by_length"] == [0, 0, 0, 4, 0, 0, 0, 77]
+    assert sum(summary["witnesses_by_length"]) == summary["witness_count"] == 81
+
+
+def test_verify_witnesses_by_length(capsys):
+    code, out = run_main(capsys, "verify", "--depth", "0", "--kernel-len", "6")
+    assert code == 0
+    summary = json_records(out)[0]
+    assert summary["witnesses_by_length"] == [0, 0, 0, 4, 0, 0]
+    assert sum(summary["witnesses_by_length"]) == summary["witness_count"]
+
+
+@pytest.mark.parametrize("command", ["search-kernel", "verify"])
+def test_kernel_len_over_budget_exits_3(capsys, monkeypatch, command):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the search budget was checked")
+
+    monkeypatch.setattr(cli, "generate_simple_classes", fail)
+    monkeypatch.setattr(cli, "build_mod2_cover", fail)
+    code = main([command, "--kernel-len", "40"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "half-words" in captured.err
+
+
+@pytest.mark.parametrize("command", ["torus-demo", "realize"])
+def test_genus_above_budget_exits_3(capsys, command):
+    code, out = run_main(capsys, command, "--genus", "5")
+    assert code == 3
+    assert out == ""
+
+
 def test_search_kernel_text(capsys):
     code, out = run_main(
         capsys, "search-kernel", "--kernel-len", "4", "--format", "text"

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from simpleloop.cover import ResourceLimitError
 from simpleloop.demos import (
     OrientationCharacter,
     TorusClass,
@@ -101,6 +102,13 @@ def test_main_construction_is_two_sided():
     report = main_construction_sidedness(2)
     assert report["two_sided"] is True
     assert any("not checked" in note for note in report["notes"])
+
+
+def test_main_construction_genus_bounds():
+    with pytest.raises(ValueError):
+        main_construction_sidedness(1)
+    with pytest.raises(ResourceLimitError):
+        main_construction_sidedness(5)
 
 
 def test_free_factor_target_is_two_sided():

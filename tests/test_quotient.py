@@ -5,10 +5,12 @@ import random
 
 import pytest
 
-from simpleloop.cover import build_mod2_cover, deck_apply
+from simpleloop.cover import ResourceLimitError, build_mod2_cover, deck_apply
 from simpleloop.quotient import (
+    MAX_HALF_WORDS,
     GElement,
     GroupContext,
+    check_search_budget,
     empirical_image_rank,
     in_kernel,
     inv,
@@ -17,8 +19,10 @@ from simpleloop.quotient import (
     search_kernel_elements,
 )
 from simpleloop.words import (
+    Word,
     abelianization_mod2,
     canonical_class,
+    check_length_bound,
     commutator,
     concat,
     free_reduce,
@@ -36,6 +40,63 @@ def make_ctx(genus=2):
 
 
 CTX = make_ctx()
+CTX3 = make_ctx(3)
+
+
+def dfs_search_kernel_elements(
+    ctx: GroupContext, max_len: int
+) -> list[tuple[Word, bool]]:
+    """Find nontrivial kernel words up to a length bound, depth first.
+
+    Oracle for search_kernel_elements, which must return the same list.
+
+    Enumerates freely and cyclically reduced words by increasing length, one
+    canonical representative per free conjugacy class (kernel membership is
+    a class property), and keeps the Dehn-nontrivial ones that map to the
+    identity. Each hit is paired with its proper-power flag.
+
+    Returns:
+        List of (word, is_proper_power) pairs in discovery order.
+    """
+    check_length_bound(max_len, "kernel length")
+    genus = ctx.genus
+    alphabet = sorted(
+        [k for k in range(1, 2 * genus + 1)]
+        + [-k for k in range(1, 2 * genus + 1)],
+        key=letter_order_key,
+    )
+    position = {x: i for i, x in enumerate(alphabet)}
+    hits: list[tuple[Word, bool]] = []
+    word: list[int] = []
+
+    def extend(phi: int, length: int) -> None:
+        if len(word) == length:
+            if phi != 0 or word[-1] == -word[0]:
+                return
+            w = tuple(word)
+            if canonical_class(w) != w:
+                return
+            if ctx.cover.closed_up_class(0, w) != 0:
+                return
+            if is_trivial(w, genus):
+                return
+            hits.append((w, is_proper_power(w)))
+            return
+        remaining = length - len(word)
+        if phi.bit_count() > remaining:
+            return
+        # A canonical word starts with its least letter, so no later letter
+        # may precede the first one in the canonical order.
+        for x in alphabet[position[word[0]]:] if word else alphabet:
+            if word and x == -word[-1]:
+                continue
+            word.append(x)
+            extend(phi ^ (1 << (abs(x) - 1)), length)
+            word.pop()
+
+    for length in range(1, max_len + 1):
+        extend(0, length)
+    return hits
 
 
 def test_rho_of_relator_and_empty_word():
@@ -185,6 +246,60 @@ def test_search_matches_brute_force_filter():
                 expected.append((w, is_proper_power(w)))
     assert expected
     assert search_kernel_elements(CTX, 6) == expected
+
+
+@pytest.mark.parametrize("ctx, max_len", [(CTX, 8), (CTX3, 6)], ids=["g2", "g3"])
+def test_search_matches_dfs_oracle(ctx, max_len):
+    # The oracle searches each length on its own, so its run at max_len
+    # restricted to lengths <= L is its run at L.
+    expected = dfs_search_kernel_elements(ctx, max_len)
+    assert expected
+    for bound in range(1, max_len + 1):
+        prefix = [hit for hit in expected if len(hit[0]) <= bound]
+        assert search_kernel_elements(ctx, bound) == prefix
+
+
+def test_search_genus3_length8_hits_are_witnesses():
+    hits = search_kernel_elements(CTX3, 8)
+    assert any(len(w) == 8 for w, _ in hits)
+    order = [(len(w), [letter_order_key(x) for x in w]) for w, _ in hits]
+    assert order == sorted(order)
+    for w, flag in hits:
+        assert canonical_class(w) == w
+        assert in_kernel(CTX3, w)
+        assert not is_trivial(w, 3)
+        assert flag == is_proper_power(w)
+
+
+def test_search_budget_counts_half_words():
+    def half_words(genus, max_len):
+        n = 4 * genus
+        return sum(n * (n - 1) ** (k - 1) for k in range(1, (max_len + 1) // 2 + 1))
+
+    for genus in (2, 3, 4):
+        for max_len in range(1, 16):
+            if half_words(genus, max_len) <= MAX_HALF_WORDS:
+                check_search_budget(genus, max_len)
+            else:
+                with pytest.raises(ResourceLimitError):
+                    check_search_budget(genus, max_len)
+    check_search_budget(2, 12)
+    check_search_budget(3, 10)
+    with pytest.raises(ResourceLimitError):
+        check_search_budget(4, 10)
+    with pytest.raises(ValueError):
+        check_search_budget(1, 8)
+    with pytest.raises(ResourceLimitError):
+        check_search_budget(5, 8)
+
+
+def test_search_over_budget_raises_before_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the search walked before checking its budget")
+
+    monkeypatch.setattr(CTX.cover, "walk", fail)
+    with pytest.raises(ResourceLimitError):
+        search_kernel_elements(CTX, 40)
 
 
 def test_kernel_is_normal():

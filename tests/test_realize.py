@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from simpleloop.cover import ResourceLimitError
 from simpleloop.realize import (
     ManifoldRecipe,
     Presentation,
@@ -152,5 +153,5 @@ def test_recipe_for_quotient_group():
         recipe_for_G(2, 3)
     with pytest.raises(ValueError):
         recipe_for_G(1, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceLimitError):
         recipe_for_G(5, 4)

@@ -201,6 +201,9 @@ def test_canonical_class_least_rotation_matches_naive():
         for k in range(1, 21):
             u = random_reduced_word(rng, genus, rng.randrange(1, 5))
             words += [(1, 2) * k, (1, 2) * k + (3,), (1,) * k, u * k, u * k + (1,)]
+            # The least letter repeats: only some of its starts win.
+            words += [(1, 2) * k + (1, 3), (1, 3) * k + (1, 2)]
+    words += [(1, 3, 1, 2), (1, 2, 1, 3), (-1, 3, -1, 2, -1, 2)]
     for w in words:
         w = cyclic_reduce(w)
         if not w:

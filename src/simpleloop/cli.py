@@ -2,12 +2,14 @@
 
 Commands: info, verify, search-kernel, lemma-check, torus-demo, realize.
 Each command returns (exit code, records, text lines), and main writes the
-records as JSON lines (schema field on every record) or the text. Exit
-codes: 0 success, 1 verification failure (including no kernel witness at
-the requested bound), 2 usage or configuration error, 3 resource bound.
+records as JSON lines (schema field on every record) or the text, one line
+at a time. Exit codes: 0 success, 1 verification failure (including no
+kernel witness at the requested bound), 2 usage or configuration error,
+3 resource bound.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -42,12 +44,10 @@ NO_WITNESS = "no witness found at this bound"
 
 
 def _write(lines, out_path):
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write lines one at a time, to out_path if given, else to stdout."""
+    out = open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
+    with out as handle:
+        handle.writelines(line + "\n" for line in lines)
 
 
 def _witness_record(genus, word, proper_power):
@@ -386,10 +386,10 @@ def main(argv=None) -> int:
     try:
         code, records, lines = args.func(args)
         if args.format == "json":
-            lines = [
+            lines = (
                 json.dumps({"schema": SCHEMA, **rec}, sort_keys=True)
                 for rec in records
-            ]
+            )
         _write(lines, args.out)
         return code
     except ResourceLimitError as exc:

@@ -6,9 +6,10 @@ mod-2 homology cover has deck group Z2^(2g): vertices are bitmasks v in
 v ^ (1 << (k - 1)), and one face per vertex carries the lifted relator.
 Every edge carries its H1 class: 0 on the spanning tree, the class of its
 fundamental cycle otherwise. The class of any lifted loop, closed up
-through the tree, is then the XOR of these entries along the lift, which is
-how everything downstream (H1 classes of lifted loops, deck action, the
-finite quotient group) reads off this complex.
+through the tree, is then the XOR of these entries along the lift.
+CoverCW.walk computes it and is the one way from a lifted word to an H1
+class: the deck action, the finite quotient group and the lift lemma all
+read the complex through it.
 """
 
 from dataclasses import dataclass
@@ -122,47 +123,6 @@ class CoverCW:
             h ^= classes[x][v]
             v ^= flips[x]
         return h, v
-
-    def loop_class(self, chain: int) -> int:
-        """H1 coordinates of a closed edge chain (raises if not a cycle)."""
-        if chain < 0 or chain >> self.n_edges:
-            raise ValueError("chain has bits outside the edge range")
-        width = 2 * self.genus
-        classes = self.edge_classes
-        h = 0
-        boundary = 0
-        while chain:
-            low = chain & -chain
-            e = low.bit_length() - 1
-            v, j = divmod(e, width)
-            boundary ^= (1 << v) ^ (1 << (v ^ (1 << j)))
-            h ^= classes[e]
-            chain ^= low
-        if boundary:
-            raise ValueError("chain is not a cycle")
-        return h
-
-    def closed_up_class(self, start: int, word) -> int:
-        """H1 class of a word's lift from a vertex, closed up through the tree.
-
-        The lift runs from start to start ^ phi(word); tree paths 0 -> start
-        and endpoint -> 0 make it a loop at vertex 0.
-        """
-        return self.walk(word, start)[0]
-
-    def translate_chain(self, chain: int, u: int) -> int:
-        """Image of an edge chain under the deck translation by u."""
-        if u == 0:
-            return chain
-        width = 2 * self.genus
-        out = 0
-        while chain:
-            low = chain & -chain
-            e = low.bit_length() - 1
-            v, j = divmod(e, width)
-            out |= 1 << ((v ^ u) * width + j)
-            chain ^= low
-        return out
 
     def deck_action(self, u: int) -> tuple[int, ...]:
         """Matrix of the deck translation by u on H1, as H1-coordinate columns.

@@ -158,9 +158,9 @@ class QuotientMap:
     Holds an echelon structure built from a spanning set of the
     boundary subspace followed by the cycle basis; each echelon row
     carries a tag recording which quotient coordinates it contributes.
-    Mapping a vector reduces it against the echelon and XORs the tags,
-    so the map vanishes exactly on the boundary span and is a bijection
-    from the quotient onto bitmasks of width ``dim``.
+    Reducing a cycle against the echelon and XORing the tags gives its
+    coordinates, which vanish exactly on the boundary span and identify
+    the quotient with bitmasks of width ``dim``.
 
     Args:
         cycles: basis of the cycle subspace, as bitmask vectors.
@@ -194,25 +194,3 @@ class QuotientMap:
                 self.dim += 1
             coords.append(tag)
         self.cycle_coords = tuple(coords)
-        self._basis: list[int] | None = None
-
-    def coords(self, vec: int) -> int:
-        """Quotient coordinates of a cycle vector; rejects non-cycles."""
-        rem, tag = self._echelon.reduce(vec)
-        if rem:
-            raise ValueError("vector is not in the cycle span")
-        return tag
-
-    def basis_cycles(self) -> list[int]:
-        """Representative cycles c_j with coords(c_j) == 1 << j."""
-        if self._basis is None:
-            rows = [(e, t) for e, t in self._echelon.rows.values() if t]
-            rows.sort(key=lambda et: et[1].bit_length())
-            basis: list[int] = []
-            for j, (vec, tag) in enumerate(rows):
-                for k in range(tag.bit_length() - 1):
-                    if (tag >> k) & 1:
-                        vec ^= basis[k]
-                basis.append(vec)
-            self._basis = basis
-        return self._basis

@@ -71,7 +71,7 @@ class GroupContext:
 def rho(ctx: GroupContext, w: Word) -> GElement:
     """Image of a word: deck vector plus closed-up lift class from vertex 0."""
     v = abelianization_mod2(w, ctx.genus)
-    return GElement(v, ctx.cover.closed_up_class(0, w))
+    return GElement(v, ctx.cover.walk(w, 0)[0])
 
 
 def mul(ctx: GroupContext, x: GElement, y: GElement) -> GElement:
@@ -88,9 +88,7 @@ def inv(ctx: GroupContext, x: GElement) -> GElement:
 
 def in_kernel(ctx: GroupContext, w: Word) -> bool:
     """Whether a word maps to the identity (lift closed and bounding mod 2)."""
-    if abelianization_mod2(w, ctx.genus) != 0:
-        return False
-    return ctx.cover.closed_up_class(0, w) == 0
+    return rho(ctx, w) == ctx.identity
 
 
 def check_search_budget(genus: int, max_len: int) -> None:

@@ -42,6 +42,8 @@ from simpleloop.words import (
     surface_relator,
 )
 
+from oracles import loop_class
+
 _CACHE = {}
 
 
@@ -107,7 +109,7 @@ def test_criterion_02_separating_orbit_lifts():
         for vertex in range(16):
             chain, end = cover.lift(w, vertex)
             assert end == vertex
-            assert cover.loop_class(chain) != 0
+            assert loop_class(cover, chain) != 0
     elapsed = time.perf_counter() - start
     _report(
         2,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -114,6 +115,32 @@ def test_verify_out_file(tmp_path, capsys):
     assert out == ""
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert records[0]["status"] == "ok"
+
+
+def mask_timing(output):
+    """Output text with the stage timing values masked, JSON or text."""
+    output = re.sub(r'"timing": \{[^}]*\}', '"timing": {}', output)
+    return re.sub(r"^timing: .*$", "timing: ...", output, flags=re.M)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_out_file_bytes_match_stdout(tmp_path, capsys, fmt):
+    argv = ["verify", "--depth", "2", "--kernel-len", "6", "--format", fmt]
+    code, out = run_main(capsys, *argv)
+    path = tmp_path / "report"
+    out_code, out_stdout = run_main(capsys, *argv, "--out", str(path))
+    assert code == out_code == 0
+    assert out_stdout == ""
+    assert "timing" in out
+    assert mask_timing(path.read_bytes().decode()) == mask_timing(out)
+
+
+def test_out_to_directory_is_usage_error(tmp_path, capsys):
+    code = main(["verify", "--depth", "0", "--kernel-len", "4", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_witnesses_reverify_on_load(capsys):

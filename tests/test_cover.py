@@ -11,12 +11,15 @@ from simpleloop.cover import (
     deck_apply,
 )
 from simpleloop.gf2 import kernel_basis, rank
+from simpleloop.quotient import GroupContext, search_kernel_elements
 from simpleloop.words import (
     abelianization_mod2,
     commutator,
     random_reduced_word,
     surface_relator,
 )
+
+from oracles import basis_cycles, coords, loop_class, translate_chain
 
 
 def test_genus2_cell_counts_and_invariants():
@@ -68,14 +71,14 @@ def test_relator_lift_closes_with_trivial_class():
     for v in range(cover.n_vertices):
         chain, end = cover.lift(relator, v)
         assert end == v
-        assert cover.loop_class(chain) == 0
+        assert loop_class(cover, chain) == 0
 
 
 def test_commutator_lift_has_nonzero_class():
     cover = build_mod2_cover(2)
     chain, end = cover.lift(commutator((1,), (2,)), 0)
     assert end == 0
-    assert cover.loop_class(chain) != 0
+    assert loop_class(cover, chain) != 0
 
 
 def test_fourth_power_chain_cancels_mod2():
@@ -83,7 +86,7 @@ def test_fourth_power_chain_cancels_mod2():
     chain, end = cover.lift((1, 1, 1, 1), 0)
     assert end == 0
     assert chain == 0
-    assert cover.loop_class(chain) == 0
+    assert loop_class(cover, chain) == 0
 
 
 def test_generator_squares_have_nonzero_class():
@@ -92,7 +95,7 @@ def test_generator_squares_have_nonzero_class():
         chain, end = cover.lift((k, k), 0)
         assert end == 0
         assert chain != 0
-        assert cover.loop_class(chain) != 0
+        assert loop_class(cover, chain) != 0
 
 
 def test_spanning_tree_paths():
@@ -118,20 +121,20 @@ def test_lift_endpoint_tracks_abelianization():
         assert end == start ^ abelianization_mod2(w, 2)
 
 
-def test_closed_up_class_matches_loop_class_for_closed_words():
+def test_walk_class_matches_loop_class_for_closed_words():
     cover = build_mod2_cover(2)
     word = commutator((1,), (2,))
     for v in (0, 3, 10):
         chain, end = cover.lift(word, v)
         assert end == v
-        assert cover.closed_up_class(v, word) == cover.loop_class(chain)
+        assert cover.walk(word, v)[0] == loop_class(cover, chain)
 
 
-def test_closed_up_class_accepts_open_words():
+def test_walk_accepts_open_words():
     cover = build_mod2_cover(2)
     for v in (0, 5):
-        cover.closed_up_class(v, (1,))
-        cover.closed_up_class(v, (2, -3))
+        cover.walk((1,), v)
+        cover.walk((2, -3), v)
 
 
 def test_deck_action_identity():
@@ -159,7 +162,7 @@ def test_translate_chain_moves_face_boundaries():
     base_chain, _ = cover.lift(relator, 0)
     for u in (1, 6, 15):
         chain_u, _ = cover.lift(relator, u)
-        assert cover.translate_chain(base_chain, u) == chain_u
+        assert translate_chain(cover, base_chain, u) == chain_u
 
 
 def test_translate_chain_preserves_classes_count():
@@ -168,9 +171,9 @@ def test_translate_chain_preserves_classes_count():
     for _ in range(20):
         u = rng.randrange(16)
         cycle = cover.cycle_basis[rng.randrange(len(cover.cycle_basis))]
-        translated = cover.translate_chain(cycle, u)
+        translated = translate_chain(cover, cycle, u)
         assert translated.bit_count() == cycle.bit_count()
-        cover.loop_class(translated)
+        loop_class(cover, translated)
 
 
 def test_genus3_cover_dimensions():
@@ -198,7 +201,7 @@ def test_edge_classes_are_fundamental_cycle_classes(genus):
         if e not in nontree:
             assert cover.edge_classes[e] == 0
     for e, cycle in zip(cover.nontree_edges, cover.cycle_basis):
-        assert cover.edge_classes[e] == cover.quotient.coords(cycle)
+        assert cover.edge_classes[e] == coords(cover.quotient, cycle)
 
 
 @pytest.mark.parametrize("genus", [2, 3])
@@ -212,9 +215,9 @@ def test_table_classes_match_quotient_coords_on_closed_lifts(genus):
         closed = chain ^ cover.tree_chains[start] ^ cover.tree_chains[end]
         h, walk_end = cover.walk(w, start)
         assert walk_end == end
-        assert h == cover.quotient.coords(closed)
-        assert cover.closed_up_class(start, w) == h
-        assert cover.loop_class(closed) == h
+        assert h == coords(cover.quotient, closed)
+        assert cover.walk(w, start)[0] == h
+        assert loop_class(cover, closed) == h
 
 
 @pytest.mark.parametrize("genus", [2, 3])
@@ -224,16 +227,35 @@ def test_table_classes_match_quotient_coords_on_translated_cycles(genus):
     for _ in range(200):
         u = rng.randrange(cover.n_vertices)
         cycle = cover.cycle_basis[rng.randrange(len(cover.cycle_basis))]
-        translated = cover.translate_chain(cycle, u)
-        assert cover.loop_class(translated) == cover.quotient.coords(translated)
+        translated = translate_chain(cover, cycle, u)
+        assert loop_class(cover, translated) == coords(cover.quotient, translated)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_walk_is_deck_equivariant_on_closed_words(genus):
+    # The lift from v of a closed word is the deck translate by v of its lift
+    # from 0; lemma_check rests on this. Kernel words cover the h == 0 case.
+    cover = build_mod2_cover(genus)
+    words = [commutator((1, 1), (2, 2)), surface_relator(genus)]
+    words += [w for w, _ in search_kernel_elements(GroupContext(cover), 6)]
+    rng = random.Random(53 + genus)
+    while len(words) < 150:
+        w = random_reduced_word(rng, genus, rng.randrange(1, 16))
+        if abelianization_mod2(w, genus) == 0:
+            words.append(w)
+    assert sum(cover.walk(w, 0)[0] == 0 for w in words) > 2
+    for w in words:
+        h = cover.walk(w, 0)[0]
+        for v in range(cover.n_vertices):
+            assert cover.walk(w, v) == (deck_apply(cover.deck_action(v), h), v)
 
 
 def test_deck_action_matches_translated_basis_cycles():
     cover = build_mod2_cover(2)
-    basis = cover.quotient.basis_cycles()
+    basis = basis_cycles(cover.quotient)
     for u in range(cover.n_vertices):
         expected = tuple(
-            cover.quotient.coords(cover.translate_chain(c, u)) for c in basis
+            coords(cover.quotient, translate_chain(cover, c, u)) for c in basis
         )
         assert cover.deck_action(u) == expected
 
@@ -243,9 +265,9 @@ def test_loop_class_rejects_open_chain():
     chain, end = cover.lift((1,), 0)
     assert end != 0
     with pytest.raises(ValueError):
-        cover.loop_class(chain)
+        loop_class(cover, chain)
     with pytest.raises(ValueError):
-        cover.loop_class(1 << cover.n_edges)
+        loop_class(cover, 1 << cover.n_edges)
 
 
 def test_boundary_matrices_built_on_first_read():

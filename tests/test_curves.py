@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from simpleloop.cover import build_mod2_cover
+from simpleloop.cover import CoverCW, build_mod2_cover
 from simpleloop.curves import (
     SimpleClass,
     TwistAutomorphism,
@@ -31,6 +31,8 @@ from simpleloop.words import (
     surface_relator,
 )
 
+
+from oracles import lemma_check_all_vertices
 
 CTX = GroupContext(build_mod2_cover(2))
 
@@ -284,3 +286,38 @@ def test_lemma_check_catches_separating_lift_that_bounds():
     assert len(report.failures) == 16
     for v, failure in enumerate(report.failures):
         assert failure["reason"] == "lift from vertex %d separates the cover" % v
+
+
+def _relator_liar():
+    return SimpleClass(
+        cls=canonical_class(surface_relator(2)), root="s1", twists=(), separating=True
+    )
+
+
+@pytest.mark.parametrize(
+    "ctx, classes",
+    [
+        (CTX, generate_simple_classes(2, 4, 64)),
+        (GroupContext(build_mod2_cover(3)), generate_simple_classes(3, 2, 64)),
+        (CTX, [_relator_liar()]),
+    ],
+    ids=["g2-depth4", "g3-depth2", "relator-liar"],
+)
+def test_lemma_check_matches_all_vertex_oracle(ctx, classes):
+    assert lemma_check(ctx, classes) == lemma_check_all_vertices(ctx, classes)
+
+
+def test_lemma_check_walks_once_per_separating_class(monkeypatch):
+    classes = generate_simple_classes(2, 4, 64) + [_relator_liar()]
+    calls = []
+    walk = CoverCW.walk
+
+    def counting_walk(self, word, start):
+        calls.append((word, start))
+        return walk(self, word, start)
+
+    monkeypatch.setattr(CoverCW, "walk", counting_walk)
+    lemma_check(CTX, classes)
+    separating = [sc.cls for sc in classes if sc.separating]
+    assert len(separating) > 1
+    assert calls == [(w, 0) for w in separating]

@@ -76,7 +76,7 @@ def dfs_search_kernel_elements(
             w = tuple(word)
             if canonical_class(w) != w:
                 return
-            if ctx.cover.closed_up_class(0, w) != 0:
+            if ctx.cover.walk(w, 0)[0] != 0:
                 return
             if is_trivial(w, genus):
                 return

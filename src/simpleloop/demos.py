@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .cover import check_genus
+from .realize import Presentation
+from .words import Word, gen_name, substitute, surface_relator
 
 
 @dataclass(frozen=True)
@@ -63,88 +65,68 @@ def kernel_is_non_geometric_torus(bound: int) -> bool:
     return torus_kernel_scan(bound)["non_geometric"]
 
 
-def _letter_name(letter: str) -> str:
-    """Base generator name of a word letter (leading uppercase = inverse)."""
-    if letter and letter[0].isupper():
-        return letter[0].lower() + letter[1:]
-    return letter
-
-
-def _letter_sign(letter: str) -> int:
-    return -1 if letter and letter[0].isupper() else 1
-
-
 @dataclass(frozen=True)
 class OrientationCharacter:
-    """A homomorphism to Z2 given by its values on named generators."""
+    """A homomorphism to Z2: values[k - 1] is its value on generator k."""
 
-    values: dict
+    values: tuple[int, ...]
 
     def __post_init__(self):
-        for name, val in self.values.items():
-            if val not in (0, 1):
-                raise ValueError("character value for %r must be 0 or 1" % name)
+        if not set(self.values) <= {0, 1}:
+            raise ValueError("character values must be 0 or 1")
 
-    def on_word(self, word: tuple) -> int:
-        """Value on a word (tuple of letters; leading uppercase = inverse)."""
+    def on_word(self, word: Word) -> int:
+        """Value on a word of signed generator indices."""
         total = 0
-        for letter in word:
-            name = _letter_name(letter)
-            if name not in self.values:
-                raise ValueError("unknown generator %r" % name)
-            total ^= self.values[name]
+        for x in word:
+            if not 1 <= abs(x) <= len(self.values):
+                raise ValueError("unknown generator %d" % x)
+            total ^= self.values[abs(x) - 1]
         return total
 
 
-def z2xz_is_trivial(word: tuple) -> bool:
-    """Word problem for the group Z2 x Z with generators x (order 2) and y."""
-    x_parity = 0
-    y_sum = 0
+def _surface_group(genus: int) -> Presentation:
+    names = tuple(gen_name(k) for k in range(1, 2 * genus + 1))
+    return Presentation(names, (surface_relator(genus),))
+
+
+def z2xz_is_trivial(word: Word) -> bool:
+    """Word problem for Z2 x Z with generators x = 1 (order 2) and y = 2."""
+    x_parity = y_sum = 0
     for letter in word:
-        name = _letter_name(letter)
-        if name == "x":
+        if abs(letter) == 1:
             x_parity ^= 1
-        elif name == "y":
-            y_sum += _letter_sign(letter)
+        elif abs(letter) == 2:
+            y_sum += 1 if letter > 0 else -1
         else:
-            raise ValueError("unknown generator %r" % name)
+            raise ValueError("unknown generator %d" % letter)
     return x_parity == 0 and y_sum == 0
 
 
-def _substitute_names(word: tuple, images: dict) -> tuple:
-    out = []
-    for letter in word:
-        image = images[_letter_name(letter)]
-        if _letter_sign(letter) < 0:
-            image = tuple(
-                (_letter_name(l) if _letter_sign(l) < 0 else l[0].upper() + l[1:])
-                for l in reversed(image)
-            )
-        out.extend(image)
-    return tuple(out)
-
-
 def sidedness_report(
+    source: Presentation,
     source_char: OrientationCharacter,
     target_char: OrientationCharacter,
-    images: dict,
-    source_relators: tuple = (),
+    images: dict[int, Word],
     target_is_trivial=None,
 ) -> dict:
     """Decide 2-sidedness and report the checks performed.
 
     The map is 2-sided when the source character equals the target character
-    composed with the generator images. Source relators, when supplied, are
-    used to certify well-definedness: the source character and the characters
-    of relator images must vanish, and relator images must be trivial in the
-    target whenever a target word problem is supplied (otherwise a note
-    records that the check was skipped).
+    composed with the generator images (source generator index to target
+    word). The source relators certify well-definedness: the source character
+    and the characters of relator images must vanish, and relator images
+    must be trivial in the target whenever a target word problem is supplied
+    (otherwise a note records that the check was skipped).
     """
+    n = len(source.generators)
+    if set(images) != set(range(1, n + 1)):
+        raise ValueError("images must map each source generator 1..%d" % n)
     notes = []
-    for rel in source_relators:
+    for rel in source.relators:
         if source_char.on_word(rel) != 0:
             raise ValueError("source character does not vanish on a relator")
-        image = _substitute_names(rel, images)
+        image = substitute(rel, images)
         if target_char.on_word(image) != 0:
             raise ValueError("relator image has nonzero target character")
         if target_is_trivial is None:
@@ -154,11 +136,9 @@ def sidedness_report(
             )
         elif not target_is_trivial(image):
             raise ValueError("relator image is nontrivial in the target")
-    if not source_relators:
-        notes.append("no source relators supplied; character checks only")
     checks = {
-        name: source_char.on_word((name,)) == target_char.on_word(images[name])
-        for name in images
+        name: source_char.on_word((k,)) == target_char.on_word(images[k])
+        for k, name in enumerate(source.generators, 1)
     }
     return {
         "two_sided": all(checks.values()),
@@ -168,27 +148,26 @@ def sidedness_report(
 
 
 def is_two_sided(
+    source: Presentation,
     source_char: OrientationCharacter,
     target_char: OrientationCharacter,
-    images: dict,
-    source_relators: tuple = (),
+    images: dict[int, Word],
     target_is_trivial=None,
 ) -> bool:
     """Whether the character equation holds on every source generator."""
-    report = sidedness_report(
-        source_char, target_char, images, source_relators, target_is_trivial
-    )
-    return report["two_sided"]
+    return sidedness_report(
+        source, source_char, target_char, images, target_is_trivial
+    )["two_sided"]
 
 
 def torus_inclusion_sidedness() -> dict:
     """Sidedness of the torus inside the projective-plane-times-circle target."""
-    source_char = OrientationCharacter({"a": 0, "b": 0})
-    target_char = OrientationCharacter({"x": 1, "y": 0})
-    images = {"a": ("x",), "b": ("y",)}
-    relator = ("a", "b", "A", "B")
     report = sidedness_report(
-        source_char, target_char, images, (relator,), z2xz_is_trivial
+        Presentation(("a", "b"), ((1, 2, -1, -2),)),
+        OrientationCharacter((0, 0)),
+        OrientationCharacter((1, 0)),
+        {1: (1,), 2: (2,)},
+        z2xz_is_trivial,
     )
     report["name"] = "torus in projective-plane times circle"
     return report
@@ -202,19 +181,12 @@ def main_construction_sidedness(genus: int = 2) -> dict:
     target word problem is not available here and the note records that.
     """
     check_genus(genus)
-    names = []
-    for i in range(1, genus + 1):
-        names.extend(["a%d" % i, "b%d" % i])
-    source_char = OrientationCharacter({n: 0 for n in names})
-    target_names = ["g%d" % i for i in range(1, 2 * genus + 1)]
-    target_char = OrientationCharacter({n: 0 for n in target_names})
-    images = {n: (target_names[i],) for i, n in enumerate(names)}
-    relator = []
-    for i in range(1, genus + 1):
-        a, b = "a%d" % i, "b%d" % i
-        relator.extend([a, b, a.capitalize(), b.capitalize()])
+    n = 2 * genus
     report = sidedness_report(
-        source_char, target_char, images, (tuple(relator),), None
+        _surface_group(genus),
+        OrientationCharacter((0,) * n),
+        OrientationCharacter((0,) * n),
+        {k: (k,) for k in range(1, n + 1)},
     )
     report["name"] = "surface into the realized target (genus %d)" % genus
     return report
@@ -223,23 +195,16 @@ def main_construction_sidedness(genus: int = 2) -> dict:
 def free_factor_sidedness() -> dict:
     """Sidedness of a map avoiding the order-2 free factor of the target.
 
-    The target group has an extra order-2 free factor carrying the whole
+    The target's extra order-2 free factor, generator 5, carries the whole
     orientation character; images that avoid it satisfy the character
-    equation, so the map is 2-sided even though the target manifold is
-    non-orientable.
+    equation, so the map is 2-sided though the target is non-orientable.
     """
-    source_char = OrientationCharacter({"a1": 0, "b1": 0, "a2": 0, "b2": 0})
-    target_char = OrientationCharacter(
-        {"g1": 0, "g2": 0, "g3": 0, "g4": 0, "t": 1}
+    report = sidedness_report(
+        _surface_group(2),
+        OrientationCharacter((0, 0, 0, 0)),
+        OrientationCharacter((0, 0, 0, 0, 1)),
+        {k: (k,) for k in range(1, 5)},
     )
-    images = {
-        "a1": ("g1",),
-        "b1": ("g2",),
-        "a2": ("g3",),
-        "b2": ("g4",),
-    }
-    relator = ("a1", "b1", "A1", "B1", "a2", "b2", "A2", "B2")
-    report = sidedness_report(source_char, target_char, images, (relator,), None)
     report["name"] = "surface avoiding the order-2 free factor"
     return report
 

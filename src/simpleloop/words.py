@@ -102,14 +102,7 @@ def inverse(w: Word) -> Word:
 
 
 def concat(*ws: Word) -> Word:
-    out: list[int] = []
-    for w in ws:
-        for x in w:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
+    return free_reduce(x for w in ws for x in w)
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -206,7 +199,7 @@ def dehn_normal_form(w, genus: int) -> Word:
                 rep = table.get(doubled[i:i + length])
                 if rep is not None:
                     rest = doubled[i + length:i + n]
-                    w = cyclic_reduce(concat(rep, rest))
+                    w = cyclic_reduce(rep + rest)
                     changed = True
                     break
     return w

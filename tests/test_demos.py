@@ -20,6 +20,9 @@ from simpleloop.demos import (
     torus_kernel_scan,
     z2xz_is_trivial,
 )
+from simpleloop.realize import Presentation
+
+TORUS = Presentation(("a", "b"), ((1, 2, -1, -2),))
 
 
 def test_iota_star_examples():
@@ -68,26 +71,26 @@ def test_kernel_scan_rejects_bad_bound():
 
 def test_character_values_validated():
     with pytest.raises(ValueError):
-        OrientationCharacter({"a": 2})
+        OrientationCharacter((2,))
 
 
 def test_character_on_word_handles_inverses():
-    char = OrientationCharacter({"x": 1, "y": 0})
-    assert char.on_word(("x",)) == 1
-    assert char.on_word(("X",)) == 1
-    assert char.on_word(("x", "X")) == 0
-    assert char.on_word(("x", "y", "x")) == 0
+    char = OrientationCharacter((1, 0))
+    assert char.on_word((1,)) == 1
+    assert char.on_word((-1,)) == 1
+    assert char.on_word((1, -1)) == 0
+    assert char.on_word((1, 2, 1)) == 0
     with pytest.raises(ValueError):
-        char.on_word(("z",))
+        char.on_word((3,))
 
 
 def test_z2xz_word_problem():
     assert z2xz_is_trivial(())
-    assert z2xz_is_trivial(("x", "x"))
-    assert z2xz_is_trivial(("x", "y", "X", "Y"))
-    assert not z2xz_is_trivial(("y",))
-    assert not z2xz_is_trivial(("x",))
-    assert not z2xz_is_trivial(("y", "y", "Y"))
+    assert z2xz_is_trivial((1, 1))
+    assert z2xz_is_trivial((1, 2, -1, -2))
+    assert not z2xz_is_trivial((2,))
+    assert not z2xz_is_trivial((1,))
+    assert not z2xz_is_trivial((2, 2, -2))
 
 
 def test_torus_inclusion_is_one_sided():
@@ -117,55 +120,63 @@ def test_free_factor_target_is_two_sided():
 
 
 def test_two_sidedness_invariant_under_character_preserving_change():
-    source_char = OrientationCharacter({"a": 0, "b": 0})
-    target_char = OrientationCharacter({"x": 1, "y": 0})
-    relator = ("a", "b", "A", "B")
+    source_char = OrientationCharacter((0, 0))
+    target_char = OrientationCharacter((1, 0))
     first = is_two_sided(
+        TORUS,
         source_char,
         target_char,
-        {"a": ("x",), "b": ("y",)},
-        (relator,),
+        {1: (1,), 2: (2,)},
         z2xz_is_trivial,
     )
     second = is_two_sided(
+        TORUS,
         source_char,
         target_char,
-        {"a": ("x", "y"), "b": ("y",)},
-        (relator,),
+        {1: (1, 2), 2: (2,)},
         z2xz_is_trivial,
     )
     assert first == second == False
 
 
 def test_ill_defined_source_character_rejected():
-    source_char = OrientationCharacter({"a": 1})
-    target_char = OrientationCharacter({"x": 1})
+    source = Presentation(("a",), ((1, 1, 1),))
+    source_char = OrientationCharacter((1,))
+    target_char = OrientationCharacter((1,))
     with pytest.raises(ValueError):
-        is_two_sided(
-            source_char, target_char, {"a": ("x",)}, (("a", "a", "a"),)
-        )
+        is_two_sided(source, source_char, target_char, {1: (1,)})
 
 
 def test_ill_defined_homomorphism_rejected():
-    source_char = OrientationCharacter({"a": 0})
-    target_char = OrientationCharacter({"x": 1, "y": 0})
+    source = Presentation(("a",), ((1, 1),))
+    source_char = OrientationCharacter((0,))
+    target_char = OrientationCharacter((1, 0))
     with pytest.raises(ValueError):
         is_two_sided(
+            source,
             source_char,
             target_char,
-            {"a": ("y",)},
-            (("a", "a"),),
+            {1: (2,)},
             z2xz_is_trivial,
         )
 
 
 def test_sidedness_report_notes_skipped_relator_check():
-    source_char = OrientationCharacter({"a": 0})
-    target_char = OrientationCharacter({"x": 0})
-    report = sidedness_report(
-        source_char, target_char, {"a": ("x",)}, (("a", "a", "A", "A"),), None
-    )
+    source = Presentation(("a",), ((1, 1, -1, -1),))
+    source_char = OrientationCharacter((0,))
+    target_char = OrientationCharacter((0,))
+    report = sidedness_report(source, source_char, target_char, {1: (1,)}, None)
     assert any("not checked" in note for note in report["notes"])
+
+
+@pytest.mark.parametrize(
+    "images", [{1: (1,)}, {1: (1,), 2: (2,), 3: (1,)}, {1: (1,), 3: (2,)}]
+)
+def test_sidedness_report_needs_one_image_per_source_generator(images):
+    source_char = OrientationCharacter((0, 0))
+    target_char = OrientationCharacter((1, 0))
+    with pytest.raises(ValueError, match="each source generator"):
+        sidedness_report(TORUS, source_char, target_char, images)
 
 
 def test_extend_to_dimension():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from simpleloop.cover import ResourceLimitError, build_mod2_cover, deck_apply
+from simpleloop.curves import apply_twist, twist_table
 from simpleloop.quotient import (
     MAX_HALF_WORDS,
     GElement,
@@ -310,6 +311,34 @@ def test_kernel_is_normal():
         for _ in range(5):
             u = random_reduced_word(rng, 2, rng.randrange(1, 8))
             assert in_kernel(CTX, concat(u, w, inverse(u)))
+
+
+@pytest.mark.parametrize(
+    "ctx, max_len, n_hits, n_twists",
+    [(CTX, 8, 81, 10), (CTX3, 6, 6, 16)],
+    ids=["g2", "g3"],
+)
+def test_every_twist_maps_kernel_witnesses_into_the_kernel(
+    ctx, max_len, n_hits, n_twists
+):
+    # ker rho is characteristic, so every automorphism preserves it.
+    hits = search_kernel_elements(ctx, max_len)
+    twists = twist_table(ctx.genus).values()
+    assert (len(hits), len(twists)) == (n_hits, n_twists)
+    for t in twists:
+        for w, _ in hits:
+            assert in_kernel(ctx, apply_twist(t, w)), (t.name, w)
+
+
+def test_twist_compositions_map_kernel_witnesses_into_the_kernel():
+    rng = random.Random(11)
+    hits = [w for w, _ in search_kernel_elements(CTX, 8)]
+    twists = list(twist_table(2).values())
+    for _ in range(200):
+        w = rng.choice(hits)
+        for t in rng.choices(twists, k=rng.randint(1, 5)):
+            w = apply_twist(t, w)
+        assert in_kernel(CTX, w)
 
 
 def test_every_element_has_order_dividing_four():

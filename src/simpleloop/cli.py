@@ -15,7 +15,7 @@ import sys
 import time
 
 from .cover import ResourceLimitError, build_mod2_cover
-from .curves import generate_simple_classes, lemma_check, verify_non_geometric
+from .curves import check_depth, generate_simple_classes, lemma_check, verify_non_geometric
 from .demos import (
     extend_to_dimension,
     free_factor_sidedness,
@@ -109,6 +109,7 @@ def _timed(timing, key, fn, *args, **kwargs):
 
 def cmd_verify(args):
     # A stage checks its bound only after the stages before it have run.
+    check_depth(args.depth)
     check_length_bound(args.max_len, "max_len")
     check_search_budget(args.genus, args.kernel_len)
     timing = {}
@@ -207,6 +208,7 @@ def cmd_search_kernel(args):
 
 
 def cmd_lemma_check(args):
+    check_depth(args.depth)
     timing = {}
     cover = _timed(timing, "build_s", build_mod2_cover, args.genus)
     classes = _timed(

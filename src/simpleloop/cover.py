@@ -57,11 +57,8 @@ class CoverCW:
         n_vertices, n_edges, n_faces: cell counts (2^2g, 2g*2^2g, 2^2g).
         d1: vertex-by-edge boundary matrix over GF(2), built on first read.
         d2: edge-by-face boundary matrix over GF(2), built on first read.
-        tree_chains: per vertex, the edge chain of the BFS tree path from 0.
-        tree_words: per vertex, the word spelling that tree path.
+        tree_words: per vertex, the word spelling the BFS tree path from 0.
         nontree_edges: edges outside the spanning tree, ascending.
-        cycle_basis: one fundamental cycle per non-tree edge.
-        quotient: map from 1-cycles to H1 coordinates.
         h1_dim: dimension of H1 of the cover over GF(2).
         edge_classes: per edge, its H1 coordinates: 0 for a tree edge, the
             class of its fundamental cycle for a non-tree edge.
@@ -73,7 +70,6 @@ class CoverCW:
         self.n_vertices = 1 << (2 * genus)
         self.n_edges = self.n_vertices * 2 * genus
         self.n_faces = self.n_vertices
-        self._build_boundaries()
         self._build_tree()
         self._build_h1()
         self._deck_cache = {}
@@ -161,24 +157,13 @@ class CoverCW:
 
     @cached_property
     def d2(self) -> GF2Matrix:
-        faces_by_edges = GF2Matrix(self.n_faces, self.n_edges, self._face_chains)
-        return faces_by_edges.transpose()
-
-    def _build_boundaries(self) -> None:
         relator = surface_relator(self.genus)
-        face_chains = []
-        for v in range(self.n_faces):
-            chain, end = self.lift(relator, v)
-            if end != v:
-                raise AssertionError("relator lift must close up")
-            face_chains.append(chain)
-        self._face_chains = tuple(face_chains)
+        faces = tuple(self.lift(relator, v)[0] for v in range(self.n_faces))
+        return GF2Matrix(self.n_faces, self.n_edges, faces).transpose()
 
     def _build_tree(self) -> None:
-        chains = [0] * self.n_vertices
-        words = [()] * self.n_vertices
-        seen = [False] * self.n_vertices
-        seen[0] = True
+        words = [None] * self.n_vertices
+        words[0] = ()
         queue = [0]
         tree_edges = set()
         while queue:
@@ -186,33 +171,36 @@ class CoverCW:
             for v in queue:
                 for k in range(1, 2 * self.genus + 1):
                     w = v ^ (1 << (k - 1))
-                    if seen[w]:
+                    if words[w] is not None:
                         continue
-                    seen[w] = True
                     e = self.edge_index(v, k)
                     tree_edges.add(e)
-                    chains[w] = chains[v] ^ (1 << e)
                     words[w] = words[v] + (k,)
                     next_queue.append(w)
             queue = next_queue
-        self.tree_chains = tuple(chains)
         self.tree_words = tuple(words)
         self.nontree_edges = tuple(
             e for e in range(self.n_edges) if e not in tree_edges
         )
 
     def _build_h1(self) -> None:
-        cycles = []
-        for e in self.nontree_edges:
-            v, w = self.edge_endpoints(e)
-            cycles.append(self.tree_chains[v] ^ (1 << e) ^ self.tree_chains[w])
-        self.cycle_basis = tuple(cycles)
-        self.quotient = QuotientMap(self.cycle_basis, self._face_chains, self.n_edges)
-        self.h1_dim = self.quotient.dim
+        # Contracting the spanning tree maps cycles one-to-one onto chains of
+        # non-tree edges: a fundamental cycle becomes its own non-tree edge,
+        # and a face keeps only its non-tree edges.
+        nontree = sum(1 << e for e in self.nontree_edges)
+        relator = surface_relator(self.genus)
+        faces = []
+        for v in range(self.n_faces):
+            chain, end = self.lift(relator, v)
+            if end != v:
+                raise AssertionError("relator lift must close up")
+            faces.append(chain & nontree)
+        h1 = QuotientMap([1 << e for e in self.nontree_edges], faces, self.n_edges)
+        self.h1_dim = h1.dim
 
         classes = [0] * self.n_edges
         unit_words = {}
-        for e, h in zip(self.nontree_edges, self.quotient.cycle_coords):
+        for e, h in zip(self.nontree_edges, h1.cycle_coords):
             classes[e] = h
             if h.bit_count() == 1 and h not in unit_words:
                 v, w = self.edge_endpoints(e)

@@ -160,6 +160,12 @@ def replay_certificate(genus: int, root: str, twists: tuple[str, ...]) -> Word:
     return w
 
 
+def check_depth(depth: int) -> None:
+    """Reject a negative twist depth."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+
+
 def generate_simple_classes(
     genus: int, depth: int, max_len: int
 ) -> list[SimpleClass]:
@@ -171,8 +177,7 @@ def generate_simple_classes(
     twist maps conjugate words to conjugate words. Output order and content
     are deterministic.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    check_depth(depth)
     check_length_bound(max_len, "max_len")
     table = twist_table(genus)
     names = sorted(table)
@@ -283,40 +288,32 @@ def lemma_check(ctx: GroupContext, classes: list[SimpleClass]) -> LemmaReport:
     non-separating upstairs). Nonseparating classes must have nonzero mod-2
     class, so their lifts are not loops.
 
-    One walk from vertex 0 settles all lifts of a separating class. With
-    mod-2 class zero every lift closes, and the lift from vertex v is the
-    deck translate by v of the lift from 0, so its H1 class is
-    deck_apply(deck_action(v), h) for the class h of the lift from 0. Deck
-    translations act invertibly on H1, so every lift has nonzero class iff
-    h != 0; when h == 0, the lift from every vertex fails.
+    Each class is settled by rho, one walk from vertex 0: v is its mod-2
+    class and h the class of its lift from 0. With v == 0 every lift closes,
+    and the lift from vertex u is the deck translate by u of the lift from 0,
+    with class deck_apply(deck_action(u), h). Deck translations act
+    invertibly on H1, so the lifts all have nonzero class when h != 0 and
+    all fail when h == 0.
     """
-    cover = ctx.cover
+    n_vertices = ctx.cover.n_vertices
     failures = []
     n_sep = 0
-    n_nonsep = 0
     for sc in classes:
-        phi = abelianization_mod2(sc.cls, ctx.genus)
-        if sc.separating:
-            n_sep += 1
-            if phi != 0:
-                failures.append(
-                    {"word": word_to_str(sc.cls), "reason": "separating class with nonzero mod-2 image"}
-                )
-            elif cover.walk(sc.cls, 0)[0] == 0:
-                failures.extend(
-                    {"word": word_to_str(sc.cls), "reason": "lift from vertex %d separates the cover" % v}
-                    for v in range(cover.n_vertices)
-                )
+        el = rho(ctx, sc.cls)
+        n_sep += sc.separating
+        if sc.separating and el.v != 0:
+            reasons = ["separating class with nonzero mod-2 image"]
+        elif sc.separating and el.h == 0:
+            reasons = ["lift from vertex %d separates the cover" % u for u in range(n_vertices)]
+        elif not sc.separating and el.v == 0:
+            reasons = ["nonseparating class with zero mod-2 image"]
         else:
-            n_nonsep += 1
-            if phi == 0:
-                failures.append(
-                    {"word": word_to_str(sc.cls), "reason": "nonseparating class with zero mod-2 image"}
-                )
+            continue
+        failures.extend({"word": word_to_str(sc.cls), "reason": r} for r in reasons)
     return LemmaReport(
         genus=ctx.genus,
         n_separating=n_sep,
-        n_nonseparating=n_nonsep,
-        lifts_per_class=cover.n_vertices,
+        n_nonseparating=len(classes) - n_sep,
+        lifts_per_class=n_vertices,
         failures=failures,
     )

@@ -15,7 +15,6 @@ from .cover import CoverCW, ResourceLimitError, check_genus, deck_apply
 from .gf2 import Echelon
 from .words import (
     Word,
-    abelianization_mod2,
     canonical_class,
     check_length_bound,
     inverse,
@@ -69,9 +68,17 @@ class GroupContext:
 
 
 def rho(ctx: GroupContext, w: Word) -> GElement:
-    """Image of a word: deck vector plus closed-up lift class from vertex 0."""
-    v = abelianization_mod2(w, ctx.genus)
-    return GElement(v, ctx.cover.walk(w, 0)[0])
+    """Image of a word, read from one walk of its lift from vertex 0.
+
+    v is the vertex the lift ends at (the mod-2 abelianization) and h the
+    lift's class closed up through the tree. Raises ValueError on a letter
+    outside the genus.
+    """
+    try:
+        h, v = ctx.cover.walk(w, 0)
+    except KeyError as exc:
+        raise ValueError("letter %s outside genus %d" % (exc.args[0], ctx.genus)) from None
+    return GElement(v, h)
 
 
 def mul(ctx: GroupContext, x: GElement, y: GElement) -> GElement:
@@ -163,8 +170,9 @@ def empirical_image_rank(
     """Sample the image of rho and report attained GF(2) ranks.
 
     Reports the rank of the deck parts of sampled images and the rank of the
-    h parts attained with deck part zero (via squares and commutators). These
-    are lower bounds on the image's size, reported as observations only.
+    h parts of the squares x x and commutators x y x^-1 y^-1 of sampled
+    words, whose deck parts are zero; each image is one rho walk. These are
+    lower bounds on the image's size, reported as observations only.
 
     Returns:
         Dict with v_rank, h_rank, v_dim, h_dim.
@@ -176,20 +184,16 @@ def empirical_image_rank(
     rng = random.Random(seed)
     v_span = Echelon()
     h_span = Echelon()
-    elements = []
+    words = []
     for _ in range(n_samples):
         w = random_reduced_word(rng, ctx.genus, rng.randrange(1, 16))
-        el = rho(ctx, w)
-        elements.append(el)
-        v_span.insert(el.v, 0)
+        words.append(w)
+        v_span.insert(rho(ctx, w).v, 0)
     for _ in range(n_samples):
-        x = elements[rng.randrange(len(elements))]
-        y = elements[rng.randrange(len(elements))]
-        square = mul(ctx, x, x)
-        comm = mul(ctx, mul(ctx, x, y), inv(ctx, mul(ctx, y, x)))
-        for el in (square, comm):
-            if el.v == 0:
-                h_span.insert(el.h, 0)
+        x = words[rng.randrange(len(words))]
+        y = words[rng.randrange(len(words))]
+        h_span.insert(rho(ctx, x + x).h, 0)
+        h_span.insert(rho(ctx, x + y + inverse(x) + inverse(y)).h, 0)
     return {
         "v_rank": len(v_span.rows),
         "h_rank": len(h_span.rows),

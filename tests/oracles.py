@@ -1,13 +1,99 @@
 """Chain-level H1 oracles shared by the tests.
 
-The package reads H1 classes of lifted words only through ``CoverCW.walk``.
-These helpers compute the same classes the long way, from explicit edge
-chains, so the tests can check the walk and the deck-symmetry argument of
-``lemma_check`` against an independent path.
+The package reads H1 classes of lifted words only through ``CoverCW.walk``,
+and builds its edge-class table on the cover with the spanning tree
+contracted. These helpers compute the same classes the long way, from
+full-width edge chains and the group law, so the tests can check the table,
+the walk and the deck-symmetry argument of ``lemma_check`` against an
+independent path.
 """
 
+import random
+
 from simpleloop.curves import LemmaReport
-from simpleloop.words import abelianization_mod2, word_to_str
+from simpleloop.gf2 import Echelon, QuotientMap
+from simpleloop.quotient import inv, mul, rho
+from simpleloop.words import (
+    abelianization_mod2,
+    random_reduced_word,
+    surface_relator,
+    word_to_str,
+)
+
+
+def tree_chains(cover) -> tuple[int, ...]:
+    """Per vertex, the edge chain of the breadth-first tree path from 0.
+
+    Grows the tree the way the cover does, generators in index order, but
+    records chains rather than words.
+    """
+    chains = [0] * cover.n_vertices
+    seen = [False] * cover.n_vertices
+    seen[0] = True
+    queue = [0]
+    while queue:
+        next_queue = []
+        for v in queue:
+            for k in range(1, 2 * cover.genus + 1):
+                w = v ^ (1 << (k - 1))
+                if not seen[w]:
+                    seen[w] = True
+                    chains[w] = chains[v] ^ (1 << cover.edge_index(v, k))
+                    next_queue.append(w)
+        queue = next_queue
+    return tuple(chains)
+
+
+def cycle_basis(cover) -> tuple[int, ...]:
+    """One full-width fundamental cycle per non-tree edge, in edge order."""
+    chains = tree_chains(cover)
+    cycles = []
+    for e in cover.nontree_edges:
+        v, w = cover.edge_endpoints(e)
+        cycles.append(chains[v] ^ (1 << e) ^ chains[w])
+    return tuple(cycles)
+
+
+def full_quotient(cover) -> QuotientMap:
+    """H1 quotient map over full-width edge chains.
+
+    Eliminates the fundamental cycles against the lifted faces without
+    contracting the tree, so its coordinates check the cover's edge table.
+    """
+    relator = surface_relator(cover.genus)
+    faces = [cover.lift(relator, v)[0] for v in range(cover.n_faces)]
+    return QuotientMap(cycle_basis(cover), faces, cover.n_edges)
+
+
+def image_rank_by_group_law(ctx, n_samples: int = 500, seed: int = 0) -> dict:
+    """``empirical_image_rank`` with squares and commutators formed by mul/inv.
+
+    Draws the same words as the package and multiplies their images in the
+    extension group instead of walking the product words.
+    """
+    rng = random.Random(seed)
+    v_span = Echelon()
+    h_span = Echelon()
+    elements = []
+    for _ in range(n_samples):
+        w = random_reduced_word(rng, ctx.genus, rng.randrange(1, 16))
+        el = rho(ctx, w)
+        elements.append(el)
+        v_span.insert(el.v, 0)
+    for _ in range(n_samples):
+        x = elements[rng.randrange(len(elements))]
+        y = elements[rng.randrange(len(elements))]
+        square = mul(ctx, x, x)
+        comm = mul(ctx, mul(ctx, x, y), inv(ctx, mul(ctx, y, x)))
+        for el in (square, comm):
+            if el.v == 0:
+                h_span.insert(el.h, 0)
+    return {
+        "v_rank": len(v_span.rows),
+        "h_rank": len(h_span.rows),
+        "v_dim": 2 * ctx.genus,
+        "h_dim": ctx.cover.h1_dim,
+    }
 
 
 def loop_class(cover, chain: int) -> int:

@@ -261,6 +261,20 @@ def test_verify_rejects_bounds_before_any_stage(capsys, monkeypatch, flag, named
     assert named in captured.err
 
 
+@pytest.mark.parametrize("command", ["verify", "lemma-check"])
+def test_negative_depth_rejected_before_any_stage(capsys, monkeypatch, command):
+    def fail(*args, **kwargs):
+        raise AssertionError("a stage ran before the depth was checked")
+
+    monkeypatch.setattr(cli, "build_mod2_cover", fail)
+    monkeypatch.setattr(cli, "generate_simple_classes", fail)
+    code = main([command, "--genus", "4", "--depth", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "depth" in captured.err
+
+
 def test_verify_records_digest(capsys):
     code, out = run_main(capsys, "verify", "--depth", "2", "--kernel-len", "6")
     assert code == 0

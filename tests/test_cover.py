@@ -19,7 +19,15 @@ from simpleloop.words import (
     surface_relator,
 )
 
-from oracles import basis_cycles, coords, loop_class, translate_chain
+from oracles import (
+    basis_cycles,
+    coords,
+    cycle_basis,
+    full_quotient,
+    loop_class,
+    translate_chain,
+    tree_chains,
+)
 
 
 def test_genus2_cell_counts_and_invariants():
@@ -51,13 +59,13 @@ def test_boundary_ranks_genus2():
     assert rank(cover.d1) == 15
     assert rank(cover.d2) == 15
     assert len(kernel_basis(cover.d1)) == 49
-    assert len(cover.cycle_basis) == 49
+    assert len(cycle_basis(cover)) == 49
     assert cover.n_edges - cover.n_vertices + 1 == 49
 
 
 def test_fundamental_cycles_are_cycles():
     cover = build_mod2_cover(2)
-    for cycle in cover.cycle_basis:
+    for cycle in cycle_basis(cover):
         boundary = 0
         for v in range(cover.n_vertices):
             if (cover.d1.row(v) & cycle).bit_count() & 1:
@@ -100,15 +108,16 @@ def test_generator_squares_have_nonzero_class():
 
 def test_spanning_tree_paths():
     cover = build_mod2_cover(2)
+    chains = tree_chains(cover)
     assert cover.tree_words[0] == ()
-    assert cover.tree_chains[0] == 0
+    assert chains[0] == 0
     for v in range(cover.n_vertices):
         word = cover.tree_words[v]
         assert len(word) == bin(v).count("1")
         assert abelianization_mod2(word, 2) == v
         chain, end = cover.lift(word, 0)
         assert end == v
-        assert chain == cover.tree_chains[v]
+        assert chain == chains[v]
 
 
 def test_lift_endpoint_tracks_abelianization():
@@ -167,10 +176,11 @@ def test_translate_chain_moves_face_boundaries():
 
 def test_translate_chain_preserves_classes_count():
     cover = build_mod2_cover(2)
+    cycles = cycle_basis(cover)
     rng = random.Random(3)
     for _ in range(20):
         u = rng.randrange(16)
-        cycle = cover.cycle_basis[rng.randrange(len(cover.cycle_basis))]
+        cycle = cycles[rng.randrange(len(cycles))]
         translated = translate_chain(cover, cycle, u)
         assert translated.bit_count() == cycle.bit_count()
         loop_class(cover, translated)
@@ -193,29 +203,32 @@ def test_genus_bounds():
         build_mod2_cover(5)
 
 
-@pytest.mark.parametrize("genus", [2, 3])
+@pytest.mark.parametrize("genus", [2, 3, 4])
 def test_edge_classes_are_fundamental_cycle_classes(genus):
     cover = build_mod2_cover(genus)
+    quotient = full_quotient(cover)
     nontree = set(cover.nontree_edges)
     for e in range(cover.n_edges):
         if e not in nontree:
             assert cover.edge_classes[e] == 0
-    for e, cycle in zip(cover.nontree_edges, cover.cycle_basis):
-        assert cover.edge_classes[e] == coords(cover.quotient, cycle)
+    for e, cycle in zip(cover.nontree_edges, cycle_basis(cover)):
+        assert cover.edge_classes[e] == coords(quotient, cycle)
 
 
 @pytest.mark.parametrize("genus", [2, 3])
 def test_table_classes_match_quotient_coords_on_closed_lifts(genus):
     cover = build_mod2_cover(genus)
+    chains = tree_chains(cover)
+    quotient = full_quotient(cover)
     rng = random.Random(41 + genus)
     for _ in range(200):
         w = random_reduced_word(rng, genus, rng.randrange(0, 16))
         start = rng.randrange(cover.n_vertices)
         chain, end = cover.lift(w, start)
-        closed = chain ^ cover.tree_chains[start] ^ cover.tree_chains[end]
+        closed = chain ^ chains[start] ^ chains[end]
         h, walk_end = cover.walk(w, start)
         assert walk_end == end
-        assert h == coords(cover.quotient, closed)
+        assert h == coords(quotient, closed)
         assert cover.walk(w, start)[0] == h
         assert loop_class(cover, closed) == h
 
@@ -223,12 +236,14 @@ def test_table_classes_match_quotient_coords_on_closed_lifts(genus):
 @pytest.mark.parametrize("genus", [2, 3])
 def test_table_classes_match_quotient_coords_on_translated_cycles(genus):
     cover = build_mod2_cover(genus)
+    cycles = cycle_basis(cover)
+    quotient = full_quotient(cover)
     rng = random.Random(43 + genus)
     for _ in range(200):
         u = rng.randrange(cover.n_vertices)
-        cycle = cover.cycle_basis[rng.randrange(len(cover.cycle_basis))]
+        cycle = cycles[rng.randrange(len(cycles))]
         translated = translate_chain(cover, cycle, u)
-        assert loop_class(cover, translated) == coords(cover.quotient, translated)
+        assert loop_class(cover, translated) == coords(quotient, translated)
 
 
 @pytest.mark.parametrize("genus", [2, 3])
@@ -252,10 +267,11 @@ def test_walk_is_deck_equivariant_on_closed_words(genus):
 
 def test_deck_action_matches_translated_basis_cycles():
     cover = build_mod2_cover(2)
-    basis = basis_cycles(cover.quotient)
+    quotient = full_quotient(cover)
+    basis = basis_cycles(quotient)
     for u in range(cover.n_vertices):
         expected = tuple(
-            coords(cover.quotient, translate_chain(cover, c, u)) for c in basis
+            coords(quotient, translate_chain(cover, c, u)) for c in basis
         )
         assert cover.deck_action(u) == expected
 

@@ -35,6 +35,8 @@ from simpleloop.words import (
     surface_relator,
 )
 
+from oracles import image_rank_by_group_law
+
 
 def make_ctx(genus=2):
     return GroupContext(build_mod2_cover(genus))
@@ -360,6 +362,15 @@ def test_empirical_image_rank():
     assert report["h_dim"] == 34
     assert report["v_rank"] == 4
     assert 0 < report["h_rank"] <= 34
+
+
+@pytest.mark.parametrize("n_samples", [20, 100, 500])
+@pytest.mark.parametrize("ctx", [CTX, CTX3], ids=["g2", "g3"])
+def test_empirical_image_rank_matches_group_law(ctx, n_samples):
+    for seed in range(6):
+        assert empirical_image_rank(ctx, n_samples, seed) == image_rank_by_group_law(
+            ctx, n_samples, seed
+        )
 
 
 def test_search_rejects_bad_bound():

@@ -66,6 +66,14 @@ def _witnesses_by_length(witnesses, max_len):
     return [sum(len(w) == k for w, _ in witnesses) for k in range(1, max_len + 1)]
 
 
+def _classes_by_depth(classes, depth):
+    """Number of generated classes per twist depth, 0 to depth."""
+    counts = [0] * (depth + 1)
+    for sc in classes:
+        counts[len(sc.twists)] += 1
+    return counts
+
+
 def verify_witness_record(record, ctx) -> bool:
     """Re-verify a loaded witness record against a fresh context."""
     word = word_from_str(record["word"], ctx.genus)
@@ -149,6 +157,7 @@ def cmd_verify(args):
         "classes_total": report.total,
         "classes_separating": report.n_separating,
         "classes_nonseparating": report.n_nonseparating,
+        "classes_by_depth": _classes_by_depth(classes, args.depth),
         "kernel_hits": report.kernel_hits,
         "witness_count": len(witnesses),
         "witnesses_by_length": _witnesses_by_length(witnesses, args.kernel_len),
@@ -209,6 +218,7 @@ def cmd_search_kernel(args):
 
 def cmd_lemma_check(args):
     check_depth(args.depth)
+    check_length_bound(args.max_len, "max_len")
     timing = {}
     cover = _timed(timing, "build_s", build_mod2_cover, args.genus)
     classes = _timed(
@@ -220,6 +230,7 @@ def cmd_lemma_check(args):
         "status": "ok" if lemma.ok else "lemma_failure",
         "genus": args.genus,
         "depth": args.depth,
+        "classes_by_depth": _classes_by_depth(classes, args.depth),
         "separating_checked": lemma.n_separating,
         "nonseparating_checked": lemma.n_nonseparating,
         "lifts_per_class": lemma.lifts_per_class,

@@ -18,6 +18,7 @@ from functools import lru_cache
 from .quotient import GroupContext, rho
 from .words import (
     Word,
+    _canonical_reduced,
     abelianization_mod2,
     canonical_class,
     check_length_bound,
@@ -100,7 +101,7 @@ def _validate_table(genus: int, table: dict[str, "TwistAutomorphism"]) -> None:
             raise AssertionError(
                 "twist %s does not preserve the relator class" % name
             )
-        partner = table[name[:-4] if name.endswith("_inv") else name + "_inv"]
+        partner = table[_partner(name)]
         for k in range(1, 2 * genus + 1):
             round_trip = apply_twist(partner, apply_twist(t, (k,)))
             if round_trip != (k,):
@@ -166,6 +167,11 @@ def check_depth(depth: int) -> None:
         raise ValueError("depth must be nonnegative")
 
 
+def _partner(name: str) -> str:
+    """Name of the inverse twist of a table entry."""
+    return name[:-4] if name.endswith("_inv") else name + "_inv"
+
+
 def generate_simple_classes(
     genus: int, depth: int, max_len: int
 ) -> list[SimpleClass]:
@@ -176,6 +182,12 @@ def generate_simple_classes(
     letters long. Working with canonical representatives is sound because a
     twist maps conjugate words to conjugate words. Output order and content
     are deterministic.
+
+    The partner of a class's last twist is skipped: _validate_table
+    certifies that the partner undoes that twist on every generator, so the
+    image is the parent's class, which is already seen. Twist images come
+    out of substitute freely reduced, so only the seam is cut before the
+    least rotation is taken.
     """
     check_depth(depth)
     check_length_bound(max_len, "max_len")
@@ -191,8 +203,11 @@ def generate_simple_classes(
     for _ in range(depth):
         next_frontier = []
         for sc in frontier:
+            undo = _partner(sc.twists[-1]) if sc.twists else None
             for name in names:
-                cls = canonical_class(apply_twist(table[name], sc.cls))
+                if name == undo:
+                    continue
+                cls = _canonical_reduced(apply_twist(table[name], sc.cls))
                 if len(cls) > max_len or cls in seen:
                     continue
                 new = SimpleClass(

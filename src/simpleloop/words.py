@@ -76,12 +76,28 @@ def word_from_str(text: str, genus: int) -> Word:
     return tuple(out)
 
 
+class _LetterMemo(dict):
+    """Values of a function of one letter, each computed on first use."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, x: int):
+        value = self[x] = self.fn(x)
+        return value
+
+
+def _letter_token(x: int) -> str:
+    name = gen_name(abs(x))
+    return name if x > 0 else name[0].upper() + name[1:]
+
+
+_LETTER_TOKENS = _LetterMemo(_letter_token)
+
+
 def word_to_str(w: Word) -> str:
-    toks = []
-    for x in w:
-        name = gen_name(abs(x))
-        toks.append(name if x > 0 else name[0].upper() + name[1:])
-    return " ".join(toks)
+    return " ".join(map(_LETTER_TOKENS.__getitem__, w))
 
 
 def free_reduce(w) -> Word:
@@ -106,7 +122,11 @@ def concat(*ws: Word) -> Word:
 
 
 def cyclic_reduce(w: Word) -> Word:
-    w = free_reduce(w)
+    return _trim_seam(free_reduce(w))
+
+
+def _trim_seam(w: Word) -> Word:
+    """Cyclic reduction of a freely reduced word: cancel across the seam."""
     i, j = 0, len(w)
     while j - i >= 2 and w[i] == -w[j - 1]:
         i += 1
@@ -139,13 +159,19 @@ def separating_word(genus: int, k: int) -> Word:
 def substitute(w: Word, images: dict[int, Word]) -> Word:
     """Apply the endomorphism sending generator k to images[k], then reduce.
 
-    Generators missing from the map are kept fixed.
+    Generators missing from the map are kept fixed. The output is freely
+    reduced.
     """
+    table = {}
+    for k, img in images.items():
+        table[k] = img
+        table[-k] = inverse(img)
+    get = table.get
     out: list[int] = []
     for x in w:
-        img = images.get(abs(x), (abs(x),))
-        if x < 0:
-            img = inverse(img)
+        img = get(x)
+        if img is None:
+            img = (x,)
         for y in img:
             if out and out[-1] == -y:
                 out.pop()
@@ -215,32 +241,54 @@ def letter_order_key(x: int) -> int:
     return 2 * (abs(x) - 1) + (1 if x < 0 else 0)
 
 
+_ORDER_KEYS = _LetterMemo(letter_order_key)
+
+
+def _least_start(keys: list[int], n: int, least: int) -> int:
+    """Start of the least rotation, given the doubled key list and its least key.
+
+    Only a rotation that starts at the least key can be the least; the
+    doubled list ends the scan at the first such start past n.
+    """
+    i = j = keys.index(least)
+    while (j := keys.index(least, j + 1)) < n:
+        if keys[j:j + n] < keys[i:i + n]:
+            i = j
+    return i
+
+
 def canonical_class(w) -> Word:
     """Canonical representative of the free conjugacy class of w or w^-1.
 
     Cyclically reduces, then takes the least rotation of the word and of
     its inverse under the fixed letter order.  Rejects the empty word.
     """
-    w = cyclic_reduce(w)
+    return _canonical_reduced(free_reduce(w))
+
+
+def _canonical_reduced(w: Word) -> Word:
+    """canonical_class of a word that is already freely reduced."""
+    w = _trim_seam(w)
     if not w:
         raise ValueError("the trivial word has no essential class")
     n = len(w)
-    best = best_keys = None
-    for cand in (w, inverse(w)):
-        # Key lists, not tuples: the n transient slices per call would
-        # otherwise fill CPython's per-size tuple free lists.
-        keys = list(map(letter_order_key, cand)) * 2
-        # Only a rotation that starts at the least key can be the least; the
-        # doubled list ends the scan at the first such start past n.
-        least = min(keys)
-        i = j = keys.index(least)
-        while (j := keys.index(least, j + 1)) < n:
-            if keys[j:j + n] < keys[i:i + n]:
-                i = j
-        if best is None or keys[i:i + n] < best_keys:
-            best = cand[i:] + cand[:i]
-            best_keys = keys[i:i + n]
-    return best
+    # Key lists, not tuples: the transient slices would otherwise fill
+    # CPython's per-size tuple free lists. Inverting a letter flips the low
+    # bit of its key.
+    keys = list(map(_ORDER_KEYS.__getitem__, w))
+    inv_keys = [k ^ 1 for k in reversed(keys)]
+    least, inv_least = min(keys), min(inv_keys)
+    # Only a side that holds the overall least key can win, so only such a
+    # side is scanned; the inverse word is built only if it wins.
+    if least <= inv_least:
+        keys *= 2
+        i = _least_start(keys, n, least)
+    if inv_least <= least:
+        inv_keys *= 2
+        j = _least_start(inv_keys, n, inv_least)
+        if inv_least < least or inv_keys[j:j + n] < keys[i:i + n]:
+            w, i = inverse(w), j
+    return w[i:] + w[:i]
 
 
 def is_proper_power(w) -> bool:

@@ -1,4 +1,4 @@
-"""Chain-level H1 oracles shared by the tests.
+"""Slow reference paths shared by the tests.
 
 The package reads H1 classes of lifted words only through ``CoverCW.walk``,
 and builds its edge-class table on the cover with the spanning tree
@@ -6,15 +6,21 @@ contracted. These helpers compute the same classes the long way, from
 full-width edge chains and the group law, so the tests can check the table,
 the walk and the deck-symmetry argument of ``lemma_check`` against an
 independent path.
+
+The twist BFS has references too: ``substitute_per_letter`` inverts an
+image for every negative letter, and ``twist_bfs`` tries every twist on
+every frontier class and reduces each image from scratch.
 """
 
 import random
 
-from simpleloop.curves import LemmaReport
+from simpleloop.curves import LemmaReport, SimpleClass, standard_curves, twist_table
 from simpleloop.gf2 import Echelon, QuotientMap
 from simpleloop.quotient import inv, mul, rho
 from simpleloop.words import (
     abelianization_mod2,
+    canonical_class,
+    inverse,
     random_reduced_word,
     surface_relator,
     word_to_str,
@@ -194,3 +200,53 @@ def lemma_check_all_vertices(ctx, classes) -> LemmaReport:
         lifts_per_class=cover.n_vertices,
         failures=failures,
     )
+
+
+def substitute_per_letter(w, images):
+    """``substitute`` looking up and inverting the image of each letter."""
+    out = []
+    for x in w:
+        img = images.get(abs(x), (abs(x),))
+        if x < 0:
+            img = inverse(img)
+        for y in img:
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    return tuple(out)
+
+
+def twist_bfs(genus, depth, max_len):
+    """``generate_simple_classes`` applying every twist, undo twists included.
+
+    Each image comes from ``substitute_per_letter`` and is canonicalised by
+    the public ``canonical_class``, which reduces it again.
+    """
+    table = twist_table(genus)
+    names = sorted(table)
+    seen = {}
+    order = []
+    for sc in standard_curves(genus):
+        if sc.cls not in seen:
+            seen[sc.cls] = sc
+            order.append(sc)
+    frontier = list(order)
+    for _ in range(depth):
+        next_frontier = []
+        for sc in frontier:
+            for name in names:
+                cls = canonical_class(substitute_per_letter(sc.cls, table[name].images))
+                if len(cls) > max_len or cls in seen:
+                    continue
+                new = SimpleClass(
+                    cls=cls,
+                    root=sc.root,
+                    twists=sc.twists + (name,),
+                    separating=abelianization_mod2(cls, genus) == 0,
+                )
+                seen[cls] = new
+                order.append(new)
+                next_frontier.append(new)
+        frontier = next_frontier
+    return order

@@ -275,6 +275,34 @@ def test_negative_depth_rejected_before_any_stage(capsys, monkeypatch, command):
     assert "depth" in captured.err
 
 
+def test_lemma_check_rejects_max_len_before_the_cover(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the cover was built before --max-len was checked")
+
+    monkeypatch.setattr(cli, "build_mod2_cover", fail)
+    code = main(["lemma-check", "--genus", "4", "--depth", "0", "--max-len", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "max_len" in captured.err
+
+
+def test_lemma_check_classes_by_depth_at_defaults(capsys):
+    code, out = run_main(capsys, "lemma-check")
+    assert code == 0
+    (summary,) = json_records(out)
+    assert summary["classes_by_depth"] == [5, 10, 39, 147, 576, 2264, 8790]
+    assert sum(summary["classes_by_depth"]) == 11831
+
+
+def test_verify_classes_by_depth(capsys):
+    code, out = run_main(capsys, "verify", "--depth", "2", "--kernel-len", "6")
+    assert code == 0
+    summary = json_records(out)[0]
+    assert summary["classes_by_depth"] == [5, 10, 39]
+    assert sum(summary["classes_by_depth"]) == summary["classes_total"]
+
+
 def test_verify_records_digest(capsys):
     code, out = run_main(capsys, "verify", "--depth", "2", "--kernel-len", "6")
     assert code == 0

@@ -32,7 +32,7 @@ from simpleloop.words import (
 )
 
 
-from oracles import lemma_check_all_vertices
+from oracles import lemma_check_all_vertices, substitute_per_letter, twist_bfs
 
 CTX = GroupContext(build_mod2_cover(2))
 
@@ -193,6 +193,39 @@ def test_max_len_prunes():
     short = generate_simple_classes(2, 2, 8)
     assert all(len(sc.cls) <= 8 for sc in short)
     assert len(short) < len(generate_simple_classes(2, 2, 64))
+
+
+@pytest.mark.parametrize(
+    "genus, depth, max_len",
+    [(2, 6, 64), (3, 3, 64), (4, 2, 64), (2, 4, 20), (3, 3, 20), (4, 2, 20), (2, 4, 2)],
+)
+def test_generation_matches_reference_bfs(genus, depth, max_len):
+    # The reference tries every twist, the undo twists included, and reduces
+    # every image from scratch; the list must agree class by class.
+    got = generate_simple_classes(genus, depth, max_len)
+    want = twist_bfs(genus, depth, max_len)
+    assert [(sc.cls, sc.root, sc.twists, sc.separating) for sc in got] == [
+        (sc.cls, sc.root, sc.twists, sc.separating) for sc in want
+    ]
+
+
+def test_substitute_matches_per_letter_reference():
+    rng = random.Random(29)
+    for genus in (2, 3, 4):
+        n_gens = 2 * genus
+        for _ in range(300):
+            # A random endomorphism: some generators unmapped, images with
+            # inverse letters, occasionally the empty image.
+            images = {
+                k: random_reduced_word(rng, genus, rng.randrange(0, 6))
+                for k in range(1, n_gens + 1)
+                if rng.random() < 0.6
+            }
+            w = random_reduced_word(rng, genus, rng.randrange(0, 30))
+            assert substitute(w, images) == substitute_per_letter(w, images)
+        for t in twist_table(genus).values():
+            w = random_reduced_word(rng, genus, 40)
+            assert substitute(w, t.images) == substitute_per_letter(w, t.images)
 
 
 def test_generation_rejects_negative_depth():

@@ -12,6 +12,7 @@ from simpleloop.words import (
     cyclic_reduce,
     dehn_normal_form,
     free_reduce,
+    gen_name,
     inverse,
     is_proper_power,
     is_trivial,
@@ -204,6 +205,21 @@ def test_canonical_class_least_rotation_matches_naive():
             # The least letter repeats: only some of its starts win.
             words += [(1, 2) * k + (1, 3), (1, 3) * k + (1, 2)]
     words += [(1, 3, 1, 2), (1, 2, 1, 3), (-1, 3, -1, 2, -1, 2)]
+    # The inverse wins: w holds A1 but not a1, so w^-1 holds the least key.
+    words += [(-1, 2), (2, -1, 3, -1, -2), (-1,) * 3 + (4, 3)]
+    for genus in (2, 3, 4):
+        for _ in range(100):
+            u = random_reduced_word(rng, genus, rng.randrange(1, 30))
+            words.append(tuple(-x if abs(x) == 1 else x for x in u))
+    # Ties: both sides hold the least key, and w^-1 is a rotation of w.
+    words += [(1, 2, -1, -2), (1, -1), (1, 2, -1, 3), (1, 2, -2, -1)]
+    words += [(1, 2, -1, -2) * 2, (1, 3, -1, -3, 2, -2)]
+    # Seam trimming: conjugates of shorter words, reduced only at the seam.
+    for genus in (2, 3, 4):
+        for _ in range(100):
+            u = random_reduced_word(rng, genus, rng.randrange(1, 6))
+            v = random_reduced_word(rng, genus, rng.randrange(1, 20))
+            words.append(free_reduce(u + v + inverse(u)))
     for w in words:
         w = cyclic_reduce(w)
         if not w:
@@ -214,6 +230,21 @@ def test_canonical_class_least_rotation_matches_naive():
                 cands.append(base[i:] + base[:i])
         naive = min(cands, key=lambda t: [letter_order_key(x) for x in t])
         assert canonical_class(w) == naive
+
+
+def test_word_to_str_matches_per_letter_names():
+    for genus in range(1, 9):
+        letters = [k for k in range(1, 2 * genus + 1)]
+        letters += [-k for k in letters]
+        for x in letters:
+            name = gen_name(abs(x))
+            want = name if x > 0 else name[0].upper() + name[1:]
+            assert word_to_str((x,)) == want
+        w = tuple(letters) + tuple(reversed(letters))
+        text = word_to_str(w)
+        assert text == " ".join(word_to_str((x,)) for x in w)
+        assert word_from_str(text, genus) == w
+    assert word_to_str(()) == ""
 
 
 def test_canonical_class_rejects_empty():

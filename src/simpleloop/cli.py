@@ -11,6 +11,7 @@ kernel witness at the requested bound), 2 usage or configuration error,
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 
@@ -41,6 +42,9 @@ from .words import (
 
 SCHEMA = 1
 NO_WITNESS = "no witness found at this bound"
+# One encoder for every record; json.dumps(sort_keys=True) builds a new one
+# per call. The output bytes are the same.
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 def _write(lines, out_path):
@@ -184,7 +188,7 @@ def cmd_verify(args):
         % ("pass" if lemma.ok else "FAIL", lemma.n_separating, lemma.lifts_per_class),
         "image rank observed: v %d/%d, h %d/%d"
         % (rank["v_rank"], rank["v_dim"], rank["h_rank"], rank["h_dim"]),
-        "timing: %s" % json.dumps(timing, sort_keys=True),
+        "timing: %s" % _encode(timing),
     ]
     if status == "no_witness_at_bound":
         lines.append(NO_WITNESS)
@@ -242,7 +246,7 @@ def cmd_lemma_check(args):
         % (lemma.n_separating, lemma.lifts_per_class),
         "nonseparating classes checked: %d" % lemma.n_nonseparating,
         "result: %s" % ("pass" if lemma.ok else "FAIL"),
-        "timing: %s" % json.dumps(timing, sort_keys=True),
+        "timing: %s" % _encode(timing),
     ]
 
 
@@ -399,11 +403,16 @@ def main(argv=None) -> int:
     try:
         code, records, lines = args.func(args)
         if args.format == "json":
-            lines = (
-                json.dumps({"schema": SCHEMA, **rec}, sort_keys=True)
-                for rec in records
-            )
-        _write(lines, args.out)
+            lines = (_encode({"schema": SCHEMA, **rec}) for rec in records)
+        try:
+            _write(lines, args.out)
+        except BrokenPipeError:
+            # The reader closed stdout early, which is not an error of the
+            # run. Point stdout at the null device so that the interpreter's
+            # final flush stays quiet.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return code
     except ResourceLimitError as exc:
         sys.stderr.write("resource bound: %s\n" % exc)

@@ -19,7 +19,6 @@ from .quotient import GroupContext, rho
 from .words import (
     Word,
     _canonical_reduced,
-    abelianization_mod2,
     canonical_class,
     check_length_bound,
     free_reduce,
@@ -123,6 +122,42 @@ def twist_table(genus: int) -> dict[str, TwistAutomorphism]:
     return table
 
 
+def _commute(s: TwistAutomorphism, t: TwistAutomorphism) -> bool:
+    """Whether s and t commute as substitutions of the free group."""
+    s_moves, t_moves = s.images.keys(), t.images.keys()
+    s_uses = {abs(x) for w in s.images.values() for x in w}
+    t_uses = {abs(x) for w in t.images.values() for x in w}
+    if s_moves.isdisjoint(t_moves | t_uses) and t_moves.isdisjoint(s_uses):
+        # Each twist fixes every letter the other moves or writes.
+        return True
+    # A generator's image is its table entry, so each side takes one
+    # substitution.
+    return all(
+        apply_twist(s, t.images.get(k, (k,))) == apply_twist(t, s.images.get(k, (k,)))
+        for k in s_moves | t_moves
+    )
+
+
+@lru_cache(maxsize=None)
+def commuting_twists(genus: int) -> frozenset[tuple[str, str]]:
+    """Ordered pairs (s, t) of distinct table twists with s∘t = t∘s.
+
+    A pair is accepted when s(t(k)) == t(s(k)) for every generator k that
+    either twist moves (on the others both are the identity), or without
+    substituting when neither twist moves a generator that the other moves
+    or uses in its images. Substitution is a free group homomorphism, so
+    such twists commute on every word.
+    """
+    table = twist_table(genus)
+    names = sorted(table)
+    pairs = set()
+    for i, s in enumerate(names):
+        for t in names[i + 1 :]:
+            if _commute(table[s], table[t]):
+                pairs.update(((s, t), (t, s)))
+    return frozenset(pairs)
+
+
 def standard_curves(genus: int) -> list[SimpleClass]:
     """The standard simple curves: 2g handle curves and g-1 separating ones."""
     if genus < 2:
@@ -181,44 +216,93 @@ def generate_simple_classes(
     keeps new classes whose canonical representative is at most max_len
     letters long. Working with canonical representatives is sound because a
     twist maps conjugate words to conjugate words. Output order and content
-    are deterministic.
+    are deterministic. A new class takes its separating flag from its
+    parent, since twists are homeomorphisms.
 
-    The partner of a class's last twist is skipped: _validate_table
-    certifies that the partner undoes that twist on every generator, so the
-    image is the parent's class, which is already seen. Twist images come
-    out of substitute freely reduced, so only the seam is cut before the
-    least rotation is taken.
+    Three kinds of twist are skipped at a class c = class(t(p)), found by
+    applying twist t to its parent p. Each would only give an image that is
+    already seen or over max_len, so the output is the same as when every
+    twist is tried.
+
+    - The undo twist, t's partner: _validate_table certifies that it undoes
+      t on every generator, so the image is p.
+    - A twist that moves no generator occurring in c: the image is c.
+    - A twist s that commutes with t (commuting_twists) when class(s(p))
+      was discovered before c. Classes are numbered in discovery order,
+      which is also the order in which they are expanded. While p is
+      expanded, the number of class(s(p)) is recorded for every twist s
+      whose image class is known and at most max_len; p's undo twist maps
+      to p's parent. Now class(s(c)) = class(t(s(p))), and class(s(p)) was
+      expanded before c: there t was evaluated, or skipped by one of these
+      rules, so class(t(s(p))) is already seen or over max_len. A class
+      discovered after c is expanded after it too, so without the "before
+      c" test s(c) could be skipped at c and found later under another
+      certificate.
+
+    Twist images come out of substitute freely reduced, so only the seam
+    is cut before the least rotation is taken.
     """
     check_depth(depth)
     check_length_bound(max_len, "max_len")
     table = twist_table(genus)
     names = sorted(table)
-    seen: dict[Word, SimpleClass] = {}
+    twists = [table[name] for name in names]
+    moves = [frozenset(t.images) for t in twists]
+    undo = [names.index(_partner(name)) for name in names]
+    pairs = commuting_twists(genus)
+    commutes = [
+        frozenset(j for j, s in enumerate(names) if (s, t) in pairs) for t in names
+    ]
+    position: dict[Word, int] = {}
     order: list[SimpleClass] = []
     for sc in standard_curves(genus):
-        if sc.cls not in seen:
-            seen[sc.cls] = sc
+        if sc.cls not in position:
+            position[sc.cls] = len(order)
             order.append(sc)
-    frontier = list(order)
-    for _ in range(depth):
+    # Frontier entries: (class number, parent's number, index of the last
+    # twist, parent's record). The record of a class p lists, per twist j,
+    # the number of class(j(p)), or inf while that is not known.
+    unknown = float("inf")
+    frontier = [(n, None, None, None) for n in range(len(order))]
+    for level in range(depth):
+        # Classes found at the last level are not expanded, so they get no
+        # frontier entry, and the records made for their parents are freed
+        # at once.
+        expand_next = level + 1 < depth
         next_frontier = []
-        for sc in frontier:
-            undo = _partner(sc.twists[-1]) if sc.twists else None
-            for name in names:
-                if name == undo:
+        for n, parent, last, above in frontier:
+            sc = order[n]
+            letters = {abs(x) for x in sc.cls}
+            record = [unknown] * len(twists)
+            undone, commuting = None, frozenset()
+            if last is not None:
+                undone, commuting = undo[last], commutes[last]
+                record[undone] = parent
+            for j, twist in enumerate(twists):
+                if j == undone:
                     continue
-                cls = _canonical_reduced(apply_twist(table[name], sc.cls))
-                if len(cls) > max_len or cls in seen:
+                if moves[j].isdisjoint(letters):
+                    record[j] = n
                     continue
-                new = SimpleClass(
-                    cls=cls,
-                    root=sc.root,
-                    twists=sc.twists + (name,),
-                    separating=abelianization_mod2(cls, genus) == 0,
-                )
-                seen[cls] = new
-                order.append(new)
-                next_frontier.append(new)
+                if j in commuting and above[j] < n:
+                    continue
+                cls = _canonical_reduced(apply_twist(twist, sc.cls))
+                if len(cls) > max_len:
+                    continue
+                m = position.get(cls)
+                if m is None:
+                    m = position[cls] = len(order)
+                    order.append(
+                        SimpleClass(
+                            cls=cls,
+                            root=sc.root,
+                            twists=sc.twists + (names[j],),
+                            separating=sc.separating,
+                        )
+                    )
+                    if expand_next:
+                        next_frontier.append((m, n, j, record))
+                record[j] = m
         frontier = next_frontier
     return order
 
@@ -301,7 +385,9 @@ def lemma_check(ctx: GroupContext, classes: list[SimpleClass]) -> LemmaReport:
     Separating classes must have mod-2 class zero and every one of the
     2^(2g) lifts must be a closed loop with nonzero H1 class (closed but
     non-separating upstairs). Nonseparating classes must have nonzero mod-2
-    class, so their lifts are not loops.
+    class, so their lifts are not loops. The separating flag of a generated
+    class comes from its certificate's root curve, so these two checks test
+    the certificate against rho.
 
     Each class is settled by rho, one walk from vertex 0: v is its mod-2
     class and h the class of its lift from 0. With v == 0 every lift closes,

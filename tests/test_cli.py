@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -141,6 +142,31 @@ def test_out_to_directory_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_to_full_device_is_usage_error(capsys):
+    code = main(["info", "--out", "/dev/full"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+
+
+def test_closed_stdout_keeps_exit_code_and_quiet_stderr():
+    # The default verify writes megabytes, far more than a pipe buffer, so
+    # the writer is still blocked when the reader goes away.
+    with subprocess.Popen(
+        [sys.executable, "-m", "simpleloop.cli", "verify"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert json.loads(first)["kind"] == "summary"
+    assert code == 0
+    assert err == b""
 
 
 def test_witnesses_reverify_on_load(capsys):

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from simpleloop import curves
 from simpleloop.cover import CoverCW, build_mod2_cover
 from simpleloop.curves import (
     SimpleClass,
     TwistAutomorphism,
     _validate_table,
     apply_twist,
+    commuting_twists,
     generate_simple_classes,
     lemma_check,
     replay_certificate,
@@ -197,16 +199,67 @@ def test_max_len_prunes():
 
 @pytest.mark.parametrize(
     "genus, depth, max_len",
-    [(2, 6, 64), (3, 3, 64), (4, 2, 64), (2, 4, 20), (3, 3, 20), (4, 2, 20), (2, 4, 2)],
+    [
+        (2, 6, 64),
+        (3, 3, 64),
+        (4, 2, 64),
+        (2, 4, 20),
+        (3, 3, 20),
+        (4, 2, 20),
+        (2, 4, 2),
+        (2, 6, 20),
+        (2, 5, 12),
+        (3, 3, 12),
+        (4, 2, 16),
+    ],
 )
 def test_generation_matches_reference_bfs(genus, depth, max_len):
-    # The reference tries every twist, the undo twists included, and reduces
-    # every image from scratch; the list must agree class by class.
+    # The reference tries every twist, the undo twists included, reduces
+    # every image from scratch and computes each separating flag; the list
+    # must agree class by class. A tight max_len rejects s(p) but not t(p)
+    # for some commuting twists s and t, so the commutation skip must not
+    # treat the pair symmetrically.
     got = generate_simple_classes(genus, depth, max_len)
     want = twist_bfs(genus, depth, max_len)
     assert [(sc.cls, sc.root, sc.twists, sc.separating) for sc in got] == [
         (sc.cls, sc.root, sc.twists, sc.separating) for sc in want
     ]
+
+
+@pytest.mark.parametrize("genus, count", [(2, 58), (3, 184), (4, 382)])
+def test_commuting_twists_match_brute_force(genus, count):
+    table = twist_table(genus)
+    want = {
+        (s, t)
+        for s in table
+        for t in table
+        if s != t
+        and all(
+            apply_twist(table[s], apply_twist(table[t], (k,)))
+            == apply_twist(table[t], apply_twist(table[s], (k,)))
+            for k in range(1, 2 * genus + 1)
+        )
+    }
+    got = commuting_twists(genus)
+    assert got == want
+    assert len(got) == count
+    assert {("ta1", "ta2"), ("ta2", "ta1"), ("ta1", "tc1"), ("tc1", "ta1")} <= got
+    assert ("tb1", "tc1") not in got and ("tc1", "tb1") not in got
+
+
+def test_generation_skips_decided_twist_images(monkeypatch):
+    generate_simple_classes(2, 6, 64)
+    calls = []
+    real = curves.substitute
+
+    def counting_substitute(w, images):
+        calls.append(1)
+        return real(w, images)
+
+    monkeypatch.setattr(curves, "substitute", counting_substitute)
+    assert len(generate_simple_classes(2, 6, 64)) == 11831
+    # Skipping only the undo twist reads 27 374 images.
+    assert len(calls) <= 19000
 
 
 def test_substitute_matches_per_letter_reference():

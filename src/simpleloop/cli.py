@@ -27,7 +27,7 @@ from .demos import (
 from .quotient import (
     GroupContext,
     check_search_budget,
-    empirical_image_rank,
+    image_rank,
     in_kernel,
     search_kernel_elements,
 )
@@ -120,7 +120,6 @@ def _timed(timing, key, fn, *args, **kwargs):
 
 
 def cmd_verify(args):
-    # A stage checks its bound only after the stages before it have run.
     check_depth(args.depth)
     check_length_bound(args.max_len, "max_len")
     check_search_budget(args.genus, args.kernel_len)
@@ -130,12 +129,10 @@ def cmd_verify(args):
     classes = _timed(
         timing, "generate_s", generate_simple_classes, args.genus, args.depth, args.max_len
     )
-    report = _timed(
-        timing, "verify_s", verify_non_geometric, ctx, classes, workers=args.workers
-    )
-    lemma = _timed(timing, "lemma_s", lemma_check, ctx, classes)
+    report = _timed(timing, "verify_s", verify_non_geometric, ctx, classes)
+    lemma = _timed(timing, "lemma_s", lemma_check, ctx, report)
     witnesses = _timed(timing, "search_s", search_kernel_elements, ctx, args.kernel_len)
-    rank = _timed(timing, "image_rank_s", empirical_image_rank, ctx, seed=args.seed)
+    rank = _timed(timing, "image_rank_s", image_rank, ctx)
 
     if report.kernel_hits:
         status = "kernel_hit"
@@ -154,7 +151,6 @@ def cmd_verify(args):
             "depth": args.depth,
             "max_len": args.max_len,
             "kernel_len": args.kernel_len,
-            "workers": args.workers,
             "seed": args.seed,
         },
         "cover": _cover_stats_record(cover),
@@ -171,7 +167,7 @@ def cmd_verify(args):
             "lifts_per_class": lemma.lifts_per_class,
             "failures": lemma.failures,
         },
-        "image_rank_observed": rank,
+        "image_rank": rank,
         "completeness_note": report.completeness_note,
         "timing": timing,
     }
@@ -186,7 +182,7 @@ def cmd_verify(args):
         "kernel witnesses found: %d" % len(witnesses),
         "lemma check: %s (%d separating classes, %d lifts each)"
         % ("pass" if lemma.ok else "FAIL", lemma.n_separating, lemma.lifts_per_class),
-        "image rank observed: v %d/%d, h %d/%d"
+        "image rank: v %d/%d, h %d/%d"
         % (rank["v_rank"], rank["v_dim"], rank["h_rank"], rank["h_dim"]),
         "timing: %s" % _encode(timing),
     ]
@@ -228,7 +224,10 @@ def cmd_lemma_check(args):
     classes = _timed(
         timing, "generate_s", generate_simple_classes, args.genus, args.depth, args.max_len
     )
-    lemma = _timed(timing, "lemma_s", lemma_check, GroupContext(cover), classes)
+    ctx = GroupContext(cover)
+    lemma = _timed(
+        timing, "lemma_s", lambda: lemma_check(ctx, verify_non_geometric(ctx, classes))
+    )
     summary = {
         "kind": "summary",
         "status": "ok" if lemma.ok else "lemma_failure",
@@ -371,12 +370,11 @@ def build_parser():
         "verify", cmd_verify, "full verification sweep", sweep, kernel
     )
     p_verify.add_argument(
-        "--workers",
+        "--seed",
         type=int,
-        default=1,
-        help="accepted for compatibility; evaluation is single-threaded",
+        default=0,
+        help="echoed in the summary's config; no stage is random",
     )
-    p_verify.add_argument("--seed", type=int, default=0)
     add_command("search-kernel", cmd_search_kernel, "kernel witness search", kernel)
     add_command(
         "lemma-check", cmd_lemma_check, "lift checks on generated classes", sweep
@@ -398,8 +396,6 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        parser.exit(2, "worker count must be at least 1\n")
     try:
         code, records, lines = args.func(args)
         if args.format == "json":

@@ -120,6 +120,16 @@ class CoverCW:
             v ^= flips[x]
         return h, v
 
+    def schreier_word(self, e: int) -> tuple[int, ...]:
+        """Loop at vertex 0 that runs the tree to edge e, along it, and back.
+
+        Its lift from 0 is the fundamental cycle of e, so for a non-tree
+        edge walk(schreier_word(e), 0) is (edge_classes[e], 0).
+        """
+        v, w = self.edge_endpoints(e)
+        letter = e % (2 * self.genus) + 1
+        return self.tree_words[v] + (letter,) + inverse(self.tree_words[w])
+
     def deck_action(self, u: int) -> tuple[int, ...]:
         """Matrix of the deck translation by u on H1, as H1-coordinate columns.
 
@@ -203,11 +213,7 @@ class CoverCW:
         for e, h in zip(self.nontree_edges, h1.cycle_coords):
             classes[e] = h
             if h.bit_count() == 1 and h not in unit_words:
-                v, w = self.edge_endpoints(e)
-                unit_words[h] = (
-                    self.tree_words[v] + (e % (2 * self.genus) + 1,)
-                    + inverse(self.tree_words[w])
-                )
+                unit_words[h] = self.schreier_word(e)
         self.edge_classes = tuple(classes)
         self._unit_cycle_words = tuple(unit_words[1 << j] for j in range(self.h1_dim))
         # The edge table by (letter, start vertex): letter k from v runs

@@ -357,14 +357,12 @@ def _class_record(ctx: GroupContext, sc: SimpleClass) -> dict:
 
 
 def verify_non_geometric(
-    ctx: GroupContext, classes: list[SimpleClass], workers: int = 1
+    ctx: GroupContext, classes: list[SimpleClass]
 ) -> VerificationReport:
     """Evaluate rho on every certified class and collect kernel hits.
 
     A kernel hit would contradict the non-geometric-kernel claim and is
-    reported with its full certificate rather than raised. The workers
-    argument is accepted for compatibility and ignored: the evaluation is
-    pure Python, so threads only add contention for the interpreter lock.
+    reported with its full certificate rather than raised.
     """
     records = [_class_record(ctx, sc) for sc in classes]
     hits = [rec for rec in records if rec["in_kernel"]]
@@ -379,7 +377,7 @@ def verify_non_geometric(
     )
 
 
-def lemma_check(ctx: GroupContext, classes: list[SimpleClass]) -> LemmaReport:
+def lemma_check(ctx: GroupContext, report: VerificationReport) -> LemmaReport:
     """Check lifting behavior of certified classes in the cover.
 
     Separating classes must have mod-2 class zero and every one of the
@@ -389,32 +387,29 @@ def lemma_check(ctx: GroupContext, classes: list[SimpleClass]) -> LemmaReport:
     class comes from its certificate's root curve, so these two checks test
     the certificate against rho.
 
-    Each class is settled by rho, one walk from vertex 0: v is its mod-2
-    class and h the class of its lift from 0. With v == 0 every lift closes,
-    and the lift from vertex u is the deck translate by u of the lift from 0,
-    with class deck_apply(deck_action(u), h). Deck translations act
-    invertibly on H1, so the lifts all have nonzero class when h != 0 and
-    all fail when h == 0.
+    Each class is settled by its record in the report, read from one rho
+    walk from vertex 0: v is its mod-2 class and h the class of its lift
+    from 0. With v == 0 every lift closes, and the lift from vertex u is the
+    deck translate by u of the lift from 0, with class
+    deck_apply(deck_action(u), h). Deck translations act invertibly on H1,
+    so the lifts all have nonzero class when h != 0 and all fail when h == 0.
     """
     n_vertices = ctx.cover.n_vertices
     failures = []
-    n_sep = 0
-    for sc in classes:
-        el = rho(ctx, sc.cls)
-        n_sep += sc.separating
-        if sc.separating and el.v != 0:
+    for rec in report.records:
+        if rec["separating"] and rec["v_nonzero"]:
             reasons = ["separating class with nonzero mod-2 image"]
-        elif sc.separating and el.h == 0:
+        elif rec["separating"] and not rec["h_nonzero"]:
             reasons = ["lift from vertex %d separates the cover" % u for u in range(n_vertices)]
-        elif not sc.separating and el.v == 0:
+        elif not rec["separating"] and not rec["v_nonzero"]:
             reasons = ["nonseparating class with zero mod-2 image"]
         else:
             continue
-        failures.extend({"word": word_to_str(sc.cls), "reason": r} for r in reasons)
+        failures.extend({"word": rec["word"], "reason": r} for r in reasons)
     return LemmaReport(
         genus=ctx.genus,
-        n_separating=n_sep,
-        n_nonseparating=len(classes) - n_sep,
+        n_separating=report.n_separating,
+        n_nonseparating=report.n_nonseparating,
         lifts_per_class=n_vertices,
         failures=failures,
     )

@@ -164,36 +164,23 @@ def search_kernel_elements(
     return hits
 
 
-def empirical_image_rank(
-    ctx: GroupContext, n_samples: int = 500, seed: int = 0
-) -> dict:
-    """Sample the image of rho and report attained GF(2) ranks.
+def image_rank(ctx: GroupContext) -> dict:
+    """GF(2) ranks of the v and h parts of rho's image, one walk per word.
 
-    Reports the rank of the deck parts of sampled images and the rank of the
-    h parts of the squares x x and commutators x y x^-1 y^-1 of sampled
-    words, whose deck parts are zero; each image is one rho walk. These are
-    lower bounds on the image's size, reported as observations only.
+    The 2g generators give the v parts. The Schreier word of a non-tree edge
+    (CoverCW.schreier_word) has v part 0 and h part the class of the edge.
+    Those classes span H1 by construction, so rho is onto the extension
+    group: v_rank is 2g and h_rank is h1_dim.
 
     Returns:
         Dict with v_rank, h_rank, v_dim, h_dim.
     """
-    import random
-
-    from .words import random_reduced_word
-
-    rng = random.Random(seed)
     v_span = Echelon()
     h_span = Echelon()
-    words = []
-    for _ in range(n_samples):
-        w = random_reduced_word(rng, ctx.genus, rng.randrange(1, 16))
-        words.append(w)
-        v_span.insert(rho(ctx, w).v, 0)
-    for _ in range(n_samples):
-        x = words[rng.randrange(len(words))]
-        y = words[rng.randrange(len(words))]
-        h_span.insert(rho(ctx, x + x).h, 0)
-        h_span.insert(rho(ctx, x + y + inverse(x) + inverse(y)).h, 0)
+    for k in range(1, 2 * ctx.genus + 1):
+        v_span.insert(rho(ctx, (k,)).v, 0)
+    for e in ctx.cover.nontree_edges:
+        h_span.insert(rho(ctx, ctx.cover.schreier_word(e)).h, 0)
     return {
         "v_rank": len(v_span.rows),
         "h_rank": len(h_span.rows),

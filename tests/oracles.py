@@ -72,10 +72,11 @@ def full_quotient(cover) -> QuotientMap:
 
 
 def image_rank_by_group_law(ctx, n_samples: int = 500, seed: int = 0) -> dict:
-    """``empirical_image_rank`` with squares and commutators formed by mul/inv.
+    """Sampled lower bound on ``image_rank``, formed by the group law.
 
-    Draws the same words as the package and multiplies their images in the
-    extension group instead of walking the product words.
+    Reports the rank of the v parts of the images of random words and the
+    rank of the h parts of their squares and commutators, whose v parts are
+    zero, multiplied by mul/inv in the extension group rather than walked.
     """
     rng = random.Random(seed)
     v_span = Echelon()

@@ -78,26 +78,27 @@ def test_verify_no_witness_status(capsys):
     assert records[0]["status"] == "no_witness_at_bound"
 
 
-def test_verify_workers_agree(capsys):
-    code1, out1 = run_main(
-        capsys, "verify", "--depth", "1", "--kernel-len", "4"
-    )
-    code2, out2 = run_main(
-        capsys,
-        "verify",
-        "--depth",
-        "1",
-        "--kernel-len",
-        "4",
-        "--workers",
-        "4",
-    )
-    assert code1 == code2 == 0
-    rec1 = json_records(out1)
-    rec2 = json_records(out2)
-    rec1[0]["timing"] = rec2[0]["timing"] = None
-    rec1[0]["config"]["workers"] = rec2[0]["config"]["workers"] = None
-    assert rec1 == rec2
+def test_verify_genus4_image_rank_is_exact(capsys):
+    argv = ["verify", "--genus", "4", "--depth", "2", "--kernel-len", "6", "--seed", "7"]
+    code, out = run_main(capsys, *argv)
+    assert code == 0
+    summary = json_records(out)[0]
+    assert summary["image_rank"] == {
+        "v_rank": 8,
+        "h_rank": 1538,
+        "v_dim": 8,
+        "h_dim": 1538,
+    }
+    assert summary["config"] == {
+        "genus": 4,
+        "depth": 2,
+        "max_len": 64,
+        "kernel_len": 6,
+        "seed": 7,
+    }
+    code, out = run_main(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert "image rank: v 8/8, h 1538/1538\n" in out
 
 
 def test_verify_out_file(tmp_path, capsys):
@@ -361,7 +362,7 @@ def text_lines(output):
                 "kernel hits among simple classes: 0",
                 "kernel witnesses found: 4",
                 "lemma check: pass (13 separating classes, 16 lifts each)",
-                "image rank observed: v 4/4, h 34/34",
+                "image rank: v 4/4, h 34/34",
                 "timing: ...",
             ],
         ),
@@ -374,7 +375,7 @@ def text_lines(output):
                 "kernel hits among simple classes: 0",
                 "kernel witnesses found: 0",
                 "lemma check: pass (1 separating classes, 16 lifts each)",
-                "image rank observed: v 4/4, h 34/34",
+                "image rank: v 4/4, h 34/34",
                 "timing: ...",
                 "no witness found at this bound",
             ],
@@ -502,3 +503,4 @@ def test_usage_errors_via_subprocess():
         capture_output=True,
     )
     assert result.returncode == 2
+    assert b"unrecognized arguments: --workers 0" in result.stderr

@@ -216,6 +216,15 @@ def test_edge_classes_are_fundamental_cycle_classes(genus):
 
 
 @pytest.mark.parametrize("genus", [2, 3])
+def test_schreier_word_lifts_to_the_fundamental_cycle(genus):
+    cover = build_mod2_cover(genus)
+    for e, cycle in zip(cover.nontree_edges, cycle_basis(cover)):
+        word = cover.schreier_word(e)
+        assert cover.lift(word, 0) == (cycle, 0)
+        assert cover.walk(word, 0) == (cover.edge_classes[e], 0)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
 def test_table_classes_match_quotient_coords_on_closed_lifts(genus):
     cover = build_mod2_cover(genus)
     chains = tree_chains(cover)

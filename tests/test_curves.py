@@ -308,14 +308,6 @@ def test_verify_standard_curves():
         assert not rec["in_kernel"]
 
 
-def test_verify_parallel_matches_serial():
-    fam = generate_simple_classes(2, 2, 64)
-    serial = verify_non_geometric(CTX, fam, workers=1)
-    parallel = verify_non_geometric(CTX, fam, workers=4)
-    assert serial.records == parallel.records
-    assert serial.kernel_hits == parallel.kernel_hits
-
-
 def test_verify_depth3_no_kernel_hits():
     fam = generate_simple_classes(2, 3, 64)
     assert len(fam) == 201
@@ -324,8 +316,13 @@ def test_verify_depth3_no_kernel_hits():
     assert report.total == 201
 
 
+def run_lemma_check(ctx, classes):
+    """lemma_check on the report verify_non_geometric makes for classes."""
+    return lemma_check(ctx, verify_non_geometric(ctx, classes))
+
+
 def test_lemma_check_standard_curves():
-    report = lemma_check(CTX, standard_curves(2))
+    report = run_lemma_check(CTX, standard_curves(2))
     assert report.ok
     assert report.n_separating == 1
     assert report.n_nonseparating == 4
@@ -334,7 +331,7 @@ def test_lemma_check_standard_curves():
 
 def test_lemma_check_catches_false_separating_flag():
     liar = SimpleClass(cls=(1,), root="a1", twists=(), separating=True)
-    report = lemma_check(CTX, [liar])
+    report = run_lemma_check(CTX, [liar])
     assert not report.ok
     assert "nonzero mod-2" in report.failures[0]["reason"]
 
@@ -346,7 +343,7 @@ def test_lemma_check_catches_false_nonseparating_flag():
         twists=(),
         separating=False,
     )
-    report = lemma_check(CTX, [liar])
+    report = run_lemma_check(CTX, [liar])
     assert not report.ok
     assert "zero mod-2" in report.failures[0]["reason"]
 
@@ -355,7 +352,7 @@ def test_twist_images_of_separating_curve_still_certified():
     fam = generate_simple_classes(2, 3, 64)
     separating = [sc for sc in fam if sc.separating]
     assert separating
-    report = lemma_check(CTX, separating)
+    report = run_lemma_check(CTX, separating)
     assert report.ok
     assert report.n_separating == len(separating)
 
@@ -367,7 +364,7 @@ def test_lemma_check_catches_separating_lift_that_bounds():
         twists=(),
         separating=True,
     )
-    report = lemma_check(CTX, [liar])
+    report = run_lemma_check(CTX, [liar])
     assert report.n_separating == 1
     assert len(report.failures) == 16
     for v, failure in enumerate(report.failures):
@@ -390,7 +387,7 @@ def _relator_liar():
     ids=["g2-depth4", "g3-depth2", "relator-liar"],
 )
 def test_lemma_check_matches_all_vertex_oracle(ctx, classes):
-    assert lemma_check(ctx, classes) == lemma_check_all_vertices(ctx, classes)
+    assert run_lemma_check(ctx, classes) == lemma_check_all_vertices(ctx, classes)
 
 
 def test_lemma_check_walks_once_per_class(monkeypatch):
@@ -403,7 +400,9 @@ def test_lemma_check_walks_once_per_class(monkeypatch):
         return walk(self, word, start)
 
     monkeypatch.setattr(CoverCW, "walk", counting_walk)
-    lemma_check(CTX, classes)
+    report = verify_non_geometric(CTX, classes)
+    lemma_check(CTX, report)
     separating = [sc.cls for sc in classes if sc.separating]
     assert len(separating) > 1
+    # One walk from vertex 0 per class in verify_non_geometric, none after.
     assert calls == [(sc.cls, 0) for sc in classes]

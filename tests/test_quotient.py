@@ -12,7 +12,7 @@ from simpleloop.quotient import (
     GElement,
     GroupContext,
     check_search_budget,
-    empirical_image_rank,
+    image_rank,
     in_kernel,
     inv,
     mul,
@@ -356,21 +356,29 @@ def test_group_order_log2():
     assert make_ctx(3).group_order_log2() == 264
 
 
-def test_empirical_image_rank():
-    report = empirical_image_rank(CTX, n_samples=300, seed=0)
-    assert report["v_dim"] == 4
-    assert report["h_dim"] == 34
-    assert report["v_rank"] == 4
-    assert 0 < report["h_rank"] <= 34
+@pytest.mark.parametrize(
+    "ctx, h1_dim", [(CTX, 34), (CTX3, 258), (make_ctx(4), 1538)], ids=["g2", "g3", "g4"]
+)
+def test_image_rank_is_full(ctx, h1_dim):
+    v_dim = 2 * ctx.genus
+    assert image_rank(ctx) == {
+        "v_rank": v_dim,
+        "h_rank": h1_dim,
+        "v_dim": v_dim,
+        "h_dim": h1_dim,
+    }
 
 
 @pytest.mark.parametrize("n_samples", [20, 100, 500])
 @pytest.mark.parametrize("ctx", [CTX, CTX3], ids=["g2", "g3"])
-def test_empirical_image_rank_matches_group_law(ctx, n_samples):
+def test_group_law_sampler_stays_within_image_rank(ctx, n_samples):
+    exact = image_rank(ctx)
     for seed in range(6):
-        assert empirical_image_rank(ctx, n_samples, seed) == image_rank_by_group_law(
-            ctx, n_samples, seed
-        )
+        sampled = image_rank_by_group_law(ctx, n_samples, seed)
+        assert sampled["v_rank"] <= exact["v_rank"]
+        assert sampled["h_rank"] <= exact["h_rank"]
+        if ctx is CTX and n_samples >= 100:
+            assert sampled == exact
 
 
 def test_search_rejects_bad_bound():

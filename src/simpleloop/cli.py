@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from .cover import ResourceLimitError, build_mod2_cover
+from .cover import MAX_GENUS, ResourceLimitError, build_mod2_cover
 from .curves import check_depth, generate_simple_classes, lemma_check, verify_non_geometric
 from .demos import (
     extend_to_dimension,
@@ -96,7 +96,7 @@ def _cover_stats_record(cover):
         "euler_characteristic": stats.euler_characteristic,
         "cover_genus": stats.cover_genus,
         "h1_dim": stats.h1_dim,
-        "group_order_log2": 2 * stats.base_genus + stats.h1_dim,
+        "group_order_log2": stats.group_order_log2,
     }
 
 
@@ -285,7 +285,7 @@ def cmd_torus_demo(args):
             "%s: %s" % (rep["name"], "2-sided" if rep["two_sided"] else "1-sided")
         )
     for n in (4, 5):
-        ext = extend_to_dimension(n, bound=100)
+        ext = extend_to_dimension(n, scan)
         non_geometric = ext["scan"]["non_geometric"]
         records.append(
             {
@@ -351,7 +351,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--genus", type=int, default=2, help="surface genus (2..4)")
+    common.add_argument(
+        "--genus", type=int, default=2, help="surface genus (2..%d)" % MAX_GENUS
+    )
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", default=None, help="write report to this path")
     sweep = argparse.ArgumentParser(add_help=False)

@@ -36,6 +36,15 @@ def check_genus(genus: int) -> None:
         )
 
 
+def cover_genus(genus: int) -> int:
+    """Genus of the cover, 1 + 2^(2g) (g - 1).
+
+    The cover has 2^(2g) vertices, 2g 2^(2g) edges and 2^(2g) faces, so its
+    Euler characteristic is 2^(2g) (2 - 2g) = 2 - 2 * (cover genus).
+    """
+    return 1 + (1 << (2 * genus)) * (genus - 1)
+
+
 @dataclass(frozen=True)
 class CoverStats:
     """Cell counts and derived invariants of a covering surface."""
@@ -48,6 +57,11 @@ class CoverStats:
     cover_genus: int
     h1_dim: int
 
+    @property
+    def group_order_log2(self) -> int:
+        """Log base 2 of the order of G: 2g deck bits plus the H1 dimension."""
+        return 2 * self.base_genus + self.h1_dim
+
 
 class CoverCW:
     """CW complex of the mod-2 homology cover of a genus-g surface.
@@ -57,9 +71,11 @@ class CoverCW:
         n_vertices, n_edges, n_faces: cell counts (2^2g, 2g*2^2g, 2^2g).
         d1: vertex-by-edge boundary matrix over GF(2), built on first read.
         d2: edge-by-face boundary matrix over GF(2), built on first read.
-        tree_words: per vertex, the word spelling the BFS tree path from 0.
+        tree_words: per vertex v, the tree path from 0: the set bits of v,
+            ascending.
         nontree_edges: edges outside the spanning tree, ascending.
-        h1_dim: dimension of H1 of the cover over GF(2).
+        h1_dim: dimension of H1 of the cover over GF(2), checked against
+            2 * cover_genus(genus).
         edge_classes: per edge, its H1 coordinates: 0 for a tree edge, the
             class of its fundamental cycle for a non-tree edge.
     """
@@ -145,14 +161,13 @@ class CoverCW:
 
     def stats(self) -> CoverStats:
         """Cell counts, Euler characteristic, cover genus and H1 dimension."""
-        chi = self.n_vertices - self.n_edges + self.n_faces
         return CoverStats(
             base_genus=self.genus,
             n_vertices=self.n_vertices,
             n_edges=self.n_edges,
             n_faces=self.n_faces,
-            euler_characteristic=chi,
-            cover_genus=(2 - chi) // 2,
+            euler_characteristic=self.n_vertices - self.n_edges + self.n_faces,
+            cover_genus=cover_genus(self.genus),
             h1_dim=self.h1_dim,
         )
 
@@ -167,46 +182,43 @@ class CoverCW:
 
     @cached_property
     def d2(self) -> GF2Matrix:
-        relator = surface_relator(self.genus)
-        faces = tuple(self.lift(relator, v)[0] for v in range(self.n_faces))
-        return GF2Matrix(self.n_faces, self.n_edges, faces).transpose()
+        return GF2Matrix(self.n_faces, self.n_edges, self._face_chains).transpose()
 
     def _build_tree(self) -> None:
-        words = [None] * self.n_vertices
-        words[0] = ()
-        queue = [0]
-        tree_edges = set()
-        while queue:
-            next_queue = []
-            for v in queue:
-                for k in range(1, 2 * self.genus + 1):
-                    w = v ^ (1 << (k - 1))
-                    if words[w] is not None:
-                        continue
-                    e = self.edge_index(v, k)
-                    tree_edges.add(e)
-                    words[w] = words[v] + (k,)
-                    next_queue.append(w)
-            queue = next_queue
-        self.tree_words = tuple(words)
+        # The tree path to v spells the set bits of v in ascending order, so
+        # the tree edge into v != 0 is the lift of v's top letter from v with
+        # that bit cleared: edge (u, k) is a tree edge exactly when
+        # u < 2^(k - 1).
+        n = 2 * self.genus
+        self.tree_words = tuple(
+            tuple(k for k in range(1, n + 1) if v >> (k - 1) & 1)
+            for v in range(self.n_vertices)
+        )
         self.nontree_edges = tuple(
-            e for e in range(self.n_edges) if e not in tree_edges
+            e for e in range(self.n_edges) if (e // n) >> (e % n)
         )
 
     def _build_h1(self) -> None:
         # Contracting the spanning tree maps cycles one-to-one onto chains of
         # non-tree edges: a fundamental cycle becomes its own non-tree edge,
         # and a face keeps only its non-tree edges.
-        nontree = sum(1 << e for e in self.nontree_edges)
         relator = surface_relator(self.genus)
         faces = []
         for v in range(self.n_faces):
             chain, end = self.lift(relator, v)
             if end != v:
                 raise AssertionError("relator lift must close up")
-            faces.append(chain & nontree)
-        h1 = QuotientMap([1 << e for e in self.nontree_edges], faces, self.n_edges)
+            faces.append(chain)
+        self._face_chains = tuple(faces)
+        nontree = sum(1 << e for e in self.nontree_edges)
+        h1 = QuotientMap(
+            [1 << e for e in self.nontree_edges],
+            [chain & nontree for chain in faces],
+            self.n_edges,
+        )
         self.h1_dim = h1.dim
+        if self.h1_dim != 2 * cover_genus(self.genus):
+            raise AssertionError("H1 dimension %d is not twice the cover genus" % h1.dim)
 
         classes = [0] * self.n_edges
         unit_words = {}

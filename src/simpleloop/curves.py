@@ -36,12 +36,10 @@ class TwistAutomorphism:
 
     Attributes:
         name: identifier such as ta1, tb2_inv, tc1.
-        genus: genus of the surface it acts on.
         images: image word for each positive generator index it moves.
     """
 
     name: str
-    genus: int
     images: dict[int, Word] = field(compare=False)
 
 
@@ -115,7 +113,7 @@ def twist_table(genus: int) -> dict[str, TwistAutomorphism]:
     if genus < 2:
         raise ValueError("genus must be at least 2")
     table = {
-        name: TwistAutomorphism(name=name, genus=genus, images=images)
+        name: TwistAutomorphism(name=name, images=images)
         for name, images in _raw_twist_images(genus).items()
     }
     _validate_table(genus, table)
@@ -311,7 +309,6 @@ def generate_simple_classes(
 class VerificationReport:
     """Outcome of testing certified simple classes against the kernel."""
 
-    genus: int
     total: int
     n_separating: int
     n_nonseparating: int
@@ -331,7 +328,6 @@ class VerificationReport:
 class LemmaReport:
     """Outcome of the lift check on separating and nonseparating classes."""
 
-    genus: int
     n_separating: int
     n_nonseparating: int
     lifts_per_class: int
@@ -368,7 +364,6 @@ def verify_non_geometric(
     hits = [rec for rec in records if rec["in_kernel"]]
     n_sep = sum(1 for sc in classes if sc.separating)
     return VerificationReport(
-        genus=ctx.genus,
         total=len(classes),
         n_separating=n_sep,
         n_nonseparating=len(classes) - n_sep,
@@ -407,7 +402,6 @@ def lemma_check(ctx: GroupContext, report: VerificationReport) -> LemmaReport:
             continue
         failures.extend({"word": rec["word"], "reason": r} for r in reasons)
     return LemmaReport(
-        genus=ctx.genus,
         n_separating=report.n_separating,
         n_nonseparating=report.n_nonseparating,
         lifts_per_class=n_vertices,

@@ -60,11 +60,6 @@ def torus_kernel_scan(bound: int) -> dict:
     }
 
 
-def kernel_is_non_geometric_torus(bound: int) -> bool:
-    """True when no class in the scan window is both simple and in the kernel."""
-    return torus_kernel_scan(bound)["non_geometric"]
-
-
 @dataclass(frozen=True)
 class OrientationCharacter:
     """A homomorphism to Z2: values[k - 1] is its value on generator k."""
@@ -147,19 +142,6 @@ def sidedness_report(
     }
 
 
-def is_two_sided(
-    source: Presentation,
-    source_char: OrientationCharacter,
-    target_char: OrientationCharacter,
-    images: dict[int, Word],
-    target_is_trivial=None,
-) -> bool:
-    """Whether the character equation holds on every source generator."""
-    return sidedness_report(
-        source, source_char, target_char, images, target_is_trivial
-    )["two_sided"]
-
-
 def torus_inclusion_sidedness() -> dict:
     """Sidedness of the torus inside the projective-plane-times-circle target."""
     report = sidedness_report(
@@ -209,17 +191,16 @@ def free_factor_sidedness() -> dict:
     return report
 
 
-def extend_to_dimension(n: int, bound: int = 100) -> dict:
+def extend_to_dimension(n: int, scan: dict) -> dict:
     """The torus demo with the target thickened to ambient dimension n.
 
     For n at least 5 the extra factor is simply connected, the fundamental
-    group is unchanged and the kernel scan applies verbatim. Dimension 4
-    adds a circle factor to the fundamental group, so the record carries a
-    warning instead of a geometric conclusion.
+    group is unchanged and the kernel scan (a torus_kernel_scan result)
+    applies verbatim. Dimension 4 adds a circle factor to the fundamental
+    group, so the record carries a warning instead of a geometric conclusion.
     """
     if n < 4:
         raise ValueError("ambient dimension must be at least 4")
-    scan = torus_kernel_scan(bound)
     record = {
         "dimension": n,
         "pi1_unchanged": n >= 5,

@@ -57,8 +57,8 @@ class GF2Matrix:
         return GF2Matrix(self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
 
 
-def rref(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form of rows with entries in columns below n_cols.
+def rref(rows: list[int]) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form of rows given as bitmasks.
 
     Returns (reduced nonzero rows, pivot column per row), pivots in
     increasing column order.
@@ -74,7 +74,7 @@ def rref(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
 
 def rank(m: GF2Matrix) -> int:
     """Rank of the matrix."""
-    return len(rref(list(m.data), m.cols)[0])
+    return len(rref(list(m.data))[0])
 
 
 def kernel_basis(m: GF2Matrix) -> list[int]:
@@ -83,7 +83,7 @@ def kernel_basis(m: GF2Matrix) -> list[int]:
     One basis vector per free column, in increasing column order;
     empty list when the kernel is trivial.
     """
-    reduced, pivots = rref(list(m.data), m.cols)
+    reduced, pivots = rref(list(m.data))
     pivot_set = set(pivots)
     basis: list[int] = []
     for free in range(m.cols):

@@ -64,7 +64,7 @@ class GroupContext:
 
     def group_order_log2(self) -> int:
         """Log base 2 of the order of the full extension group."""
-        return 2 * self.genus + self.cover.h1_dim
+        return self.cover.stats().group_order_log2
 
 
 def rho(ctx: GroupContext, w: Word) -> GElement:

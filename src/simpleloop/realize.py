@@ -13,7 +13,7 @@ homeomorphism type.
 
 from dataclasses import dataclass
 
-from .cover import check_genus
+from .cover import build_mod2_cover
 from .words import Word, free_reduce
 
 DIMENSION_NOTE = "surgery loops embed disjointly and unknot in dimension >= 4"
@@ -147,21 +147,20 @@ def recipe_for_G(g: int, n: int) -> dict:
     """Symbolic recipe template for a manifold with the quotient group.
 
     No finite presentation of the group is computed, so the record is a
-    template over any presentation, annotated with the group order and the
-    2-sidedness note (the target's orientation character is trivial).
+    template over any presentation, annotated with the cover genus and group
+    order read from the built cover, and the 2-sidedness note (the target's
+    orientation character is trivial).
     """
     if n < 4:
         raise ValueError(
             "ambient dimension must be at least 4: " + DIMENSION_NOTE
         )
-    check_genus(g)
-    cover_genus = 1 + (1 << (2 * g)) * (g - 1)
-    order_log2 = 2 * g + 2 * cover_genus
+    stats = build_mod2_cover(g).stats()
     return {
         "genus": g,
         "dimension": n,
-        "cover_genus": cover_genus,
-        "group_order_log2": order_log2,
+        "cover_genus": stats.cover_genus,
+        "group_order_log2": stats.group_order_log2,
         "template": (
             "for any presentation of the quotient group with k generators "
             "and l relators: start from S^%d connected-sum k copies of "

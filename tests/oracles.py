@@ -30,8 +30,9 @@ from simpleloop.words import (
 def tree_chains(cover) -> tuple[int, ...]:
     """Per vertex, the edge chain of the breadth-first tree path from 0.
 
-    Grows the tree the way the cover does, generators in index order, but
-    records chains rather than words.
+    Grows the tree by breadth-first search, generators in index order, and
+    records chains rather than words; the cover states the same tree in
+    closed form.
     """
     chains = [0] * cover.n_vertices
     seen = [False] * cover.n_vertices
@@ -195,7 +196,6 @@ def lemma_check_all_vertices(ctx, classes) -> LemmaReport:
                     {"word": word_to_str(sc.cls), "reason": "nonseparating class with zero mod-2 image"}
                 )
     return LemmaReport(
-        genus=ctx.genus,
         n_separating=n_sep,
         n_nonseparating=n_nonsep,
         lifts_per_class=cover.n_vertices,

@@ -11,7 +11,7 @@ import pytest
 
 from simpleloop import cli
 from simpleloop.cli import main, verify_witness_record
-from simpleloop.cover import build_mod2_cover
+from simpleloop.cover import MAX_GENUS, build_mod2_cover
 from simpleloop.quotient import GroupContext
 
 
@@ -47,6 +47,13 @@ def test_info_text(capsys):
 def test_info_bad_genus_exit_codes(capsys):
     assert run_main(capsys, "info", "--genus", "1")[0] == 2
     assert run_main(capsys, "info", "--genus", "5")[0] == 3
+
+
+def test_genus_help_shows_the_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["info", "--help"])
+    assert exc.value.code == 0
+    assert "surface genus (2..%d)" % MAX_GENUS in capsys.readouterr().out
 
 
 def test_verify_depth0_ok(capsys):

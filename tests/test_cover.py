@@ -4,14 +4,18 @@ import random
 
 import pytest
 
+from simpleloop import cover as cover_module
 from simpleloop.cover import (
+    CoverCW,
     ResourceLimitError,
     build_mod2_cover,
     check_chain_complex,
+    cover_genus,
     deck_apply,
 )
 from simpleloop.gf2 import kernel_basis, rank
 from simpleloop.quotient import GroupContext, search_kernel_elements
+from simpleloop.realize import recipe_for_G
 from simpleloop.words import (
     abelianization_mod2,
     commutator,
@@ -106,18 +110,60 @@ def test_generator_squares_have_nonzero_class():
         assert loop_class(cover, chain) != 0
 
 
-def test_spanning_tree_paths():
-    cover = build_mod2_cover(2)
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_spanning_tree_paths(genus):
+    cover = build_mod2_cover(genus)
     chains = tree_chains(cover)
     assert cover.tree_words[0] == ()
     assert chains[0] == 0
     for v in range(cover.n_vertices):
         word = cover.tree_words[v]
         assert len(word) == bin(v).count("1")
-        assert abelianization_mod2(word, 2) == v
+        assert abelianization_mod2(word, genus) == v
         chain, end = cover.lift(word, 0)
         assert end == v
         assert chain == chains[v]
+    # Every tree edge ends some tree path, so the paths cover the tree.
+    tree = 0
+    for chain in chains:
+        tree |= chain
+    assert cover.nontree_edges == tuple(
+        e for e in range(cover.n_edges) if not tree >> e & 1
+    )
+    assert len(cover.nontree_edges) == cover.n_edges - cover.n_vertices + 1
+
+
+@pytest.mark.parametrize(
+    "genus, cover_genus_, order_log2", [(2, 17, 38), (3, 129, 264), (4, 769, 1546)]
+)
+def test_cover_genus_and_group_order_agree(genus, cover_genus_, order_log2):
+    stats = build_mod2_cover(genus).stats()
+    recipe = recipe_for_G(genus, 4)
+    assert cover_genus(genus) == stats.cover_genus == recipe["cover_genus"] == cover_genus_
+    assert stats.group_order_log2 == recipe["group_order_log2"] == order_log2
+    assert stats.h1_dim == 2 * cover_genus_
+
+
+def test_h1_dim_is_checked_against_the_cover_genus(monkeypatch):
+    monkeypatch.setattr(cover_module, "cover_genus", lambda genus: 1)
+    with pytest.raises(AssertionError, match="cover genus"):
+        build_mod2_cover(2)
+
+
+def test_relator_is_lifted_once_per_vertex(monkeypatch):
+    relator = surface_relator(3)
+    starts = []
+    lift = CoverCW.lift
+
+    def counting_lift(self, word, start):
+        if word == relator:
+            starts.append(start)
+        return lift(self, word, start)
+
+    monkeypatch.setattr(CoverCW, "lift", counting_lift)
+    cover = build_mod2_cover(3)
+    assert check_chain_complex(cover)
+    assert sorted(starts) == list(range(cover.n_faces))
 
 
 def test_lift_endpoint_tracks_abelianization():

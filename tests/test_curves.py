@@ -59,15 +59,15 @@ def test_every_twist_fixes_relator_exactly():
 
 def test_validation_rejects_non_automorphism():
     bad = {
-        "bad": TwistAutomorphism(name="bad", genus=2, images={2: (1,)}),
-        "bad_inv": TwistAutomorphism(name="bad_inv", genus=2, images={2: (1,)}),
+        "bad": TwistAutomorphism(name="bad", images={2: (1,)}),
+        "bad_inv": TwistAutomorphism(name="bad_inv", images={2: (1,)}),
     }
     with pytest.raises(AssertionError):
         _validate_table(2, bad)
 
 
 def test_identity_images_leave_words_alone():
-    t = TwistAutomorphism(name="id", genus=2, images={})
+    t = TwistAutomorphism(name="id", images={})
     rng = random.Random(1)
     for _ in range(20):
         w = random_reduced_word(rng, 2, rng.randrange(0, 10))

@@ -12,8 +12,6 @@ from simpleloop.demos import (
     free_factor_sidedness,
     iota_star,
     is_simple_torus,
-    is_two_sided,
-    kernel_is_non_geometric_torus,
     main_construction_sidedness,
     sidedness_report,
     torus_inclusion_sidedness,
@@ -61,7 +59,7 @@ def test_kernel_scan_finds_exactly_even_horizontal_classes():
 
 
 def test_kernel_scan_bound100():
-    assert kernel_is_non_geometric_torus(100)
+    assert torus_kernel_scan(100)["non_geometric"]
 
 
 def test_kernel_scan_rejects_bad_bound():
@@ -122,20 +120,20 @@ def test_free_factor_target_is_two_sided():
 def test_two_sidedness_invariant_under_character_preserving_change():
     source_char = OrientationCharacter((0, 0))
     target_char = OrientationCharacter((1, 0))
-    first = is_two_sided(
+    first = sidedness_report(
         TORUS,
         source_char,
         target_char,
         {1: (1,), 2: (2,)},
         z2xz_is_trivial,
-    )
-    second = is_two_sided(
+    )["two_sided"]
+    second = sidedness_report(
         TORUS,
         source_char,
         target_char,
         {1: (1, 2), 2: (2,)},
         z2xz_is_trivial,
-    )
+    )["two_sided"]
     assert first == second == False
 
 
@@ -144,7 +142,7 @@ def test_ill_defined_source_character_rejected():
     source_char = OrientationCharacter((1,))
     target_char = OrientationCharacter((1,))
     with pytest.raises(ValueError):
-        is_two_sided(source, source_char, target_char, {1: (1,)})
+        sidedness_report(source, source_char, target_char, {1: (1,)})["two_sided"]
 
 
 def test_ill_defined_homomorphism_rejected():
@@ -152,13 +150,13 @@ def test_ill_defined_homomorphism_rejected():
     source_char = OrientationCharacter((0,))
     target_char = OrientationCharacter((1, 0))
     with pytest.raises(ValueError):
-        is_two_sided(
+        sidedness_report(
             source,
             source_char,
             target_char,
             {1: (2,)},
             z2xz_is_trivial,
-        )
+        )["two_sided"]
 
 
 def test_sidedness_report_notes_skipped_relator_check():
@@ -180,14 +178,15 @@ def test_sidedness_report_needs_one_image_per_source_generator(images):
 
 
 def test_extend_to_dimension():
+    scan = torus_kernel_scan(20)
     for n in (5, 6):
-        record = extend_to_dimension(n, bound=20)
+        record = extend_to_dimension(n, scan)
         assert record["pi1_unchanged"]
         assert record["scan"]["non_geometric"]
         assert "warning" not in record
-    record = extend_to_dimension(4, bound=20)
+    record = extend_to_dimension(4, scan)
     assert not record["pi1_unchanged"]
     assert "warning" in record
     assert record["scan"]["non_geometric"]
     with pytest.raises(ValueError):
-        extend_to_dimension(3)
+        extend_to_dimension(3, scan)

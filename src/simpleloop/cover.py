@@ -8,8 +8,8 @@ Every edge carries its H1 class: 0 on the spanning tree, the class of its
 fundamental cycle otherwise. The class of any lifted loop, closed up
 through the tree, is then the XOR of these entries along the lift.
 CoverCW.walk computes it and is the one way from a lifted word to an H1
-class: the deck action, the finite quotient group and the lift lemma all
-read the complex through it.
+class: the finite quotient group and the lift lemma read the complex
+through it.
 """
 
 from dataclasses import dataclass
@@ -78,6 +78,8 @@ class CoverCW:
             2 * cover_genus(genus).
         edge_classes: per edge, its H1 coordinates: 0 for a tree edge, the
             class of its fundamental cycle for a non-tree edge.
+        unit_cycle_words: per H1 coordinate j, a loop at vertex 0 of class
+            1 << j (the Schreier word of a non-tree edge of that class).
     """
 
     def __init__(self, genus: int):
@@ -88,7 +90,6 @@ class CoverCW:
         self.n_faces = self.n_vertices
         self._build_tree()
         self._build_h1()
-        self._deck_cache = {}
 
     def edge_index(self, v: int, k: int) -> int:
         """Index of the lift of loop k (1-based) starting at vertex v."""
@@ -145,19 +146,6 @@ class CoverCW:
         v, w = self.edge_endpoints(e)
         letter = e % (2 * self.genus) + 1
         return self.tree_words[v] + (letter,) + inverse(self.tree_words[w])
-
-    def deck_action(self, u: int) -> tuple[int, ...]:
-        """Matrix of the deck translation by u on H1, as H1-coordinate columns.
-
-        Column j is the class of the translate of a fundamental cycle whose
-        class is 1 << j, walked from vertex u; apply with deck_apply. Results
-        are cached per u.
-        """
-        cached = self._deck_cache.get(u)
-        if cached is None:
-            cached = tuple(self.walk(w, u)[0] for w in self._unit_cycle_words)
-            self._deck_cache[u] = cached
-        return cached
 
     def stats(self) -> CoverStats:
         """Cell counts, Euler characteristic, cover genus and H1 dimension."""
@@ -227,7 +215,7 @@ class CoverCW:
             if h.bit_count() == 1 and h not in unit_words:
                 unit_words[h] = self.schreier_word(e)
         self.edge_classes = tuple(classes)
-        self._unit_cycle_words = tuple(unit_words[1 << j] for j in range(self.h1_dim))
+        self.unit_cycle_words = tuple(unit_words[1 << j] for j in range(self.h1_dim))
         # The edge table by (letter, start vertex): letter k from v runs
         # along edge (v, k), letter -k along edge (v ^ bit, k) backwards.
         self._letter_classes = {}
@@ -238,16 +226,6 @@ class CoverCW:
             self._letter_classes[k] = forward
             self._letter_classes[-k] = tuple(forward[v ^ bit] for v in range(self.n_vertices))
             self._letter_flips[k] = self._letter_flips[-k] = bit
-
-
-def deck_apply(columns: tuple[int, ...], h: int) -> int:
-    """Apply a deck-action matrix (tuple of columns) to an H1 vector."""
-    out = 0
-    while h:
-        low = h & -h
-        out ^= columns[low.bit_length() - 1]
-        h ^= low
-    return out
 
 
 def build_mod2_cover(genus: int) -> CoverCW:

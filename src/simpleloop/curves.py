@@ -385,9 +385,9 @@ def lemma_check(ctx: GroupContext, report: VerificationReport) -> LemmaReport:
     Each class is settled by its record in the report, read from one rho
     walk from vertex 0: v is its mod-2 class and h the class of its lift
     from 0. With v == 0 every lift closes, and the lift from vertex u is the
-    deck translate by u of the lift from 0, with class
-    deck_apply(deck_action(u), h). Deck translations act invertibly on H1,
-    so the lifts all have nonzero class when h != 0 and all fail when h == 0.
+    deck translate by u of the lift from 0, so its class is the image of h
+    under that translation. Deck translations act invertibly on H1, so the
+    lifts all have nonzero class when h != 0 and all fail when h == 0.
     """
     n_vertices = ctx.cover.n_vertices
     failures = []

@@ -4,14 +4,15 @@ A word w maps to rho(w) = (v, h): v is its mod-2 abelianization (the vertex
 its lift from vertex 0 reaches) and h is the GF(2) homology class of that
 lift closed up through the spanning tree. Words act trivially exactly when
 their lifts close up and bound mod 2, so the kernel of rho consists of loops
-that stay invisible in the cover's first homology. Multiplication twists the
-h parts by the deck action plus a spanning-tree cocycle, which makes rho a
-homomorphism onto a group of order 2^(2g + 2g') without materializing it.
+that stay invisible in the cover's first homology. The group is
+pi_1(S) / ker rho, of order 2^(2g + 2g'), and is never materialized: the
+product of two elements is the image of the product of representative
+words.
 """
 
 from dataclasses import dataclass
 
-from .cover import CoverCW, ResourceLimitError, check_genus, deck_apply
+from .cover import CoverCW, ResourceLimitError, check_genus
 from .gf2 import Echelon
 from .words import (
     Word,
@@ -39,32 +40,13 @@ class GElement:
 class GroupContext:
     """Arithmetic context for the quotient group of a surface group.
 
-    Immutable after construction except the cocycle memo table, an
-    idempotent cache: the same key always maps to the same value.
+    Holds the cover, its genus and the identity; immutable after construction.
     """
 
     def __init__(self, cover: CoverCW):
         self.cover = cover
         self.genus = cover.genus
         self.identity = GElement(0, 0)
-        self._cocycle_cache = {}
-
-    def cocycle(self, v1: int, v2: int) -> int:
-        """H1 class of the tree loop 0 -> v1 -> v1+v2 -> 0 (memoized).
-
-        Only the middle leg, the tree path to v2 translated to start at v1,
-        leaves the spanning tree.
-        """
-        key = (v1, v2)
-        val = self._cocycle_cache.get(key)
-        if val is None:
-            val = self.cover.walk(self.cover.tree_words[v2], v1)[0]
-            self._cocycle_cache[key] = val
-        return val
-
-    def group_order_log2(self) -> int:
-        """Log base 2 of the order of the full extension group."""
-        return self.cover.stats().group_order_log2
 
 
 def rho(ctx: GroupContext, w: Word) -> GElement:
@@ -81,16 +63,29 @@ def rho(ctx: GroupContext, w: Word) -> GElement:
     return GElement(v, h)
 
 
+def representative(ctx: GroupContext, x: GElement) -> Word:
+    """A word w with rho(ctx, w) == x.
+
+    It spells the unit cycle word of each set bit of x.h, ascending, then
+    tree_words[x.v]: unit cycle word j is a loop at vertex 0 of class
+    1 << j, and tree edges add 0 to h.
+    """
+    units = ctx.cover.unit_cycle_words
+    word = []
+    for j in range(x.h.bit_length()):
+        if x.h >> j & 1:
+            word.extend(units[j])
+    return tuple(word) + ctx.cover.tree_words[x.v]
+
+
 def mul(ctx: GroupContext, x: GElement, y: GElement) -> GElement:
-    """Product in the extension group: twisted by deck action and cocycle."""
-    h = x.h ^ deck_apply(ctx.cover.deck_action(x.v), y.h) ^ ctx.cocycle(x.v, y.v)
-    return GElement(x.v ^ y.v, h)
+    """Product in the quotient group: rho of the representatives' product."""
+    return rho(ctx, representative(ctx, x) + representative(ctx, y))
 
 
 def inv(ctx: GroupContext, x: GElement) -> GElement:
-    """Inverse in the extension group."""
-    h = deck_apply(ctx.cover.deck_action(x.v), x.h ^ ctx.cocycle(x.v, x.v))
-    return GElement(x.v, h)
+    """Inverse in the quotient group: rho of the inverse representative."""
+    return rho(ctx, inverse(representative(ctx, x)))
 
 
 def in_kernel(ctx: GroupContext, w: Word) -> bool:

@@ -7,16 +7,22 @@ full-width edge chains and the group law, so the tests can check the table,
 the walk and the deck-symmetry argument of ``lemma_check`` against an
 independent path.
 
+The package multiplies in G through representative words. The reference
+law here states G as an extension of the deck group by H1 instead: the
+deck action on H1 comes from translating full-width basis cycles, and the
+h parts of a product are twisted by it and by a spanning-tree cocycle.
+
 The twist BFS has references too: ``substitute_per_letter`` inverts an
 image for every negative letter, and ``twist_bfs`` tries every twist on
 every frontier class and reduces each image from scratch.
 """
 
+import functools
 import random
 
 from simpleloop.curves import LemmaReport, SimpleClass, standard_curves, twist_table
 from simpleloop.gf2 import Echelon, QuotientMap
-from simpleloop.quotient import inv, mul, rho
+from simpleloop.quotient import GElement, inv, mul, rho
 from simpleloop.words import (
     abelianization_mod2,
     canonical_class,
@@ -77,7 +83,7 @@ def image_rank_by_group_law(ctx, n_samples: int = 500, seed: int = 0) -> dict:
 
     Reports the rank of the v parts of the images of random words and the
     rank of the h parts of their squares and commutators, whose v parts are
-    zero, multiplied by mul/inv in the extension group rather than walked.
+    zero, multiplied by mul/inv rather than taken from Schreier words.
     """
     rng = random.Random(seed)
     v_span = Echelon()
@@ -158,6 +164,54 @@ def basis_cycles(quotient) -> list[int]:
                 vec ^= basis[k]
         basis.append(vec)
     return basis
+
+
+@functools.cache
+def _full_basis(cover) -> tuple[QuotientMap, list[int]]:
+    quotient = full_quotient(cover)
+    return quotient, basis_cycles(quotient)
+
+
+@functools.cache
+def deck_action(cover, u: int) -> tuple[int, ...]:
+    """Matrix of the deck translation by u on H1, as H1-coordinate columns.
+
+    Column j is the class of the translate by u of a full-width cycle of
+    class 1 << j; apply it with ``deck_apply``. Memoized per (cover, u).
+    """
+    quotient, basis = _full_basis(cover)
+    return tuple(coords(quotient, translate_chain(cover, c, u)) for c in basis)
+
+
+def deck_apply(columns: tuple[int, ...], h: int) -> int:
+    """Apply a deck-action matrix (tuple of columns) to an H1 vector."""
+    out = 0
+    while h:
+        low = h & -h
+        out ^= columns[low.bit_length() - 1]
+        h ^= low
+    return out
+
+
+def cocycle(cover, v1: int, v2: int) -> int:
+    """H1 class of the tree loop 0 -> v1 -> v1+v2 -> 0.
+
+    Only the middle leg, the tree path to v2 translated to start at v1,
+    leaves the spanning tree.
+    """
+    return cover.walk(cover.tree_words[v2], v1)[0]
+
+
+def mul_by_deck_action(cover, x, y):
+    """Product in G as an extension: h twisted by deck action and cocycle."""
+    h = x.h ^ deck_apply(deck_action(cover, x.v), y.h) ^ cocycle(cover, x.v, y.v)
+    return GElement(x.v ^ y.v, h)
+
+
+def inv_by_deck_action(cover, x):
+    """Inverse in G as an extension, the partner of ``mul_by_deck_action``."""
+    h = deck_apply(deck_action(cover, x.v), x.h ^ cocycle(cover, x.v, x.v))
+    return GElement(x.v, h)
 
 
 def lemma_check_all_vertices(ctx, classes) -> LemmaReport:

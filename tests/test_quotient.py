@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from simpleloop.cover import ResourceLimitError, build_mod2_cover, deck_apply
+from simpleloop.cover import ResourceLimitError, build_mod2_cover
 from simpleloop.curves import apply_twist, twist_table
 from simpleloop.quotient import (
     MAX_HALF_WORDS,
@@ -16,6 +16,7 @@ from simpleloop.quotient import (
     in_kernel,
     inv,
     mul,
+    representative,
     rho,
     search_kernel_elements,
 )
@@ -35,7 +36,14 @@ from simpleloop.words import (
     surface_relator,
 )
 
-from oracles import image_rank_by_group_law
+from oracles import (
+    cocycle,
+    deck_action,
+    deck_apply,
+    image_rank_by_group_law,
+    inv_by_deck_action,
+    mul_by_deck_action,
+)
 
 
 def make_ctx(genus=2):
@@ -44,6 +52,7 @@ def make_ctx(genus=2):
 
 CTX = make_ctx()
 CTX3 = make_ctx(3)
+CTX4 = make_ctx(4)
 
 
 def dfs_search_kernel_elements(
@@ -158,17 +167,55 @@ def test_associativity_random_triples():
 
 
 def test_cocycle_identity_all_triples():
-    n = CTX.cover.n_vertices
+    cover = CTX.cover
+    n = cover.n_vertices
     for v1 in range(n):
-        a1 = CTX.cover.deck_action(v1)
+        a1 = deck_action(cover, v1)
         for v2 in range(n):
-            c12 = CTX.cocycle(v1, v2)
+            c12 = cocycle(cover, v1, v2)
             for v3 in range(n):
-                left = c12 ^ CTX.cocycle(v1 ^ v2, v3)
-                right = deck_apply(a1, CTX.cocycle(v2, v3)) ^ CTX.cocycle(
-                    v1, v2 ^ v3
+                left = c12 ^ cocycle(cover, v1 ^ v2, v3)
+                right = deck_apply(a1, cocycle(cover, v2, v3)) ^ cocycle(
+                    cover, v1, v2 ^ v3
                 )
                 assert left == right
+
+
+def random_element(rng, ctx):
+    return GElement(rng.randrange(ctx.cover.n_vertices), rng.getrandbits(ctx.cover.h1_dim))
+
+
+@pytest.mark.parametrize("ctx", [CTX, CTX3, CTX4], ids=["g2", "g3", "g4"])
+def test_representative_maps_to_its_element(ctx):
+    rng = random.Random(61 + ctx.genus)
+    elements = [ctx.identity, GElement(ctx.cover.n_vertices - 1, (1 << ctx.cover.h1_dim) - 1)]
+    elements += [random_element(rng, ctx) for _ in range(50)]
+    for x in elements:
+        assert rho(ctx, representative(ctx, x)) == x
+
+
+@pytest.mark.parametrize("ctx", [CTX, CTX3], ids=["g2", "g3"])
+def test_mul_and_inv_match_deck_action_law(ctx):
+    rng = random.Random(67 + ctx.genus)
+    for _ in range(200):
+        x = random_element(rng, ctx)
+        y = random_element(rng, ctx)
+        assert mul(ctx, x, y) == mul_by_deck_action(ctx.cover, x, y)
+        assert inv(ctx, x) == inv_by_deck_action(ctx.cover, x)
+
+
+def test_arithmetic_leaves_context_and_cover_unchanged():
+    ctx = make_ctx(2)
+    ctx_keys = set(vars(ctx))
+    cover_keys = set(vars(ctx.cover))
+    rng = random.Random(71)
+    for _ in range(50):
+        x = random_element(rng, ctx)
+        y = random_element(rng, ctx)
+        mul(ctx, x, y)
+        inv(ctx, x)
+    assert set(vars(ctx)) == ctx_keys
+    assert set(vars(ctx.cover)) == cover_keys
 
 
 def test_rho_invariant_under_relator_splices():
@@ -351,13 +398,8 @@ def test_every_element_has_order_dividing_four():
         assert mul(CTX, sq, sq) == CTX.identity
 
 
-def test_group_order_log2():
-    assert CTX.group_order_log2() == 38
-    assert make_ctx(3).group_order_log2() == 264
-
-
 @pytest.mark.parametrize(
-    "ctx, h1_dim", [(CTX, 34), (CTX3, 258), (make_ctx(4), 1538)], ids=["g2", "g3", "g4"]
+    "ctx, h1_dim", [(CTX, 34), (CTX3, 258), (CTX4, 1538)], ids=["g2", "g3", "g4"]
 )
 def test_image_rank_is_full(ctx, h1_dim):
     v_dim = 2 * ctx.genus

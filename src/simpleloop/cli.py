@@ -16,7 +16,7 @@ import sys
 import time
 
 from .cover import MAX_GENUS, ResourceLimitError, build_mod2_cover
-from .curves import check_depth, generate_simple_classes, lemma_check, verify_non_geometric
+from .curves import check_depth, generate_simple_classes, verify_non_geometric
 from .demos import (
     extend_to_dimension,
     free_factor_sidedness,
@@ -28,17 +28,10 @@ from .quotient import (
     GroupContext,
     check_search_budget,
     image_rank,
-    in_kernel,
     search_kernel_elements,
 )
 from .realize import parse_presentation, realize, recipe_for_G
-from .words import (
-    check_length_bound,
-    dehn_normal_form,
-    is_trivial,
-    word_from_str,
-    word_to_str,
-)
+from .words import check_length_bound, dehn_normal_form, word_to_str
 
 SCHEMA = 1
 NO_WITNESS = "no witness found at this bound"
@@ -78,12 +71,6 @@ def _classes_by_depth(classes, depth):
     return counts
 
 
-def verify_witness_record(record, ctx) -> bool:
-    """Re-verify a loaded witness record against a fresh context."""
-    word = word_from_str(record["word"], ctx.genus)
-    return in_kernel(ctx, word) and not is_trivial(word, ctx.genus)
-
-
 def _cover_stats_record(cover):
     stats = cover.stats()
     return {
@@ -119,18 +106,28 @@ def _timed(timing, key, fn, *args, **kwargs):
     return result
 
 
+def _sweep(args, timing, stage):
+    """Refuse a depth over its budget, then build the cover, generate the
+    certified classes and verify them once.
+
+    The caller checks the usage bounds first, so a usage error wins over the
+    depth budget. The verification pass is timed as timing[stage]. Returns
+    the group context, the classes and their VerificationReport.
+    """
+    check_depth(args.depth, args.genus)
+    ctx = GroupContext(_timed(timing, "build_s", build_mod2_cover, args.genus))
+    classes = _timed(
+        timing, "generate_s", generate_simple_classes, args.genus, args.depth, args.max_len
+    )
+    return ctx, classes, _timed(timing, stage, verify_non_geometric, ctx, classes)
+
+
 def cmd_verify(args):
     check_depth(args.depth)
     check_length_bound(args.max_len, "max_len")
     check_search_budget(args.genus, args.kernel_len)
     timing = {}
-    cover = _timed(timing, "build_s", build_mod2_cover, args.genus)
-    ctx = GroupContext(cover)
-    classes = _timed(
-        timing, "generate_s", generate_simple_classes, args.genus, args.depth, args.max_len
-    )
-    report = _timed(timing, "verify_s", verify_non_geometric, ctx, classes)
-    lemma = _timed(timing, "lemma_s", lemma_check, ctx, report)
+    ctx, classes, report = _sweep(args, timing, "verify_s")
     witnesses = _timed(timing, "search_s", search_kernel_elements, ctx, args.kernel_len)
     rank = _timed(timing, "image_rank_s", image_rank, ctx)
 
@@ -138,7 +135,7 @@ def cmd_verify(args):
         status = "kernel_hit"
     elif not witnesses:
         status = "no_witness_at_bound"
-    elif not lemma.ok:
+    elif report.lemma_failures:
         status = "lemma_failure"
     else:
         status = "ok"
@@ -153,7 +150,7 @@ def cmd_verify(args):
             "kernel_len": args.kernel_len,
             "seed": args.seed,
         },
-        "cover": _cover_stats_record(cover),
+        "cover": _cover_stats_record(ctx.cover),
         "classes_total": report.total,
         "classes_separating": report.n_separating,
         "classes_nonseparating": report.n_nonseparating,
@@ -162,10 +159,10 @@ def cmd_verify(args):
         "witness_count": len(witnesses),
         "witnesses_by_length": _witnesses_by_length(witnesses, args.kernel_len),
         "lemma": {
-            "separating_checked": lemma.n_separating,
-            "nonseparating_checked": lemma.n_nonseparating,
-            "lifts_per_class": lemma.lifts_per_class,
-            "failures": lemma.failures,
+            "separating_checked": report.n_separating,
+            "nonseparating_checked": report.n_nonseparating,
+            "lifts_per_class": ctx.cover.n_vertices,
+            "failures": report.lemma_failures,
         },
         "image_rank": rank,
         "completeness_note": report.completeness_note,
@@ -181,7 +178,11 @@ def cmd_verify(args):
         "kernel hits among simple classes: %d" % len(report.kernel_hits),
         "kernel witnesses found: %d" % len(witnesses),
         "lemma check: %s (%d separating classes, %d lifts each)"
-        % ("pass" if lemma.ok else "FAIL", lemma.n_separating, lemma.lifts_per_class),
+        % (
+            "FAIL" if report.lemma_failures else "pass",
+            report.n_separating,
+            ctx.cover.n_vertices,
+        ),
         "image rank: v %d/%d, h %d/%d"
         % (rank["v_rank"], rank["v_dim"], rank["h_rank"], rank["h_dim"]),
         "timing: %s" % _encode(timing),
@@ -220,31 +221,25 @@ def cmd_lemma_check(args):
     check_depth(args.depth)
     check_length_bound(args.max_len, "max_len")
     timing = {}
-    cover = _timed(timing, "build_s", build_mod2_cover, args.genus)
-    classes = _timed(
-        timing, "generate_s", generate_simple_classes, args.genus, args.depth, args.max_len
-    )
-    ctx = GroupContext(cover)
-    lemma = _timed(
-        timing, "lemma_s", lambda: lemma_check(ctx, verify_non_geometric(ctx, classes))
-    )
+    ctx, classes, report = _sweep(args, timing, "lemma_s")
+    failures = report.lemma_failures
     summary = {
         "kind": "summary",
-        "status": "ok" if lemma.ok else "lemma_failure",
+        "status": "lemma_failure" if failures else "ok",
         "genus": args.genus,
         "depth": args.depth,
         "classes_by_depth": _classes_by_depth(classes, args.depth),
-        "separating_checked": lemma.n_separating,
-        "nonseparating_checked": lemma.n_nonseparating,
-        "lifts_per_class": lemma.lifts_per_class,
-        "failures": lemma.failures,
+        "separating_checked": report.n_separating,
+        "nonseparating_checked": report.n_nonseparating,
+        "lifts_per_class": ctx.cover.n_vertices,
+        "failures": failures,
         "timing": timing,
     }
-    return (0 if lemma.ok else 1), [summary], [
+    return (1 if failures else 0), [summary], [
         "separating classes checked: %d (%d lifts each)"
-        % (lemma.n_separating, lemma.lifts_per_class),
-        "nonseparating classes checked: %d" % lemma.n_nonseparating,
-        "result: %s" % ("pass" if lemma.ok else "FAIL"),
+        % (report.n_separating, ctx.cover.n_vertices),
+        "nonseparating classes checked: %d" % report.n_nonseparating,
+        "result: %s" % ("FAIL" if failures else "pass"),
         "timing: %s" % _encode(timing),
     ]
 

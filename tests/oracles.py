@@ -4,8 +4,8 @@ The package reads H1 classes of lifted words only through ``CoverCW.walk``,
 and builds its edge-class table on the cover with the spanning tree
 contracted. These helpers compute the same classes the long way, from
 full-width edge chains and the group law, so the tests can check the table,
-the walk and the deck-symmetry argument of ``lemma_check`` against an
-independent path.
+the walk and the deck-symmetry argument of the lift lemma in
+``verify_non_geometric`` against an independent path.
 
 The package multiplies in G through representative words. The reference
 law here states G as an extension of the deck group by H1 instead: the
@@ -20,7 +20,7 @@ every frontier class and reduces each image from scratch.
 import functools
 import random
 
-from simpleloop.curves import LemmaReport, SimpleClass, standard_curves, twist_table
+from simpleloop.curves import SimpleClass, standard_curves, twist_table
 from simpleloop.gf2 import Echelon, QuotientMap
 from simpleloop.quotient import GElement, inv, mul, rho
 from simpleloop.words import (
@@ -214,11 +214,12 @@ def inv_by_deck_action(cover, x):
     return GElement(x.v, h)
 
 
-def lemma_check_all_vertices(ctx, classes) -> LemmaReport:
-    """``lemma_check`` with every lift of a separating class walked explicitly.
+def lemma_check_all_vertices(ctx, classes) -> tuple[int, int, list[dict]]:
+    """The lift lemma with every lift of a separating class walked explicitly.
 
     Reads off the end vertex and closed-up H1 class of the lift from each of
-    the 2^(2g) vertices instead of relying on deck symmetry.
+    the 2^(2g) vertices instead of relying on deck symmetry. Returns the
+    number of separating and of nonseparating classes, and the failures.
     """
     cover = ctx.cover
     failures = []
@@ -249,12 +250,7 @@ def lemma_check_all_vertices(ctx, classes) -> LemmaReport:
                 failures.append(
                     {"word": word_to_str(sc.cls), "reason": "nonseparating class with zero mod-2 image"}
                 )
-    return LemmaReport(
-        n_separating=n_sep,
-        n_nonseparating=n_nonsep,
-        lifts_per_class=cover.n_vertices,
-        failures=failures,
-    )
+    return n_sep, n_nonsep, failures
 
 
 def substitute_per_letter(w, images):

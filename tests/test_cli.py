@@ -10,9 +10,10 @@ import sys
 import pytest
 
 from simpleloop import cli
-from simpleloop.cli import main, verify_witness_record
+from simpleloop.cli import main
 from simpleloop.cover import MAX_GENUS, build_mod2_cover
-from simpleloop.quotient import GroupContext
+from simpleloop.quotient import GroupContext, in_kernel
+from simpleloop.words import is_trivial, word_from_str
 
 
 def run_main(capsys, *argv):
@@ -185,7 +186,8 @@ def test_witnesses_reverify_on_load(capsys):
     witnesses = [r for r in records if r["kind"] == "witness"]
     assert witnesses
     for record in witnesses:
-        assert verify_witness_record(record, ctx)
+        word = word_from_str(record["word"], 2)
+        assert in_kernel(ctx, word) and not is_trivial(word, 2)
 
 
 def test_search_kernel_empty_bound(capsys):
@@ -261,7 +263,14 @@ def test_lemma_check_reports_stage_timing(capsys):
 def test_verify_times_image_rank(capsys):
     code, out = run_main(capsys, "verify", "--depth", "0", "--kernel-len", "4")
     assert code == 0
-    assert "image_rank_s" in json_records(out)[0]["timing"]
+    # The lift lemma is decided inside the verification pass (verify_s).
+    assert set(json_records(out)[0]["timing"]) == {
+        "build_s",
+        "generate_s",
+        "verify_s",
+        "search_s",
+        "image_rank_s",
+    }
 
 
 @pytest.mark.parametrize("command", ["verify", "lemma-check"])
@@ -307,6 +316,63 @@ def test_negative_depth_rejected_before_any_stage(capsys, monkeypatch, command):
     assert code == 2
     assert captured.out == ""
     assert "depth" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lemma-check", "--depth", "8"], ["verify", "--genus", "4", "--depth", "7"]],
+    ids=["lemma-check-g2", "verify-g4"],
+)
+def test_depth_over_budget_exits_3(capsys, monkeypatch, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the depth budget was checked")
+
+    monkeypatch.setattr(cli, "build_mod2_cover", fail)
+    monkeypatch.setattr(cli, "generate_simple_classes", fail)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "depth" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["verify", "--depth", "-1", "--kernel-len", "40"], "depth"),
+        (["verify", "--depth", "8", "--max-len", "0"], "max_len"),
+        (["verify", "--depth", "8", "--kernel-len", "0"], "kernel"),
+        (["lemma-check", "--depth", "8", "--max-len", "0"], "max_len"),
+    ],
+)
+def test_usage_error_wins_over_budget_refusal(capsys, monkeypatch, argv, named):
+    def fail(*args, **kwargs):
+        raise AssertionError("a stage ran before the bounds were checked")
+
+    monkeypatch.setattr(cli, "build_mod2_cover", fail)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert named in captured.err
+
+
+@pytest.mark.parametrize("genus, depth", [("2", "3"), ("3", "2")])
+def test_verify_lemma_record_matches_lemma_check(capsys, genus, depth):
+    sweep = ["--genus", genus, "--depth", depth]
+    code, out = run_main(capsys, "verify", *sweep, "--kernel-len", "4")
+    assert code == 0
+    verify = json_records(out)[0]
+    code, out = run_main(capsys, "lemma-check", *sweep)
+    assert code == 0
+    (lemma,) = json_records(out)
+    assert verify["lemma"] == {
+        "separating_checked": lemma["separating_checked"],
+        "nonseparating_checked": lemma["nonseparating_checked"],
+        "lifts_per_class": lemma["lifts_per_class"],
+        "failures": lemma["failures"],
+    }
+    assert verify["classes_by_depth"] == lemma["classes_by_depth"]
 
 
 def test_lemma_check_rejects_max_len_before_the_cover(capsys, monkeypatch):

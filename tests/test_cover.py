@@ -297,7 +297,8 @@ def test_table_classes_match_quotient_coords_on_translated_cycles(genus):
 @pytest.mark.parametrize("genus", [2, 3])
 def test_walk_is_deck_equivariant_on_closed_words(genus):
     # The lift from v of a closed word is the deck translate by v of its lift
-    # from 0; lemma_check rests on this. Kernel words cover the h == 0 case.
+    # from 0; the lift lemma in verify_non_geometric rests on this. Kernel
+    # words cover the h == 0 case.
     cover = build_mod2_cover(genus)
     words = [commutator((1, 1), (2, 2)), surface_relator(genus)]
     words += [w for w, _ in search_kernel_elements(GroupContext(cover), 6)]

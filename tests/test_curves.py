@@ -5,15 +5,16 @@ import random
 import pytest
 
 from simpleloop import curves
-from simpleloop.cover import CoverCW, build_mod2_cover
+from simpleloop.cover import MAX_GENUS, CoverCW, ResourceLimitError, build_mod2_cover
 from simpleloop.curves import (
+    MAX_DEPTH,
     SimpleClass,
     TwistAutomorphism,
     _validate_table,
     apply_twist,
+    check_depth,
     commuting_twists,
     generate_simple_classes,
-    lemma_check,
     replay_certificate,
     root_word,
     standard_curves,
@@ -286,6 +287,23 @@ def test_generation_rejects_negative_depth():
         generate_simple_classes(2, -1, 64)
 
 
+def test_depth_budget_covers_every_genus():
+    # The default depth, and the depths the benchmark runs, stay allowed.
+    assert sorted(MAX_DEPTH) == list(range(2, MAX_GENUS + 1))
+    for genus in MAX_DEPTH:
+        check_depth(6, genus)
+
+
+@pytest.mark.parametrize("genus", sorted(MAX_DEPTH))
+def test_depth_over_budget_refused_before_generation(genus, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the twist table was read before the depth check")
+
+    monkeypatch.setattr(curves, "twist_table", fail)
+    with pytest.raises(ResourceLimitError, match="depth"):
+        generate_simple_classes(genus, MAX_DEPTH[genus] + 1, 64)
+
+
 @pytest.mark.parametrize("max_len", [0, -3])
 def test_generation_rejects_max_len_below_one(max_len):
     with pytest.raises(ValueError):
@@ -294,7 +312,6 @@ def test_generation_rejects_max_len_below_one(max_len):
 
 def test_verify_standard_curves():
     report = verify_non_geometric(CTX, standard_curves(2))
-    assert report.ok
     assert report.total == 5
     assert report.n_separating == 1
     assert report.n_nonseparating == 4
@@ -312,28 +329,21 @@ def test_verify_depth3_no_kernel_hits():
     fam = generate_simple_classes(2, 3, 64)
     assert len(fam) == 201
     report = verify_non_geometric(CTX, fam)
-    assert report.ok
+    assert report.kernel_hits == []
     assert report.total == 201
 
 
-def run_lemma_check(ctx, classes):
-    """lemma_check on the report verify_non_geometric makes for classes."""
-    return lemma_check(ctx, verify_non_geometric(ctx, classes))
-
-
 def test_lemma_check_standard_curves():
-    report = run_lemma_check(CTX, standard_curves(2))
-    assert report.ok
+    report = verify_non_geometric(CTX, standard_curves(2))
+    assert report.lemma_failures == []
     assert report.n_separating == 1
     assert report.n_nonseparating == 4
-    assert report.lifts_per_class == 16
 
 
 def test_lemma_check_catches_false_separating_flag():
     liar = SimpleClass(cls=(1,), root="a1", twists=(), separating=True)
-    report = run_lemma_check(CTX, [liar])
-    assert not report.ok
-    assert "nonzero mod-2" in report.failures[0]["reason"]
+    report = verify_non_geometric(CTX, [liar])
+    assert "nonzero mod-2" in report.lemma_failures[0]["reason"]
 
 
 def test_lemma_check_catches_false_nonseparating_flag():
@@ -343,17 +353,16 @@ def test_lemma_check_catches_false_nonseparating_flag():
         twists=(),
         separating=False,
     )
-    report = run_lemma_check(CTX, [liar])
-    assert not report.ok
-    assert "zero mod-2" in report.failures[0]["reason"]
+    report = verify_non_geometric(CTX, [liar])
+    assert "zero mod-2" in report.lemma_failures[0]["reason"]
 
 
 def test_twist_images_of_separating_curve_still_certified():
     fam = generate_simple_classes(2, 3, 64)
     separating = [sc for sc in fam if sc.separating]
     assert separating
-    report = run_lemma_check(CTX, separating)
-    assert report.ok
+    report = verify_non_geometric(CTX, separating)
+    assert report.lemma_failures == []
     assert report.n_separating == len(separating)
 
 
@@ -364,10 +373,10 @@ def test_lemma_check_catches_separating_lift_that_bounds():
         twists=(),
         separating=True,
     )
-    report = run_lemma_check(CTX, [liar])
+    report = verify_non_geometric(CTX, [liar])
     assert report.n_separating == 1
-    assert len(report.failures) == 16
-    for v, failure in enumerate(report.failures):
+    assert len(report.lemma_failures) == 16
+    for v, failure in enumerate(report.lemma_failures):
         assert failure["reason"] == "lift from vertex %d separates the cover" % v
 
 
@@ -387,7 +396,9 @@ def _relator_liar():
     ids=["g2-depth4", "g3-depth2", "relator-liar"],
 )
 def test_lemma_check_matches_all_vertex_oracle(ctx, classes):
-    assert run_lemma_check(ctx, classes) == lemma_check_all_vertices(ctx, classes)
+    report = verify_non_geometric(ctx, classes)
+    got = (report.n_separating, report.n_nonseparating, report.lemma_failures)
+    assert got == lemma_check_all_vertices(ctx, classes)
 
 
 def test_lemma_check_walks_once_per_class(monkeypatch):
@@ -401,8 +412,8 @@ def test_lemma_check_walks_once_per_class(monkeypatch):
 
     monkeypatch.setattr(CoverCW, "walk", counting_walk)
     report = verify_non_geometric(CTX, classes)
-    lemma_check(CTX, report)
     separating = [sc.cls for sc in classes if sc.separating]
     assert len(separating) > 1
-    # One walk from vertex 0 per class in verify_non_geometric, none after.
+    # One walk from vertex 0 per class decides rho and the lift lemma.
     assert calls == [(sc.cls, 0) for sc in classes]
+    assert len(report.lemma_failures) == CTX.cover.n_vertices

@@ -280,21 +280,20 @@ def cmd_torus_demo(args):
             "%s: %s" % (rep["name"], "2-sided" if rep["two_sided"] else "1-sided")
         )
     for n in (4, 5):
-        ext = extend_to_dimension(n, scan)
-        non_geometric = ext["scan"]["non_geometric"]
+        ext = extend_to_dimension(n)
         records.append(
             {
                 "kind": "extension",
                 "dimension": ext["dimension"],
                 "pi1_unchanged": ext["pi1_unchanged"],
-                "non_geometric_kernel": non_geometric,
+                "non_geometric_kernel": scan["non_geometric"],
                 "warning": ext.get("warning"),
             }
         )
         note = " (%s)" % ext["warning"] if "warning" in ext else ""
         lines.append(
             "dimension %d: non-geometric kernel %s%s"
-            % (ext["dimension"], str(non_geometric).lower(), note)
+            % (ext["dimension"], str(scan["non_geometric"]).lower(), note)
         )
     return (0 if ok else 1), records, lines
 

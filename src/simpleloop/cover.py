@@ -13,9 +13,8 @@ through it.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .gf2 import GF2Matrix, QuotientMap, matmul
+from .gf2 import QuotientMap
 from .words import inverse, surface_relator
 
 MAX_GENUS = 4
@@ -66,11 +65,14 @@ class CoverStats:
 class CoverCW:
     """CW complex of the mod-2 homology cover of a genus-g surface.
 
+    The cells are not stored: edge_index and edge_endpoints name the edges,
+    and face v is the lift of the surface relator from vertex v. The complex
+    is read through lifts of words: lift gives a word's edge chain, walk its
+    H1 class.
+
     Attributes:
         genus: genus of the base surface.
         n_vertices, n_edges, n_faces: cell counts (2^2g, 2g*2^2g, 2^2g).
-        d1: vertex-by-edge boundary matrix over GF(2), built on first read.
-        d2: edge-by-face boundary matrix over GF(2), built on first read.
         tree_words: per vertex v, the tree path from 0: the set bits of v,
             ascending.
         nontree_edges: edges outside the spanning tree, ascending.
@@ -159,19 +161,6 @@ class CoverCW:
             h1_dim=self.h1_dim,
         )
 
-    @cached_property
-    def d1(self) -> GF2Matrix:
-        rows = [0] * self.n_vertices
-        for e in range(self.n_edges):
-            v, w = self.edge_endpoints(e)
-            rows[v] |= 1 << e
-            rows[w] |= 1 << e
-        return GF2Matrix(self.n_vertices, self.n_edges, tuple(rows))
-
-    @cached_property
-    def d2(self) -> GF2Matrix:
-        return GF2Matrix(self.n_faces, self.n_edges, self._face_chains).transpose()
-
     def _build_tree(self) -> None:
         # The tree path to v spells the set bits of v in ascending order, so
         # the tree edge into v != 0 is the lift of v's top letter from v with
@@ -191,19 +180,14 @@ class CoverCW:
         # non-tree edges: a fundamental cycle becomes its own non-tree edge,
         # and a face keeps only its non-tree edges.
         relator = surface_relator(self.genus)
+        nontree = sum(1 << e for e in self.nontree_edges)
         faces = []
         for v in range(self.n_faces):
             chain, end = self.lift(relator, v)
             if end != v:
                 raise AssertionError("relator lift must close up")
-            faces.append(chain)
-        self._face_chains = tuple(faces)
-        nontree = sum(1 << e for e in self.nontree_edges)
-        h1 = QuotientMap(
-            [1 << e for e in self.nontree_edges],
-            [chain & nontree for chain in faces],
-            self.n_edges,
-        )
+            faces.append(chain & nontree)
+        h1 = QuotientMap([1 << e for e in self.nontree_edges], faces)
         self.h1_dim = h1.dim
         if self.h1_dim != 2 * cover_genus(self.genus):
             raise AssertionError("H1 dimension %d is not twice the cover genus" % h1.dim)
@@ -232,10 +216,3 @@ def build_mod2_cover(genus: int) -> CoverCW:
     """Build the mod-2 homology cover complex for a genus-g surface."""
     return CoverCW(genus)
 
-
-def check_chain_complex(cover: CoverCW) -> bool:
-    """Verify d1 . d2 = 0; returns True or raises AssertionError."""
-    product = matmul(cover.d1, cover.d2)
-    if any(row != 0 for row in product.data):
-        raise AssertionError("boundary maps do not compose to zero")
-    return True

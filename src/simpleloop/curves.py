@@ -4,13 +4,14 @@ A Dehn twist along a simple closed curve is a homeomorphism of the surface,
 so twist images of simple curves are simple. The module ships a fixed table
 of twist actions on the surface group generators: one twist per handle curve
 a_i and b_i, plus one per connector curve between adjacent handles, together
-with their inverses. Each table entry is certified at load time: it must fix
-the free conjugacy class of the defining relator (making the substitution an
-automorphism of the surface group) and compose with its inverse to the exact
-identity substitution. Every class this module emits therefore carries a
-replayable certificate (standard curve name plus twist names) that proves
-simplicity; the enumeration makes no completeness claim. The twist depth is
-budgeted per genus (MAX_DEPTH) before any work starts.
+with their inverses. Each table entry is certified at load time: its image
+of the defining relator must be the relator itself, letter for letter, so
+the substitution maps the relator's normal closure into itself, and it must
+compose with its inverse to the exact identity substitution, so it is an
+automorphism of the surface group. Every class this module emits therefore
+carries a replayable certificate (standard curve name plus twist names) that
+proves simplicity; the enumeration makes no completeness claim. The twist
+depth is budgeted per genus (MAX_DEPTH) before any work starts.
 
 One verification pass (verify_non_geometric) walks each class once: the walk
 decides whether the class lies in the kernel of rho and whether it passes
@@ -97,13 +98,9 @@ def _raw_twist_images(genus: int) -> dict[str, dict[int, Word]]:
 
 def _validate_table(genus: int, table: dict[str, "TwistAutomorphism"]) -> None:
     relator = surface_relator(genus)
-    target = canonical_class(relator)
     for name, t in table.items():
-        image = apply_twist(t, relator)
-        if canonical_class(image) != target:
-            raise AssertionError(
-                "twist %s does not preserve the relator class" % name
-            )
+        if apply_twist(t, relator) != relator:
+            raise AssertionError("twist %s does not fix the relator" % name)
         partner = table[_partner(name)]
         for k in range(1, 2 * genus + 1):
             round_trip = apply_twist(partner, apply_twist(t, (k,)))

@@ -191,20 +191,19 @@ def free_factor_sidedness() -> dict:
     return report
 
 
-def extend_to_dimension(n: int, scan: dict) -> dict:
+def extend_to_dimension(n: int) -> dict:
     """The torus demo with the target thickened to ambient dimension n.
 
     For n at least 5 the extra factor is simply connected, the fundamental
-    group is unchanged and the kernel scan (a torus_kernel_scan result)
-    applies verbatim. Dimension 4 adds a circle factor to the fundamental
-    group, so the record carries a warning instead of a geometric conclusion.
+    group is unchanged and the torus kernel scan applies verbatim. Dimension
+    4 adds a circle factor to the fundamental group, so the record carries a
+    warning instead of a geometric conclusion.
     """
     if n < 4:
         raise ValueError("ambient dimension must be at least 4")
     record = {
         "dimension": n,
         "pi1_unchanged": n >= 5,
-        "scan": scan,
     }
     if n == 4:
         record["warning"] = (

@@ -13,18 +13,11 @@ from dataclasses import dataclass
 __all__ = [
     "Echelon",
     "GF2Matrix",
-    "dot",
     "rank",
     "rref",
     "kernel_basis",
-    "matmul",
     "QuotientMap",
 ]
-
-
-def dot(x: int, y: int) -> int:
-    """Parity of the overlap of two bitmask vectors."""
-    return (x & y).bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -42,19 +35,6 @@ class GF2Matrix:
         for r in self.data:
             if r < 0 or r & ~mask:
                 raise ValueError("row has bits outside the column range")
-
-    def row(self, i: int) -> int:
-        return self.data[i]
-
-    def column(self, j: int) -> int:
-        out = 0
-        for i, r in enumerate(self.data):
-            if (r >> j) & 1:
-                out |= 1 << i
-        return out
-
-    def transpose(self) -> "GF2Matrix":
-        return GF2Matrix(self.cols, self.rows, tuple(self.column(j) for j in range(self.cols)))
 
 
 def rref(rows: list[int]) -> tuple[list[int], list[int]]:
@@ -95,22 +75,6 @@ def kernel_basis(m: GF2Matrix) -> list[int]:
                 v |= 1 << piv
         basis.append(v)
     return basis
-
-
-def matmul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
-    """Matrix product over GF(2)."""
-    if a.cols != b.rows:
-        raise ValueError("inner dimensions do not match")
-    bcols = [b.column(j) for j in range(b.cols)]
-    data = []
-    for i in range(a.rows):
-        r = a.data[i]
-        out = 0
-        for j, c in enumerate(bcols):
-            if dot(r, c):
-                out |= 1 << j
-        data.append(out)
-    return GF2Matrix(a.rows, b.cols, tuple(data))
 
 
 class Echelon:
@@ -166,7 +130,6 @@ class QuotientMap:
         cycles: basis of the cycle subspace, as bitmask vectors.
         boundaries: spanning set of the boundary subspace; must lie in
             the span of ``cycles``.
-        n_cols: ambient dimension.
 
     Attributes:
         dim: dimension of the quotient.
@@ -174,8 +137,7 @@ class QuotientMap:
             cycle that opens coordinate j gets exactly ``1 << j``.
     """
 
-    def __init__(self, cycles: list[int], boundaries: list[int], n_cols: int):
-        self.n_cols = n_cols
+    def __init__(self, cycles: list[int], boundaries: list[int]):
         cycle_span = Echelon()
         for c in cycles:
             cycle_span.insert(c, 0)

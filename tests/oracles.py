@@ -5,7 +5,9 @@ and builds its edge-class table on the cover with the spanning tree
 contracted. These helpers compute the same classes the long way, from
 full-width edge chains and the group law, so the tests can check the table,
 the walk and the deck-symmetry argument of the lift lemma in
-``verify_non_geometric`` against an independent path.
+``verify_non_geometric`` against an independent path. The package keeps
+no boundary matrices either: ``incidence`` and ``face_chains`` state the
+cover's chain complex in full, so the tests can check that it is one.
 
 The package multiplies in G through representative words. The reference
 law here states G as an extension of the deck group by H1 instead: the
@@ -21,7 +23,7 @@ import functools
 import random
 
 from simpleloop.curves import SimpleClass, standard_curves, twist_table
-from simpleloop.gf2 import Echelon, QuotientMap
+from simpleloop.gf2 import Echelon, GF2Matrix, QuotientMap
 from simpleloop.quotient import GElement, inv, mul, rho
 from simpleloop.words import (
     abelianization_mod2,
@@ -67,15 +69,29 @@ def cycle_basis(cover) -> tuple[int, ...]:
     return tuple(cycles)
 
 
+def incidence(cover) -> GF2Matrix:
+    """Vertex-by-edge boundary matrix: row v marks the edges that end at v."""
+    rows = [0] * cover.n_vertices
+    for e in range(cover.n_edges):
+        v, w = cover.edge_endpoints(e)
+        rows[v] |= 1 << e
+        rows[w] |= 1 << e
+    return GF2Matrix(cover.n_vertices, cover.n_edges, tuple(rows))
+
+
+def face_chains(cover) -> tuple[int, ...]:
+    """Per face v, the full-width edge chain of the relator lifted from v."""
+    relator = surface_relator(cover.genus)
+    return tuple(cover.lift(relator, v)[0] for v in range(cover.n_faces))
+
+
 def full_quotient(cover) -> QuotientMap:
     """H1 quotient map over full-width edge chains.
 
     Eliminates the fundamental cycles against the lifted faces without
     contracting the tree, so its coordinates check the cover's edge table.
     """
-    relator = surface_relator(cover.genus)
-    faces = [cover.lift(relator, v)[0] for v in range(cover.n_faces)]
-    return QuotientMap(cycle_basis(cover), faces, cover.n_edges)
+    return QuotientMap(cycle_basis(cover), face_chains(cover))
 
 
 def image_rank_by_group_law(ctx, n_samples: int = 500, seed: int = 0) -> dict:

@@ -9,10 +9,9 @@ from simpleloop.cover import (
     CoverCW,
     ResourceLimitError,
     build_mod2_cover,
-    check_chain_complex,
     cover_genus,
 )
-from simpleloop.gf2 import kernel_basis, rank
+from simpleloop.gf2 import GF2Matrix, kernel_basis, rank
 from simpleloop.quotient import GroupContext, search_kernel_elements
 from simpleloop.realize import recipe_for_G
 from simpleloop.words import (
@@ -27,7 +26,9 @@ from oracles import (
     cycle_basis,
     deck_action,
     deck_apply,
+    face_chains,
     full_quotient,
+    incidence,
     loop_class,
     translate_chain,
     tree_chains,
@@ -47,25 +48,33 @@ def test_genus2_cell_counts_and_invariants():
 
 
 def test_boundary_maps_compose_to_zero():
-    cover = build_mod2_cover(2)
-    assert check_chain_complex(cover)
+    # Every face chain lies in the kernel of the incidence matrix: adding
+    # the faces to a kernel basis leaves its rank unchanged.
+    for genus in (2, 3, 4):
+        cover = build_mod2_cover(genus)
+        kernel = kernel_basis(incidence(cover))
+        faces = face_chains(cover)
+        both = GF2Matrix(len(kernel) + len(faces), cover.n_edges, tuple(kernel) + faces)
+        assert rank(both) == len(kernel)
 
 
 def test_boundary_ranks_genus2():
     cover = build_mod2_cover(2)
-    assert rank(cover.d1) == 15
-    assert rank(cover.d2) == 15
-    assert len(kernel_basis(cover.d1)) == 49
+    d1 = incidence(cover)
+    assert rank(d1) == 15
+    assert rank(GF2Matrix(cover.n_faces, cover.n_edges, face_chains(cover))) == 15
+    assert len(kernel_basis(d1)) == 49
     assert len(cycle_basis(cover)) == 49
     assert cover.n_edges - cover.n_vertices + 1 == 49
 
 
 def test_fundamental_cycles_are_cycles():
     cover = build_mod2_cover(2)
+    d1 = incidence(cover)
     for cycle in cycle_basis(cover):
         boundary = 0
         for v in range(cover.n_vertices):
-            if (cover.d1.row(v) & cycle).bit_count() & 1:
+            if (d1.data[v] & cycle).bit_count() & 1:
                 boundary |= 1 << v
         assert boundary == 0
 
@@ -143,6 +152,14 @@ def test_h1_dim_is_checked_against_the_cover_genus(monkeypatch):
         build_mod2_cover(2)
 
 
+def test_open_relator_lift_is_rejected(monkeypatch):
+    # The face boundaries are the relator's lifts, so a relator whose lift
+    # does not close up would give faces with a nonzero boundary.
+    monkeypatch.setattr(cover_module, "surface_relator", lambda genus: (1,))
+    with pytest.raises(AssertionError, match="relator lift must close up"):
+        build_mod2_cover(2)
+
+
 def test_relator_is_lifted_once_per_vertex(monkeypatch):
     relator = surface_relator(3)
     starts = []
@@ -155,7 +172,6 @@ def test_relator_is_lifted_once_per_vertex(monkeypatch):
 
     monkeypatch.setattr(CoverCW, "lift", counting_lift)
     cover = build_mod2_cover(3)
-    assert check_chain_complex(cover)
     assert sorted(starts) == list(range(cover.n_faces))
 
 
@@ -332,10 +348,3 @@ def test_loop_class_rejects_open_chain():
     with pytest.raises(ValueError):
         loop_class(cover, 1 << cover.n_edges)
 
-
-def test_boundary_matrices_built_on_first_read():
-    cover = build_mod2_cover(2)
-    assert "d1" not in vars(cover) and "d2" not in vars(cover)
-    assert cover.d2 is cover.d2
-    assert (cover.d1.rows, cover.d1.cols) == (16, 64)
-    assert (cover.d2.rows, cover.d2.cols) == (64, 16)

@@ -67,6 +67,19 @@ def test_validation_rejects_non_automorphism():
         _validate_table(2, bad)
 
 
+def test_validation_rejects_a_conjugation():
+    # Conjugation by a1 fixes the relator's conjugacy class and cancels with
+    # its inverse, but moves the relator itself.
+    conj = {
+        "conj": TwistAutomorphism(name="conj", images={k: (1, k, -1) for k in range(1, 5)}),
+        "conj_inv": TwistAutomorphism(name="conj_inv", images={k: (-1, k, 1) for k in range(1, 5)}),
+    }
+    relator = surface_relator(2)
+    assert canonical_class(apply_twist(conj["conj"], relator)) == canonical_class(relator)
+    with pytest.raises(AssertionError, match="does not fix the relator"):
+        _validate_table(2, conj)
+
+
 def test_identity_images_leave_words_alone():
     t = TwistAutomorphism(name="id", images={})
     rng = random.Random(1)

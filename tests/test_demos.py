@@ -178,15 +178,12 @@ def test_sidedness_report_needs_one_image_per_source_generator(images):
 
 
 def test_extend_to_dimension():
-    scan = torus_kernel_scan(20)
     for n in (5, 6):
-        record = extend_to_dimension(n, scan)
+        record = extend_to_dimension(n)
         assert record["pi1_unchanged"]
-        assert record["scan"]["non_geometric"]
         assert "warning" not in record
-    record = extend_to_dimension(4, scan)
+    record = extend_to_dimension(4)
     assert not record["pi1_unchanged"]
     assert "warning" in record
-    assert record["scan"]["non_geometric"]
     with pytest.raises(ValueError):
-        extend_to_dimension(3, scan)
+        extend_to_dimension(3)

@@ -4,18 +4,17 @@ The base surface of genus g has one vertex, 2g loop edges and one face. Its
 mod-2 homology cover has deck group Z2^(2g): vertices are bitmasks v in
 [0, 2^(2g)), the lift of loop k starting at v is an edge from v to
 v ^ (1 << (k - 1)), and one face per vertex carries the lifted relator.
-Every edge carries its H1 class: 0 on the spanning tree, the class of its
-fundamental cycle otherwise. The class of any lifted loop, closed up
-through the tree, is then the XOR of these entries along the lift.
-CoverCW.walk computes it and is the one way from a lifted word to an H1
-class: the finite quotient group and the lift lemma read the complex
-through it.
+Every edge carries its H1 class, from one tree-cotree pass over the faces:
+0 on the spanning tree, the class of its fundamental cycle otherwise. The
+class of any lifted loop, closed up through the tree, is then the XOR of
+these entries along the lift. CoverCW.walk computes it and is the one way
+from a lifted word to an H1 class: the finite quotient group and the lift
+lemma read the complex through it.
 """
 
 from dataclasses import dataclass
 
-from .gf2 import QuotientMap
-from .words import inverse, surface_relator
+from .words import inverse
 
 MAX_GENUS = 4
 
@@ -81,7 +80,7 @@ class CoverCW:
         edge_classes: per edge, its H1 coordinates: 0 for a tree edge, the
             class of its fundamental cycle for a non-tree edge.
         unit_cycle_words: per H1 coordinate j, a loop at vertex 0 of class
-            1 << j (the Schreier word of a non-tree edge of that class).
+            1 << j: the Schreier word of basis edge j (non-tree, non-cotree).
     """
 
     def __init__(self, genus: int):
@@ -175,31 +174,45 @@ class CoverCW:
             e for e in range(self.n_edges) if (e // n) >> (e % n)
         )
 
-    def _build_h1(self) -> None:
-        # Contracting the spanning tree maps cycles one-to-one onto chains of
-        # non-tree edges: a fundamental cycle becomes its own non-tree edge,
-        # and a face keeps only its non-tree edges.
-        relator = surface_relator(self.genus)
-        nontree = sum(1 << e for e in self.nontree_edges)
-        faces = []
-        for v in range(self.n_faces):
-            chain, end = self.lift(relator, v)
-            if end != v:
-                raise AssertionError("relator lift must close up")
-            faces.append(chain & nontree)
-        h1 = QuotientMap([1 << e for e in self.nontree_edges], faces)
-        self.h1_dim = h1.dim
-        if self.h1_dim != 2 * cover_genus(self.genus):
-            raise AssertionError("H1 dimension %d is not twice the cover genus" % h1.dim)
+    def _face_edges(self, f: int):
+        """Yield face f's 4g edges in relator order, each with the face across it."""
+        for k in range(1, 2 * self.genus, 2):
+            a, b = 1 << (k - 1), 1 << k
+            yield self.edge_index(f, k), f ^ b
+            yield self.edge_index(f ^ a, k + 1), f ^ a
+            yield self.edge_index(f ^ b, k), f ^ b
+            yield self.edge_index(f, k + 1), f ^ a
 
+    def _build_h1(self) -> None:
+        # Tree-cotree: a BFS over the faces from face 0, crossing non-tree
+        # edges only, grows the cotree; the non-tree edges left over are the
+        # basis. Leaves first, each face gives its cotree edge the XOR of its
+        # other edges. Face 0's relation follows (each edge is in two faces).
+        nontree = set(self.nontree_edges)
+        cotree = {0: None}
+        order = [0]
+        for f in order:
+            for e, g in self._face_edges(f):
+                if e in nontree and g not in cotree:
+                    cotree[g] = e
+                    order.append(g)
+        basis = sorted(nontree.difference(cotree.values()))
+        self.h1_dim = len(basis)
+        if self.h1_dim != 2 * cover_genus(self.genus):
+            raise AssertionError("H1 dimension %d is not twice the cover genus" % self.h1_dim)
         classes = [0] * self.n_edges
-        unit_words = {}
-        for e, h in zip(self.nontree_edges, h1.cycle_coords):
-            classes[e] = h
-            if h.bit_count() == 1 and h not in unit_words:
-                unit_words[h] = self.schreier_word(e)
+        for j, e in enumerate(basis):
+            classes[e] = 1 << j
+        for f, e in reversed(cotree.items()):
+            h = 0
+            for edge, _ in self._face_edges(f):
+                h ^= classes[edge]
+            if f:
+                classes[e] = h
+            elif h:
+                raise AssertionError("face 0 relation does not hold")
         self.edge_classes = tuple(classes)
-        self.unit_cycle_words = tuple(unit_words[1 << j] for j in range(self.h1_dim))
+        self.unit_cycle_words = tuple(self.schreier_word(e) for e in basis)
         # The edge table by (letter, start vertex): letter k from v runs
         # along edge (v, k), letter -k along edge (v ^ bit, k) backwards.
         self._letter_classes = {}

@@ -12,7 +12,8 @@ character equals the target character composed with the induced map.
 import math
 from dataclasses import dataclass
 
-from .cover import check_genus
+from .cover import build_mod2_cover, check_genus
+from .quotient import GroupContext, in_kernel
 from .realize import Presentation
 from .words import Word, gen_name, substitute, surface_relator
 
@@ -159,16 +160,18 @@ def main_construction_sidedness(genus: int = 2) -> dict:
     """Sidedness of the surface map into the constructed target manifold.
 
     Both orientation characters are trivial (orientable surface, orientable
-    target), so the map is 2-sided whatever the generator images are; the
-    target word problem is not available here and the note records that.
+    target), so the map is 2-sided whatever the generator images are. The
+    target's word problem is G's, in_kernel, which checks the relator image.
     """
     check_genus(genus)
+    ctx = GroupContext(build_mod2_cover(genus))
     n = 2 * genus
     report = sidedness_report(
         _surface_group(genus),
         OrientationCharacter((0,) * n),
         OrientationCharacter((0,) * n),
         {k: (k,) for k in range(1, n + 1)},
+        lambda w: in_kernel(ctx, w),
     )
     report["name"] = "surface into the realized target (genus %d)" % genus
     return report
@@ -196,8 +199,8 @@ def extend_to_dimension(n: int) -> dict:
 
     For n at least 5 the extra factor is simply connected, the fundamental
     group is unchanged and the torus kernel scan applies verbatim. Dimension
-    4 adds a circle factor to the fundamental group, so the record carries a
-    warning instead of a geometric conclusion.
+    4 adds a circle factor to the fundamental group; the record's warning
+    says why the kernel of the induced map is unchanged all the same.
     """
     if n < 4:
         raise ValueError("ambient dimension must be at least 4")
@@ -207,7 +210,7 @@ def extend_to_dimension(n: int) -> dict:
     }
     if n == 4:
         record["warning"] = (
-            "the thickening factor in dimension 4 is a circle, which changes "
-            "the fundamental group; flagged for manual review"
+            "the circle factor in dimension 4 adds a Z factor to pi1, but f lands in "
+            "M x {pt} and pi1(M) is a retract of pi1(M x S^1), so ker f_* is unchanged"
         )
     return record

@@ -132,9 +132,8 @@ class QuotientMap:
             the span of ``cycles``.
 
     Attributes:
-        dim: dimension of the quotient.
-        cycle_coords: coordinates of each input cycle, in input order; the
-            cycle that opens coordinate j gets exactly ``1 << j``.
+        dim: dimension of the quotient; the input cycle that opens
+            coordinate j has coordinates exactly ``1 << j``.
     """
 
     def __init__(self, cycles: list[int], boundaries: list[int]):
@@ -148,11 +147,6 @@ class QuotientMap:
         for b in boundaries:
             self._echelon.insert(b, 0)
         self.dim = 0
-        coords = []
         for z in cycles:
-            tag = self._echelon.insert(z, 1 << self.dim)
-            if tag is None:
-                tag = 1 << self.dim
+            if self._echelon.insert(z, 1 << self.dim) is None:
                 self.dim += 1
-            coords.append(tag)
-        self.cycle_coords = tuple(coords)

@@ -1,13 +1,14 @@
 """Slow reference paths shared by the tests.
 
 The package reads H1 classes of lifted words only through ``CoverCW.walk``,
-and builds its edge-class table on the cover with the spanning tree
-contracted. These helpers compute the same classes the long way, from
-full-width edge chains and the group law, so the tests can check the table,
-the walk and the deck-symmetry argument of the lift lemma in
-``verify_non_geometric`` against an independent path. The package keeps
-no boundary matrices either: ``incidence`` and ``face_chains`` state the
-cover's chain complex in full, so the tests can check that it is one.
+and builds its edge-class table by tree-cotree over the closed-form faces,
+with no elimination. These helpers compute the same classes the long way,
+by Gaussian elimination over full-width edge chains and by the group law,
+so the tests can check the table, the walk and the deck-symmetry argument
+of the lift lemma in ``verify_non_geometric`` against an independent path.
+The package keeps no boundary matrices either: ``incidence`` and
+``face_chains`` (the relator lifted from each vertex) state the cover's
+chain complex in full, so the tests can check that it is one.
 
 The package multiplies in G through representative words. The reference
 law here states G as an extension of the deck group by H1 instead: the
@@ -89,9 +90,15 @@ def full_quotient(cover) -> QuotientMap:
     """H1 quotient map over full-width edge chains.
 
     Eliminates the fundamental cycles against the lifted faces without
-    contracting the tree, so its coordinates check the cover's edge table.
+    contracting the tree or growing a cotree, so its coordinates check the
+    cover's edge table. The cycles that ``unit_cycle_words`` lift to go
+    first, so cycle j gets coordinates 1 << j only if they are independent
+    modulo the faces: then both sides use the same basis.
     """
-    return QuotientMap(cycle_basis(cover), face_chains(cover))
+    units = [cover.lift(w, 0)[0] for w in cover.unit_cycle_words]
+    first = set(units)
+    cycles = units + [c for c in cycle_basis(cover) if c not in first]
+    return QuotientMap(cycles, face_chains(cover))
 
 
 def image_rank_by_group_law(ctx, n_samples: int = 500, seed: int = 0) -> dict:

@@ -152,27 +152,49 @@ def test_h1_dim_is_checked_against_the_cover_genus(monkeypatch):
         build_mod2_cover(2)
 
 
-def test_open_relator_lift_is_rejected(monkeypatch):
-    # The face boundaries are the relator's lifts, so a relator whose lift
-    # does not close up would give faces with a nonzero boundary.
-    monkeypatch.setattr(cover_module, "surface_relator", lambda genus: (1,))
-    with pytest.raises(AssertionError, match="relator lift must close up"):
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_face_edges_are_the_relator_lift(genus):
+    cover = build_mod2_cover(genus)
+    relator = surface_relator(genus)
+    for f in range(cover.n_faces):
+        chain, end = cover.lift(relator, f)
+        assert end == f
+        edges = [e for e, _ in cover._face_edges(f)]
+        assert sorted(edges) == [e for e in range(cover.n_edges) if chain >> e & 1]
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_every_edge_lies_in_exactly_two_faces(genus):
+    cover = build_mod2_cover(genus)
+    faces_of = [[] for _ in range(cover.n_edges)]
+    pairs = []
+    for f in range(cover.n_faces):
+        for e, across in cover._face_edges(f):
+            faces_of[e].append(f)
+            pairs.append((e, {f, across}))
+    for faces in faces_of:
+        assert len(set(faces)) == len(faces) == 2
+    # The face named across an edge is the other face that holds it.
+    for e, faces in pairs:
+        assert faces == set(faces_of[e])
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_unit_cycle_words_walk_to_unit_classes(genus):
+    cover = build_mod2_cover(genus)
+    assert len(cover.unit_cycle_words) == cover.h1_dim
+    for j, word in enumerate(cover.unit_cycle_words):
+        assert cover.walk(word, 0) == (1 << j, 0)
+
+
+def test_face_zero_relation_is_checked(monkeypatch):
+    # Dropping a1's lift from the start of every face leaves each such edge
+    # in one face, so the relations of the other faces no longer imply
+    # face 0's.
+    face_edges = CoverCW._face_edges
+    monkeypatch.setattr(CoverCW, "_face_edges", lambda self, f: list(face_edges(self, f))[1:])
+    with pytest.raises(AssertionError, match="face 0 relation"):
         build_mod2_cover(2)
-
-
-def test_relator_is_lifted_once_per_vertex(monkeypatch):
-    relator = surface_relator(3)
-    starts = []
-    lift = CoverCW.lift
-
-    def counting_lift(self, word, start):
-        if word == relator:
-            starts.append(start)
-        return lift(self, word, start)
-
-    monkeypatch.setattr(CoverCW, "lift", counting_lift)
-    cover = build_mod2_cover(3)
-    assert sorted(starts) == list(range(cover.n_faces))
 
 
 def test_lift_endpoint_tracks_abelianization():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from simpleloop import demos
 from simpleloop.cover import ResourceLimitError
 from simpleloop.demos import (
     OrientationCharacter,
@@ -102,7 +103,13 @@ def test_torus_inclusion_is_one_sided():
 def test_main_construction_is_two_sided():
     report = main_construction_sidedness(2)
     assert report["two_sided"] is True
-    assert any("not checked" in note for note in report["notes"])
+    assert report["notes"] == []
+
+
+def test_main_construction_checks_the_relator_image_in_G(monkeypatch):
+    monkeypatch.setattr(demos, "in_kernel", lambda ctx, w: False)
+    with pytest.raises(ValueError, match="relator image is nontrivial"):
+        main_construction_sidedness(2)
 
 
 def test_main_construction_genus_bounds():
@@ -184,6 +191,6 @@ def test_extend_to_dimension():
         assert "warning" not in record
     record = extend_to_dimension(4)
     assert not record["pi1_unchanged"]
-    assert "warning" in record
+    assert "retract" in record["warning"] and "ker f_* is unchanged" in record["warning"]
     with pytest.raises(ValueError):
         extend_to_dimension(3)

@@ -1,6 +1,9 @@
-"""Every name a module exports resolves and is listed once."""
+"""Every name a module exports resolves and is listed once, and every layer
+and class the benchmark tracer looks up by name exists."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -11,3 +14,24 @@ def test_all_names_resolve_once(module):
     assert len(mod.__all__) == len(set(mod.__all__))
     for name in mod.__all__:
         assert hasattr(mod, name), name
+
+
+def _load_tracing():
+    # perfbench/tracing.py imports only the standard library; load it by
+    # path so the package's own test run needs no harness on sys.path.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_layers_and_classes_resolve():
+    # The benchmark's tracer wraps these by name; a missing one breaks its
+    # traced runs.
+    tracing = _load_tracing()
+    for layer in tracing.LAYERS:
+        importlib.import_module("%s.%s" % (tracing.PACKAGE, layer))
+    for module, cls in tracing.CLASSES:
+        mod = importlib.import_module("%s.%s" % (tracing.PACKAGE, module))
+        assert isinstance(getattr(mod, cls, None), type), (module, cls)

@@ -3,7 +3,8 @@
 Commands: info, verify, search-kernel, lemma-check, torus-demo, realize.
 Each command returns (exit code, records, text lines), and main writes the
 records as JSON lines (schema field on every record) or the text, one line
-at a time. Exit codes: 0 success, 1 verification failure (including no
+at a time; records may be an iterator whose records are built as they are
+written. Exit codes: 0 success, 1 verification failure (including no
 kernel witness at the requested bound), 2 usage or configuration error,
 3 resource bound.
 """
@@ -12,6 +13,7 @@ import argparse
 import contextlib
 import json
 import os
+import resource
 import sys
 import time
 
@@ -98,6 +100,11 @@ def cmd_info(args):
     ]
 
 
+def _peak_rss_mb():
+    """Peak resident set size of this process so far, in MB (ru_maxrss is KiB)."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def _timed(timing, key, fn, *args, **kwargs):
     """Call fn and record its wall time in seconds as timing[key]."""
     start = time.perf_counter()
@@ -167,10 +174,17 @@ def cmd_verify(args):
         "image_rank": rank,
         "completeness_note": report.completeness_note,
         "timing": timing,
+        "peak_rss_mb": _peak_rss_mb(),
     }
-    records = [summary]
-    records.extend(_witness_record(args.genus, w, flag) for w, flag in witnesses)
-    records.extend({"kind": "class", **rec} for rec in report.records)
+
+    def records():
+        # The witness and class records are built as they are written.
+        yield summary
+        yield from (_witness_record(args.genus, w, flag) for w, flag in witnesses)
+        for rec in report.records:
+            rec["kind"] = "class"
+            yield rec
+
     lines = [
         "status: %s" % status,
         "classes: %d (%d separating, %d nonseparating)"
@@ -189,7 +203,7 @@ def cmd_verify(args):
     ]
     if status == "no_witness_at_bound":
         lines.append(NO_WITNESS)
-    return (0 if status == "ok" else 1), records, lines
+    return (0 if status == "ok" else 1), records(), lines
 
 
 def cmd_search_kernel(args):
@@ -234,6 +248,7 @@ def cmd_lemma_check(args):
         "lifts_per_class": ctx.cover.n_vertices,
         "failures": failures,
         "timing": timing,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     return (1 if failures else 0), [summary], [
         "separating classes checked: %d (%d lifts each)"

@@ -12,7 +12,7 @@ from a lifted word to an H1 class: the finite quotient group and the lift
 lemma read the complex through it.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import inverse
 
@@ -43,8 +43,7 @@ def cover_genus(genus: int) -> int:
     return 1 + (1 << (2 * genus)) * (genus - 1)
 
 
-@dataclass(frozen=True)
-class CoverStats:
+class CoverStats(NamedTuple):
     """Cell counts and derived invariants of a covering surface."""
 
     base_genus: int

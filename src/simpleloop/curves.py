@@ -18,14 +18,17 @@ decides whether the class lies in the kernel of rho and whether it passes
 the lift lemma.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cover import ResourceLimitError
 from .quotient import GroupContext, rho
 from .words import (
     Word,
-    _canonical_reduced,
+    _canonical_images,
+    _key_string,
+    _key_translation,
+    _key_word,
     canonical_class,
     check_length_bound,
     free_reduce,
@@ -37,8 +40,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class TwistAutomorphism:
+class TwistAutomorphism(NamedTuple):
     """A Dehn twist's action on the surface group generators.
 
     Attributes:
@@ -47,11 +49,10 @@ class TwistAutomorphism:
     """
 
     name: str
-    images: dict[int, Word] = field(compare=False)
+    images: dict[int, Word]
 
 
-@dataclass(frozen=True)
-class SimpleClass:
+class SimpleClass(NamedTuple):
     """A certified simple closed curve class.
 
     Attributes:
@@ -197,12 +198,14 @@ def replay_certificate(genus: int, root: str, twists: tuple[str, ...]) -> Word:
     return w
 
 
-# Deepest twist BFS per genus. Each level costs about 4-5 times the one
-# before (measured in process at max_len 64, 2-vCPU VM):
-#   g = 2: depth 7 gives 44 490 classes in 1.7 s; depth 8 takes 11.4 s, 182 MB.
-#   g = 3: depth 6 gives 48 999 classes in 2.5 s; depth 7 gives 232 786 in
-#          14.6 s, 151 MB.
-#   g = 4: depth 6 gives 91 004 classes in 4.5 s, 67 MB.
+# Deepest twist BFS per genus. Each level costs about 4-8 times the one
+# before (generate_simple_classes alone, measured in process at max_len 64
+# on a 2-vCPU VM, peak RSS of the process):
+#   g = 2: depth 7 gives 44 490 classes in 1.0 s, 49 MB; depth 8 gives
+#          155 986 in 6.1 s, 146 MB.
+#   g = 3: depth 6 gives 48 999 classes in 1.0 s; depth 7 gives 232 786 in
+#          8.0 s, 200 MB.
+#   g = 4: depth 6 gives 91 004 classes in 2.0 s, 81 MB.
 MAX_DEPTH = {2: 7, 3: 6, 4: 6}
 
 
@@ -258,54 +261,71 @@ def generate_simple_classes(
       c" test s(c) could be skipped at c and found later under another
       certificate.
 
-    Twist images come out of substitute freely reduced, so only the seam
-    is cut before the least rotation is taken.
+    A level's skips read only the records of the level above, so each level
+    decides every skip first, then applies each twist to its whole batch of
+    classes at once (_canonical_images), then numbers the new classes in (class,
+    twist) order. Classes are deduplicated on their key strings.
     """
     check_depth(depth, genus)
     check_length_bound(max_len, "max_len")
     table = twist_table(genus)
     names = sorted(table)
     twists = [table[name] for name in names]
-    moves = [frozenset(t.images) for t in twists]
+    # Per twist, the key characters of the letters it moves.
+    moves = [frozenset(_key_string(x for k in t.images for x in (k, -k))) for t in twists]
+    translations = [_key_translation(t.images) for t in twists]
     undo = [names.index(_partner(name)) for name in names]
     pairs = commuting_twists(genus)
     commutes = [
         frozenset(j for j, s in enumerate(names) if (s, t) in pairs) for t in names
     ]
-    position: dict[Word, int] = {}
+    position: dict[str, int] = {}
     order: list[SimpleClass] = []
+    # Frontier entries: (class number, key string, parent's number, index of
+    # the last twist, parent's record). The record of a class p lists, per
+    # twist j, the number of class(j(p)), or inf while that is not known.
+    frontier = []
     for sc in standard_curves(genus):
-        if sc.cls not in position:
-            position[sc.cls] = len(order)
+        key = _key_string(sc.cls)
+        if key not in position:
+            position[key] = len(order)
+            frontier.append((len(order), key, None, None, None))
             order.append(sc)
-    # Frontier entries: (class number, parent's number, index of the last
-    # twist, parent's record). The record of a class p lists, per twist j,
-    # the number of class(j(p)), or inf while that is not known.
     unknown = float("inf")
-    frontier = [(n, None, None, None) for n in range(len(order))]
     for level in range(depth):
         # Classes found at the last level are not expanded, so they get no
         # frontier entry, and the records made for their parents are freed
         # at once.
         expand_next = level + 1 < depth
-        next_frontier = []
-        for n, parent, last, above in frontier:
-            sc = order[n]
-            letters = {abs(x) for x in sc.cls}
+        batches = [[] for _ in twists]
+        expansions = []
+        for n, key, parent, last, above in frontier:
+            letters = set(key)
             record = [unknown] * len(twists)
             undone, commuting = None, frozenset()
             if last is not None:
                 undone, commuting = undo[last], commutes[last]
                 record[undone] = parent
-            for j, twist in enumerate(twists):
+            applied = []
+            for j, moved in enumerate(moves):
                 if j == undone:
                     continue
-                if moves[j].isdisjoint(letters):
+                if moved.isdisjoint(letters):
                     record[j] = n
                     continue
                 if j in commuting and above[j] < n:
                     continue
-                cls = _canonical_reduced(apply_twist(twist, sc.cls))
+                batches[j].append(key)
+                applied.append(j)
+            expansions.append((n, record, applied))
+        next_image = [
+            iter(_canonical_images(*tb, genus)).__next__ for tb in zip(translations, batches)
+        ]
+        next_frontier = []
+        for n, record, applied in expansions:
+            sc = order[n]
+            for j in applied:
+                cls = next_image[j]()
                 if len(cls) > max_len:
                     continue
                 m = position.get(cls)
@@ -313,33 +333,51 @@ def generate_simple_classes(
                     m = position[cls] = len(order)
                     order.append(
                         SimpleClass(
-                            cls=cls,
-                            root=sc.root,
-                            twists=sc.twists + (names[j],),
-                            separating=sc.separating,
+                            _key_word(cls), sc.root, sc.twists + (names[j],), sc.separating
                         )
                     )
                     if expand_next:
-                        next_frontier.append((m, n, j, record))
+                        next_frontier.append((m, cls, n, j, record))
                 record[j] = m
         frontier = next_frontier
     return order
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of testing certified simple classes against the kernel."""
+class VerificationReport(NamedTuple):
+    """Outcome of testing certified simple classes against the kernel.
+
+    flags has one byte per class: bit 0 is v != 0, bit 1 h != 0 for its rho.
+    """
 
     total: int
     n_separating: int
     n_nonseparating: int
     kernel_hits: list[dict]
-    records: list[dict]
     lemma_failures: list[dict]
+    classes: list[SimpleClass]
+    flags: bytearray
     completeness_note: str = (
         "certificates prove simplicity of every tested class; the family is "
         "not an exhaustive enumeration of simple classes"
     )
+
+    @property
+    def records(self):
+        """One record dict per class, in class order, built anew on each pass."""
+        return map(_class_record, self.classes, self.flags)
+
+
+def _class_record(sc: SimpleClass, flag: int) -> dict:
+    return {
+        "word": word_to_str(sc.cls),
+        "length": len(sc.cls),
+        "root": sc.root,
+        "twists": list(sc.twists),
+        "separating": sc.separating,
+        "v_nonzero": bool(flag & 1),
+        "h_nonzero": bool(flag & 2),
+        "in_kernel": not flag,
+    }
 
 
 def verify_non_geometric(
@@ -366,23 +404,13 @@ def verify_non_geometric(
     all fail when h == 0.
     """
     n_vertices = ctx.cover.n_vertices
-    records, hits, failures = [], [], []
+    flags, hits, failures = bytearray(), [], []
     for sc in classes:
         el = rho(ctx, sc.cls)
-        word = word_to_str(sc.cls)
-        rec = {
-            "word": word,
-            "length": len(sc.cls),
-            "root": sc.root,
-            "twists": list(sc.twists),
-            "separating": sc.separating,
-            "v_nonzero": el.v != 0,
-            "h_nonzero": el.h != 0,
-            "in_kernel": el.v == 0 and el.h == 0,
-        }
-        records.append(rec)
-        if rec["in_kernel"]:
-            hits.append(rec)
+        flag = (el.v != 0) | (el.h != 0) << 1
+        flags.append(flag)
+        if not flag:
+            hits.append(_class_record(sc, flag))
         if sc.separating and el.v:
             reasons = ["separating class with nonzero mod-2 image"]
         elif sc.separating and not el.h:
@@ -391,6 +419,7 @@ def verify_non_geometric(
             reasons = ["nonseparating class with zero mod-2 image"]
         else:
             continue
+        word = word_to_str(sc.cls)
         failures.extend({"word": word, "reason": r} for r in reasons)
     n_sep = sum(1 for sc in classes if sc.separating)
     return VerificationReport(
@@ -398,6 +427,7 @@ def verify_non_geometric(
         n_separating=n_sep,
         n_nonseparating=len(classes) - n_sep,
         kernel_hits=hits,
-        records=records,
         lemma_failures=failures,
+        classes=classes,
+        flags=flags,
     )

@@ -10,7 +10,7 @@ character equals the target character composed with the induced map.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cover import build_mod2_cover, check_genus
 from .quotient import GroupContext, in_kernel
@@ -18,8 +18,7 @@ from .realize import Presentation
 from .words import Word, gen_name, substitute, surface_relator
 
 
-@dataclass(frozen=True)
-class TorusClass:
+class TorusClass(NamedTuple):
     """A class (p, q) in the fundamental group Z x Z of the torus."""
 
     p: int
@@ -61,15 +60,15 @@ def torus_kernel_scan(bound: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class OrientationCharacter:
+class OrientationCharacter(NamedTuple("OrientationCharacter", [("values", tuple)])):
     """A homomorphism to Z2: values[k - 1] is its value on generator k."""
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not set(self.values) <= {0, 1}:
+    def __new__(cls, values: tuple[int, ...]):
+        if not set(values) <= {0, 1}:
             raise ValueError("character values must be 0 or 1")
+        return super().__new__(cls, values)
 
     def on_word(self, word: Word) -> int:
         """Value on a word of signed generator indices."""

@@ -8,7 +8,7 @@ out identical from run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "Echelon",
@@ -20,21 +20,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GF2Matrix:
+class GF2Matrix(NamedTuple("GF2Matrix", [("rows", int), ("cols", int), ("data", tuple)])):
     """Matrix over GF(2); rows[i] is an integer bitmask of width cols."""
 
-    rows: int
-    cols: int
-    data: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rows != len(self.data):
+    def __new__(cls, rows: int, cols: int, data: tuple[int, ...]):
+        if rows != len(data):
             raise ValueError("row count does not match data")
-        mask = (1 << self.cols) - 1
-        for r in self.data:
+        mask = (1 << cols) - 1
+        for r in data:
             if r < 0 or r & ~mask:
                 raise ValueError("row has bits outside the column range")
+        return super().__new__(cls, rows, cols, data)
 
 
 def rref(rows: list[int]) -> tuple[list[int], list[int]]:

@@ -10,18 +10,18 @@ product of two elements is the image of the product of representative
 words.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cover import CoverCW, ResourceLimitError, check_genus
 from .gf2 import Echelon
 from .words import (
     Word,
+    _key_string,
     canonical_class,
     check_length_bound,
     inverse,
     is_proper_power,
     is_trivial,
-    letter_order_key,
 )
 
 # Largest kernel search allowed: genus 3 at length 10 (193 260 half-words)
@@ -29,8 +29,7 @@ from .words import (
 MAX_HALF_WORDS = 500_000
 
 
-@dataclass(frozen=True)
-class GElement:
+class GElement(NamedTuple):
     """Group element as a (deck vector, H1 class) pair of GF(2) bitmasks."""
 
     v: int
@@ -154,7 +153,7 @@ def search_kernel_elements(
                     w = u + inverse(v)
                     if canonical_class(w) == w and not is_trivial(w, genus):
                         found.append(w)
-        found.sort(key=lambda w: list(map(letter_order_key, w)))
+        found.sort(key=_key_string)
         hits.extend((w, is_proper_power(w)) for w in found)
     return hits
 

@@ -11,7 +11,7 @@ recipe records the steps and that justification; it never claims a
 homeomorphism type.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cover import build_mod2_cover
 from .words import Word, free_reduce
@@ -19,8 +19,7 @@ from .words import Word, free_reduce
 DIMENSION_NOTE = "surgery loops embed disjointly and unknot in dimension >= 4"
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple("Presentation", [("generators", tuple), ("relators", tuple)])):
     """A finite group presentation over named generators.
 
     Relators are words over the generators encoded as tuples of nonzero
@@ -28,24 +27,23 @@ class Presentation:
     Relators are freely reduced at construction.
     """
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, generators: tuple[str, ...], relators: tuple[Word, ...]):
         seen = set()
-        for name in self.generators:
+        for name in generators:
             if not name or not name[0].islower():
                 raise ValueError("generator name %r must start lowercase" % (name,))
             if name in seen:
                 raise ValueError("duplicate generator name %r" % (name,))
             seen.add(name)
         reduced = []
-        for rel in self.relators:
+        for rel in relators:
             for x in rel:
-                if x == 0 or abs(x) > len(self.generators):
+                if x == 0 or abs(x) > len(generators):
                     raise ValueError("relator letter %d out of range" % x)
             reduced.append(free_reduce(rel))
-        object.__setattr__(self, "relators", tuple(reduced))
+        return super().__new__(cls, generators, tuple(reduced))
 
     def word_str(self, w: Word) -> str:
         parts = []
@@ -102,8 +100,7 @@ def free_product(p1: Presentation, p2: Presentation) -> Presentation:
     )
 
 
-@dataclass(frozen=True)
-class ManifoldRecipe:
+class ManifoldRecipe(NamedTuple):
     """A symbolic construction plan for a manifold with prescribed group."""
 
     dimension: int

@@ -77,7 +77,7 @@ def word_from_str(text: str, genus: int) -> Word:
 
 
 class _LetterMemo(dict):
-    """Values of a function of one letter, each computed on first use."""
+    """Values of a function of one letter or character, each computed on first use."""
 
     def __init__(self, fn):
         super().__init__()
@@ -241,20 +241,87 @@ def letter_order_key(x: int) -> int:
     return 2 * (abs(x) - 1) + (1 if x < 0 else 0)
 
 
-_ORDER_KEYS = _LetterMemo(letter_order_key)
+# A word's key string spells it one character per letter, chr(0x40 + key)
+# for the letter's letter_order_key. String order is then the letter order,
+# and inverting a letter flips the low bit of its character's code.
+_KEY_CHARS = _LetterMemo(lambda x: chr(0x40 + letter_order_key(x)))
+_KEY_LETTERS = _LetterMemo(lambda c: (ord(c) - 0x3E) // 2 * (-1 if ord(c) & 1 else 1))
+# str.translate table inverting each letter of a key string; characters
+# below 0x40, such as the "," between the words of a batch, stay as they are.
+_INVERT = _LetterMemo(lambda code: code ^ 1 if code >= 0x40 else code)
 
 
-def _least_start(keys: list[int], n: int, least: int) -> int:
-    """Start of the least rotation, given the doubled key list and its least key.
+def _key_string(w) -> str:
+    """Key string of a word: one character per letter, in the letter order."""
+    return "".join(map(_KEY_CHARS.__getitem__, w))
 
-    Only a rotation that starts at the least key can be the least; the
-    doubled list ends the scan at the first such start past n.
+
+def _key_word(key: str) -> Word:
+    """The word a key string spells."""
+    return tuple(map(_KEY_LETTERS.__getitem__, key))
+
+
+def _canonical_key(key: str, inv: str) -> str:
+    """Key string of canonical_class, given a freely reduced word's key string
+    and the key string of its inverse.
+
+    Cuts the seam, then takes the least rotation of the word and of its
+    inverse. Only a rotation that starts at the least character can be the
+    least, so only those starts are compared. Rejects the empty word.
     """
-    i = j = keys.index(least)
-    while (j := keys.index(least, j + 1)) < n:
-        if keys[j:j + n] < keys[i:i + n]:
-            i = j
-    return i
+    # inv[i] is the inverse of key[-1 - i], so the seam cancels while they match.
+    n, i = len(key), 0
+    while n - 2 * i >= 2 and key[i] == inv[i]:
+        i += 1
+    if i:
+        key, inv = key[i:n - i], inv[i:n - i]
+        n -= 2 * i
+    if not key:
+        raise ValueError("the trivial word has no essential class")
+    least = min(min(key), min(inv))
+    best = None
+    for side in (key, inv):
+        doubled = side + side
+        i = doubled.find(least)
+        while 0 <= i < n:
+            rotation = doubled[i:i + n]
+            if best is None or rotation < best:
+                best = rotation
+            i = doubled.find(least, i + 1)
+    return best
+
+
+def _key_translation(images: dict[int, Word]) -> dict:
+    """str.translate table of the substitution k -> images[k] on key strings."""
+    return str.maketrans(
+        {
+            _key_string((x,)): _key_string(y)
+            for k, w in images.items()
+            for x, y in ((k, w), (-k, inverse(w)))
+        }
+    )
+
+
+def _canonical_images(translation: dict, keys: list[str], genus: int) -> list[str]:
+    """_canonical_key of the image of each key string under a translation,
+    for words over the letters of a genus.
+
+    One translation of the joined batch replaces each letter by its image.
+    Inverse pairs are then removed until a pass removes none: each removal
+    is a free cancellation and free reduction is confluent, so each word
+    ends freely reduced. The inverses are read off the reversed batch.
+    """
+    if not keys:
+        return []
+    batch = ",".join(keys).translate(translation)
+    pairs = [_key_string((x, -x)) for x in range(-2 * genus, 2 * genus + 1) if x]
+    size = None
+    while size != len(batch):
+        size = len(batch)
+        for pair in pairs:
+            batch = batch.replace(pair, "")
+    inverses = batch[::-1].translate(_INVERT).split(",")
+    return list(map(_canonical_key, batch.split(","), reversed(inverses)))
 
 
 def canonical_class(w) -> Word:
@@ -263,32 +330,8 @@ def canonical_class(w) -> Word:
     Cyclically reduces, then takes the least rotation of the word and of
     its inverse under the fixed letter order.  Rejects the empty word.
     """
-    return _canonical_reduced(free_reduce(w))
-
-
-def _canonical_reduced(w: Word) -> Word:
-    """canonical_class of a word that is already freely reduced."""
-    w = _trim_seam(w)
-    if not w:
-        raise ValueError("the trivial word has no essential class")
-    n = len(w)
-    # Key lists, not tuples: the transient slices would otherwise fill
-    # CPython's per-size tuple free lists. Inverting a letter flips the low
-    # bit of its key.
-    keys = list(map(_ORDER_KEYS.__getitem__, w))
-    inv_keys = [k ^ 1 for k in reversed(keys)]
-    least, inv_least = min(keys), min(inv_keys)
-    # Only a side that holds the overall least key can win, so only such a
-    # side is scanned; the inverse word is built only if it wins.
-    if least <= inv_least:
-        keys *= 2
-        i = _least_start(keys, n, least)
-    if inv_least <= least:
-        inv_keys *= 2
-        j = _least_start(inv_keys, n, inv_least)
-        if inv_least < least or inv_keys[j:j + n] < keys[i:i + n]:
-            w, i = inverse(w), j
-    return w[i:] + w[:i]
+    key = _key_string(free_reduce(w))
+    return _key_word(_canonical_key(key, key[::-1].translate(_INVERT)))
 
 
 def is_proper_power(w) -> bool:

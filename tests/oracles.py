@@ -17,19 +17,21 @@ h parts of a product are twisted by it and by a spanning-tree cocycle.
 
 The twist BFS has references too: ``substitute_per_letter`` inverts an
 image for every negative letter, and ``twist_bfs`` tries every twist on
-every frontier class and reduces each image from scratch.
+every frontier class, reduces each image from scratch and takes its least
+rotation naively (``naive_canonical_class``).
 """
 
 import functools
 import random
 
-from simpleloop.curves import SimpleClass, standard_curves, twist_table
+from simpleloop.curves import SimpleClass, root_word, standard_curves, twist_table
 from simpleloop.gf2 import Echelon, GF2Matrix, QuotientMap
 from simpleloop.quotient import GElement, inv, mul, rho
 from simpleloop.words import (
     abelianization_mod2,
-    canonical_class,
+    cyclic_reduce,
     inverse,
+    letter_order_key,
     random_reduced_word,
     surface_relator,
     word_to_str,
@@ -291,26 +293,43 @@ def substitute_per_letter(w, images):
     return tuple(out)
 
 
+def naive_canonical_class(w):
+    """``canonical_class`` as the least of every rotation of w and of w^-1.
+
+    Words are compared as lists of ``letter_order_key`` values, so this
+    shares no rotation code with the package's key strings.
+    """
+    w = cyclic_reduce(w)
+    if not w:
+        raise ValueError("the trivial word has no essential class")
+    rotations = []
+    for side in (w, inverse(w)):
+        keys = [letter_order_key(x) for x in side]
+        rotations += [(keys[i:] + keys[:i], side[i:] + side[:i]) for i in range(len(w))]
+    return min(rotations)[1]
+
+
 def twist_bfs(genus, depth, max_len):
     """``generate_simple_classes`` applying every twist, undo twists included.
 
     Each image comes from ``substitute_per_letter`` and is canonicalised by
-    the public ``canonical_class``, which reduces it again.
+    ``naive_canonical_class``, which reduces it again.
     """
     table = twist_table(genus)
     names = sorted(table)
     seen = {}
     order = []
     for sc in standard_curves(genus):
-        if sc.cls not in seen:
-            seen[sc.cls] = sc
-            order.append(sc)
+        cls = naive_canonical_class(root_word(genus, sc.root))
+        if cls not in seen:
+            seen[cls] = sc._replace(cls=cls)
+            order.append(seen[cls])
     frontier = list(order)
     for _ in range(depth):
         next_frontier = []
         for sc in frontier:
             for name in names:
-                cls = canonical_class(substitute_per_letter(sc.cls, table[name].images))
+                cls = naive_canonical_class(substitute_per_letter(sc.cls, table[name].images))
                 if len(cls) > max_len or cls in seen:
                     continue
                 new = SimpleClass(

@@ -253,6 +253,17 @@ def test_lemma_check_command(capsys):
     assert summary["failures"] == []
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify", "--depth", "1", "--kernel-len", "4"], ["lemma-check", "--depth", "1"]]
+)
+def test_summary_reports_peak_rss(capsys, argv):
+    code, out = run_main(capsys, *argv)
+    assert code == 0
+    peak = json_records(out)[0]["peak_rss_mb"]
+    assert isinstance(peak, float) and peak > 0
+    assert round(peak, 1) == peak
+
+
 def test_lemma_check_reports_stage_timing(capsys):
     code, out = run_main(capsys, "lemma-check", "--depth", "0")
     assert code == 0
@@ -403,16 +414,44 @@ def test_verify_classes_by_depth(capsys):
     assert sum(summary["classes_by_depth"]) == summary["classes_total"]
 
 
-def test_verify_records_digest(capsys):
-    code, out = run_main(capsys, "verify", "--depth", "2", "--kernel-len", "6")
+def check_records_digest(capsys, argv, n_lines, digest):
+    code, out = run_main(capsys, "verify", *argv)
     assert code == 0
     summary, rest = out.split("\n", 1)
     assert json.loads(summary)["kind"] == "summary"
-    assert len(rest.splitlines()) == 58
-    assert (
-        hashlib.sha256(rest.encode()).hexdigest()
-        == "2f0f33779394b866ca273bf5da885a50e709cb7ebe3ec38826f9c5780664e303"
+    assert len(rest.splitlines()) == n_lines
+    assert hashlib.sha256(rest.encode()).hexdigest() == digest
+
+
+def test_verify_records_digest(capsys):
+    check_records_digest(
+        capsys,
+        ["--depth", "2", "--kernel-len", "6"],
+        58,
+        "2f0f33779394b866ca273bf5da885a50e709cb7ebe3ec38826f9c5780664e303",
     )
+
+
+@pytest.mark.parametrize(
+    "argv, n_lines, digest",
+    [
+        (
+            ["--depth", "4", "--max-len", "12", "--kernel-len", "6"],
+            466,
+            "93ea2a1509ed3903afb48dbbd6f6f8f8a295a55147b9abc5c917756cec69c51f",
+        ),
+        (
+            ["--genus", "3", "--depth", "3", "--max-len", "16", "--kernel-len", "6"],
+            402,
+            "d0be0c43a39105c904a0e4173d28e204514c0884c57877601e73fb3012884075",
+        ),
+    ],
+    ids=["g2-max-len-12", "g3-max-len-16"],
+)
+def test_verify_records_digest_tight_max_len(capsys, argv, n_lines, digest):
+    # A tight max_len drops some twist images, which the commutation skip
+    # must not confuse with images that are merely unknown.
+    check_records_digest(capsys, argv, n_lines, digest)
 
 
 def text_lines(output):

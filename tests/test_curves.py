@@ -225,6 +225,8 @@ def test_max_len_prunes():
         (2, 5, 12),
         (3, 3, 12),
         (4, 2, 16),
+        (3, 4, 10),
+        (4, 3, 64),
     ],
 )
 def test_generation_matches_reference_bfs(genus, depth, max_len):
@@ -262,18 +264,17 @@ def test_commuting_twists_match_brute_force(genus, count):
 
 
 def test_generation_skips_decided_twist_images(monkeypatch):
-    generate_simple_classes(2, 6, 64)
-    calls = []
-    real = curves.substitute
+    images = []
+    real = curves._canonical_images
 
-    def counting_substitute(w, images):
-        calls.append(1)
-        return real(w, images)
+    def counting_canonical_images(translation, keys, genus):
+        images.append(len(keys))
+        return real(translation, keys, genus)
 
-    monkeypatch.setattr(curves, "substitute", counting_substitute)
+    monkeypatch.setattr(curves, "_canonical_images", counting_canonical_images)
     assert len(generate_simple_classes(2, 6, 64)) == 11831
     # Skipping only the undo twist reads 27 374 images.
-    assert len(calls) <= 19000
+    assert sum(images) == 18981
 
 
 def test_substitute_matches_per_letter_reference():

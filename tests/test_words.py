@@ -4,6 +4,8 @@ import itertools
 import random
 from collections import deque
 
+import pytest
+
 from simpleloop.words import (
     abelianization_mod2,
     canonical_class,
@@ -230,6 +232,36 @@ def test_canonical_class_least_rotation_matches_naive():
                 cands.append(base[i:] + base[:i])
         naive = min(cands, key=lambda t: [letter_order_key(x) for x in t])
         assert canonical_class(w) == naive
+
+
+def test_canonical_images_match_canonical_class_per_word():
+    from simpleloop.words import _canonical_images, _key_string, _key_translation, _key_word
+
+    rng = random.Random(23)
+    for genus in (2, 3, 4):
+        n_gens = 2 * genus
+        for _ in range(40):
+            # A random endomorphism: its images may cancel deeply or vanish.
+            images = {
+                k: random_reduced_word(rng, genus, rng.randrange(0, 5))
+                for k in range(1, n_gens + 1)
+                if rng.random() < 0.6
+            }
+            batch = []
+            for _ in range(30):
+                w = cyclic_reduce(random_reduced_word(rng, genus, rng.randrange(1, 25)))
+                if w and cyclic_reduce(substitute(w, images)):
+                    batch.append(w)
+            keys = [_key_string(w) for w in batch]
+            got = _canonical_images(_key_translation(images), keys, genus)
+            assert list(map(_key_word, got)) == [
+                canonical_class(substitute(w, images)) for w in batch
+            ]
+    # An image that cancels to nothing has no class, even inside a batch.
+    keys = [_key_string((2,)), _key_string((1, 2, -1)), _key_string((3,))]
+    with pytest.raises(ValueError, match="trivial"):
+        _canonical_images(_key_translation({2: ()}), keys, 2)
+    assert _canonical_images(_key_translation({}), [], 2) == []
 
 
 def test_word_to_str_matches_per_letter_names():

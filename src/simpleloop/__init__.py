@@ -9,15 +9,12 @@ demonstration and symbolic manifold-construction recipes.
 
 from .cover import (
     CoverCW,
-    CoverStats,
     ResourceLimitError,
     build_mod2_cover,
 )
 from .curves import (
     SimpleClass,
-    TwistAutomorphism,
     VerificationReport,
-    apply_twist,
     generate_simple_classes,
     replay_certificate,
     standard_curves,
@@ -73,7 +70,6 @@ from .words import (
 
 __all__ = [
     "CoverCW",
-    "CoverStats",
     "GElement",
     "GF2Matrix",
     "GroupContext",
@@ -84,11 +80,9 @@ __all__ = [
     "ResourceLimitError",
     "SimpleClass",
     "TorusClass",
-    "TwistAutomorphism",
     "VerificationReport",
     "Word",
     "abelianization_mod2",
-    "apply_twist",
     "build_mod2_cover",
     "canonical_class",
     "commutator",

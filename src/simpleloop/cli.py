@@ -13,11 +13,21 @@ import argparse
 import contextlib
 import json
 import os
-import resource
 import sys
 import time
 
-from .cover import MAX_GENUS, ResourceLimitError, build_mod2_cover
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
+from .cover import (
+    MAX_GENUS,
+    ResourceLimitError,
+    build_mod2_cover,
+    cover_genus,
+    group_order_log2,
+)
 from .curves import check_depth, generate_simple_classes, verify_non_geometric
 from .demos import (
     extend_to_dimension,
@@ -74,18 +84,17 @@ def _classes_by_depth(classes, depth):
 
 
 def _cover_stats_record(cover):
-    stats = cover.stats()
     return {
         "schema": SCHEMA,
         "kind": "cover",
-        "genus": stats.base_genus,
-        "degree": stats.n_vertices,
-        "n_edges": stats.n_edges,
-        "n_faces": stats.n_faces,
-        "euler_characteristic": stats.euler_characteristic,
-        "cover_genus": stats.cover_genus,
-        "h1_dim": stats.h1_dim,
-        "group_order_log2": stats.group_order_log2,
+        "genus": cover.genus,
+        "degree": cover.n_vertices,
+        "n_edges": cover.n_edges,
+        "n_faces": cover.n_faces,
+        "euler_characteristic": cover.n_vertices - cover.n_edges + cover.n_faces,
+        "cover_genus": cover_genus(cover.genus),
+        "h1_dim": cover.h1_dim,
+        "group_order_log2": group_order_log2(cover.genus),
     }
 
 
@@ -101,8 +110,13 @@ def cmd_info(args):
 
 
 def _peak_rss_mb():
-    """Peak resident set size of this process so far, in MB (ru_maxrss is KiB)."""
-    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    """Peak resident set size of this process so far, in MB; None where the
+    resource module is missing. ru_maxrss is in bytes on macOS, KiB elsewhere.
+    """
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (1024 * 1024 if sys.platform == "darwin" else 1024), 1)
 
 
 def _timed(timing, key, fn, *args, **kwargs):

@@ -12,10 +12,11 @@ from a lifted word to an H1 class: the finite quotient group and the lift
 lemma read the complex through it.
 """
 
-from typing import NamedTuple
-
 from .words import inverse
 
+# The build alone would fit genus 5 (0.045 s, 25 MB in process on a 2-vCPU
+# VM) and genus 6 (0.46 s, 160 MB). The cap stays at 4 until the twist depth
+# and the kernel search have budgets for genus 5 and 6.
 MAX_GENUS = 4
 
 
@@ -43,21 +44,9 @@ def cover_genus(genus: int) -> int:
     return 1 + (1 << (2 * genus)) * (genus - 1)
 
 
-class CoverStats(NamedTuple):
-    """Cell counts and derived invariants of a covering surface."""
-
-    base_genus: int
-    n_vertices: int
-    n_edges: int
-    n_faces: int
-    euler_characteristic: int
-    cover_genus: int
-    h1_dim: int
-
-    @property
-    def group_order_log2(self) -> int:
-        """Log base 2 of the order of G: 2g deck bits plus the H1 dimension."""
-        return 2 * self.base_genus + self.h1_dim
+def group_order_log2(genus: int) -> int:
+    """Log base 2 of the order of G: 2g deck bits plus dim H1 = 2 * cover genus."""
+    return 2 * genus + 2 * cover_genus(genus)
 
 
 class CoverCW:
@@ -146,18 +135,6 @@ class CoverCW:
         v, w = self.edge_endpoints(e)
         letter = e % (2 * self.genus) + 1
         return self.tree_words[v] + (letter,) + inverse(self.tree_words[w])
-
-    def stats(self) -> CoverStats:
-        """Cell counts, Euler characteristic, cover genus and H1 dimension."""
-        return CoverStats(
-            base_genus=self.genus,
-            n_vertices=self.n_vertices,
-            n_edges=self.n_edges,
-            n_faces=self.n_faces,
-            euler_characteristic=self.n_vertices - self.n_edges + self.n_faces,
-            cover_genus=cover_genus(self.genus),
-            h1_dim=self.h1_dim,
-        )
 
     def _build_tree(self) -> None:
         # The tree path to v spells the set bits of v in ascending order, so

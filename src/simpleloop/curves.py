@@ -4,14 +4,15 @@ A Dehn twist along a simple closed curve is a homeomorphism of the surface,
 so twist images of simple curves are simple. The module ships a fixed table
 of twist actions on the surface group generators: one twist per handle curve
 a_i and b_i, plus one per connector curve between adjacent handles, together
-with their inverses. Each table entry is certified at load time: its image
-of the defining relator must be the relator itself, letter for letter, so
-the substitution maps the relator's normal closure into itself, and it must
-compose with its inverse to the exact identity substitution, so it is an
-automorphism of the surface group. Every class this module emits therefore
-carries a replayable certificate (standard curve name plus twist names) that
-proves simplicity; the enumeration makes no completeness claim. The twist
-depth is budgeted per genus (MAX_DEPTH) before any work starts.
+with their inverses. Each table entry is certified on the first
+twist_table(genus) call, which caches the table: its image of the defining
+relator must be the relator itself, letter for letter, so the substitution
+maps the relator's normal closure into itself, and it must compose with its
+inverse to the exact identity substitution, so it is an automorphism of the
+surface group. Every class this module emits therefore carries a replayable
+certificate (standard curve name plus twist names) that proves simplicity;
+the enumeration makes no completeness claim. The twist depth is budgeted per
+genus (MAX_DEPTH) before any work starts.
 
 One verification pass (verify_non_geometric) walks each class once: the walk
 decides whether the class lies in the kernel of rho and whether it passes
@@ -40,18 +41,6 @@ from .words import (
 )
 
 
-class TwistAutomorphism(NamedTuple):
-    """A Dehn twist's action on the surface group generators.
-
-    Attributes:
-        name: identifier such as ta1, tb2_inv, tc1.
-        images: image word for each positive generator index it moves.
-    """
-
-    name: str
-    images: dict[int, Word]
-
-
 class SimpleClass(NamedTuple):
     """A certified simple closed curve class.
 
@@ -68,18 +57,35 @@ class SimpleClass(NamedTuple):
     separating: bool
 
 
-def apply_twist(t: TwistAutomorphism, w: Word) -> Word:
-    """Image of a word under a twist automorphism, freely reduced."""
-    return substitute(w, t.images)
-
-
 def _connector_word(i: int) -> Word:
     """Curve word of the connector between handles i and i+1."""
     return (-(2 * i + 1), 2 * i, 2 * i - 1, -(2 * i))
 
 
-def _raw_twist_images(genus: int) -> dict[str, dict[int, Word]]:
-    table: dict[str, dict[int, Word]] = {}
+def _validate_table(genus: int, table: dict[str, dict[int, Word]]) -> None:
+    relator = surface_relator(genus)
+    for name, images in table.items():
+        if substitute(relator, images) != relator:
+            raise AssertionError("twist %s does not fix the relator" % name)
+        partner = table[_partner(name)]
+        for k in range(1, 2 * genus + 1):
+            round_trip = substitute(substitute((k,), images), partner)
+            if round_trip != (k,):
+                raise AssertionError(
+                    "twist %s and its inverse do not cancel" % name
+                )
+
+
+@lru_cache(maxsize=None)
+def twist_table(genus: int) -> dict[str, dict[int, Word]]:
+    """The certified twist table for a genus: each twist's name mapped to its
+    image word for each positive generator index it moves.
+
+    A twist acts on a word w as substitute(w, table[name]).
+    """
+    if genus < 2:
+        raise ValueError("genus must be at least 2")
+    table = {}
     for i in range(1, genus + 1):
         a, b = 2 * i - 1, 2 * i
         table["ta%d" % i] = {b: (b, a)}
@@ -94,49 +100,22 @@ def _raw_twist_images(genus: int) -> dict[str, dict[int, Word]]:
                 a2: free_reduce(L + (a2,) + inverse(L)),
                 b2: free_reduce((b2,) + inverse(L)),
             }
-    return table
-
-
-def _validate_table(genus: int, table: dict[str, "TwistAutomorphism"]) -> None:
-    relator = surface_relator(genus)
-    for name, t in table.items():
-        if apply_twist(t, relator) != relator:
-            raise AssertionError("twist %s does not fix the relator" % name)
-        partner = table[_partner(name)]
-        for k in range(1, 2 * genus + 1):
-            round_trip = apply_twist(partner, apply_twist(t, (k,)))
-            if round_trip != (k,):
-                raise AssertionError(
-                    "twist %s and its inverse do not cancel" % name
-                )
-
-
-@lru_cache(maxsize=None)
-def twist_table(genus: int) -> dict[str, TwistAutomorphism]:
-    """The certified table of twist automorphisms for a genus."""
-    if genus < 2:
-        raise ValueError("genus must be at least 2")
-    table = {
-        name: TwistAutomorphism(name=name, images=images)
-        for name, images in _raw_twist_images(genus).items()
-    }
     _validate_table(genus, table)
     return table
 
 
-def _commute(s: TwistAutomorphism, t: TwistAutomorphism) -> bool:
-    """Whether s and t commute as substitutions of the free group."""
-    s_moves, t_moves = s.images.keys(), t.images.keys()
-    s_uses = {abs(x) for w in s.images.values() for x in w}
-    t_uses = {abs(x) for w in t.images.values() for x in w}
-    if s_moves.isdisjoint(t_moves | t_uses) and t_moves.isdisjoint(s_uses):
+def _commute(s: dict[int, Word], t: dict[int, Word]) -> bool:
+    """Whether the substitutions s and t of the free group commute."""
+    s_uses = {abs(x) for w in s.values() for x in w}
+    t_uses = {abs(x) for w in t.values() for x in w}
+    if s.keys().isdisjoint(t.keys() | t_uses) and t.keys().isdisjoint(s_uses):
         # Each twist fixes every letter the other moves or writes.
         return True
     # A generator's image is its table entry, so each side takes one
     # substitution.
     return all(
-        apply_twist(s, t.images.get(k, (k,))) == apply_twist(t, s.images.get(k, (k,)))
-        for k in s_moves | t_moves
+        substitute(t.get(k, (k,)), s) == substitute(s.get(k, (k,)), t)
+        for k in s.keys() | t.keys()
     )
 
 
@@ -194,7 +173,7 @@ def replay_certificate(genus: int, root: str, twists: tuple[str, ...]) -> Word:
     table = twist_table(genus)
     w = canonical_class(root_word(genus, root))
     for name in twists:
-        w = canonical_class(apply_twist(table[name], w))
+        w = canonical_class(substitute(w, table[name]))
     return w
 
 
@@ -272,8 +251,8 @@ def generate_simple_classes(
     names = sorted(table)
     twists = [table[name] for name in names]
     # Per twist, the key characters of the letters it moves.
-    moves = [frozenset(_key_string(x for k in t.images for x in (k, -k))) for t in twists]
-    translations = [_key_translation(t.images) for t in twists]
+    moves = [frozenset(_key_string(x for k in t for x in (k, -k))) for t in twists]
+    translations = [_key_translation(t) for t in twists]
     undo = [names.index(_partner(name)) for name in names]
     pairs = commuting_twists(genus)
     commutes = [

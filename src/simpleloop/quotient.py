@@ -161,10 +161,11 @@ def search_kernel_elements(
 def image_rank(ctx: GroupContext) -> dict:
     """GF(2) ranks of the v and h parts of rho's image, one walk per word.
 
-    The 2g generators give the v parts. The Schreier word of a non-tree edge
-    (CoverCW.schreier_word) has v part 0 and h part the class of the edge.
-    Those classes span H1 by construction, so rho is onto the extension
-    group: v_rank is 2g and h_rank is h1_dim.
+    The 2g generators give the v parts. Unit cycle word j
+    (CoverCW.unit_cycle_words) is a loop at vertex 0 of class 1 << j, so
+    the image holds every (0, h) and maps onto every v: rho is onto the
+    extension group, v_rank is 2g and h_rank is h1_dim, from 2g + h1_dim
+    walks.
 
     Returns:
         Dict with v_rank, h_rank, v_dim, h_dim.
@@ -173,8 +174,8 @@ def image_rank(ctx: GroupContext) -> dict:
     h_span = Echelon()
     for k in range(1, 2 * ctx.genus + 1):
         v_span.insert(rho(ctx, (k,)).v, 0)
-    for e in ctx.cover.nontree_edges:
-        h_span.insert(rho(ctx, ctx.cover.schreier_word(e)).h, 0)
+    for word in ctx.cover.unit_cycle_words:
+        h_span.insert(rho(ctx, word).h, 0)
     return {
         "v_rank": len(v_span.rows),
         "h_rank": len(h_span.rows),

@@ -13,7 +13,7 @@ homeomorphism type.
 
 from typing import NamedTuple
 
-from .cover import build_mod2_cover
+from .cover import check_genus, cover_genus, group_order_log2
 from .words import Word, free_reduce
 
 DIMENSION_NOTE = "surgery loops embed disjointly and unknot in dimension >= 4"
@@ -145,19 +145,19 @@ def recipe_for_G(g: int, n: int) -> dict:
 
     No finite presentation of the group is computed, so the record is a
     template over any presentation, annotated with the cover genus and group
-    order read from the built cover, and the 2-sidedness note (the target's
-    orientation character is trivial).
+    order from their closed forms (no cover is built), and the 2-sidedness
+    note (the target's orientation character is trivial).
     """
     if n < 4:
         raise ValueError(
             "ambient dimension must be at least 4: " + DIMENSION_NOTE
         )
-    stats = build_mod2_cover(g).stats()
+    check_genus(g)
     return {
         "genus": g,
         "dimension": n,
-        "cover_genus": stats.cover_genus,
-        "group_order_log2": stats.group_order_log2,
+        "cover_genus": cover_genus(g),
+        "group_order_log2": group_order_log2(g),
         "template": (
             "for any presentation of the quotient group with k generators "
             "and l relators: start from S^%d connected-sum k copies of "

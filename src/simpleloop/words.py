@@ -160,24 +160,13 @@ def substitute(w: Word, images: dict[int, Word]) -> Word:
     """Apply the endomorphism sending generator k to images[k], then reduce.
 
     Generators missing from the map are kept fixed. The output is freely
-    reduced.
+    reduced; a zero letter raises ValueError, as in free_reduce.
     """
     table = {}
     for k, img in images.items():
         table[k] = img
         table[-k] = inverse(img)
-    get = table.get
-    out: list[int] = []
-    for x in w:
-        img = get(x)
-        if img is None:
-            img = (x,)
-        for y in img:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
-    return tuple(out)
+    return free_reduce(y for x in w for y in table.get(x, (x,)))
 
 
 def abelianization_mod2(w: Word, genus: int) -> int:

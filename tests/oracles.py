@@ -329,7 +329,7 @@ def twist_bfs(genus, depth, max_len):
         next_frontier = []
         for sc in frontier:
             for name in names:
-                cls = naive_canonical_class(substitute_per_letter(sc.cls, table[name].images))
+                cls = naive_canonical_class(substitute_per_letter(sc.cls, table[name]))
                 if len(cls) > max_len or cls in seen:
                     continue
                 new = SimpleClass(

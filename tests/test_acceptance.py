@@ -9,9 +9,9 @@ import time
 
 import pytest
 
+from simpleloop.cli import _cover_stats_record
 from simpleloop.cover import build_mod2_cover
 from simpleloop.curves import (
-    apply_twist,
     generate_simple_classes,
     twist_table,
     verify_non_geometric,
@@ -39,6 +39,7 @@ from simpleloop.words import (
     inverse,
     is_trivial,
     random_reduced_word,
+    substitute,
     surface_relator,
 )
 
@@ -78,12 +79,12 @@ def _report(num, label, elapsed=None, bound=None):
 
 def test_criterion_01_cover_statistics():
     start = time.perf_counter()
-    stats = build_mod2_cover(2).stats()
+    record = _cover_stats_record(build_mod2_cover(2))
     elapsed = time.perf_counter() - start
-    assert stats.n_vertices == 16
-    assert stats.euler_characteristic == -32
-    assert stats.cover_genus == 17
-    assert stats.h1_dim == 34
+    assert record["degree"] == 16
+    assert record["euler_characteristic"] == -32
+    assert record["cover_genus"] == 17
+    assert record["h1_dim"] == 34
     _report(1, "genus-2 cover: degree 16, chi -32, genus 17, h1 34", elapsed, 1.0)
 
 
@@ -98,7 +99,7 @@ def test_criterion_02_separating_orbit_lifts():
         next_frontier = []
         for w in frontier:
             for name in sorted(table):
-                img = canonical_class(apply_twist(table[name], w))
+                img = canonical_class(substitute(w, table[name]))
                 if img not in orbit:
                     orbit.add(img)
                     next_frontier.append(img)

@@ -1,17 +1,19 @@
 """Tests for the command-line interface."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from simpleloop import cli
 from simpleloop.cli import main
-from simpleloop.cover import MAX_GENUS, build_mod2_cover
+from simpleloop.cover import MAX_GENUS, CoverCW, build_mod2_cover
 from simpleloop.quotient import GroupContext, in_kernel
 from simpleloop.words import is_trivial, word_from_str
 
@@ -36,6 +38,33 @@ def test_info_json(capsys):
     assert record["cover_genus"] == 17
     assert record["h1_dim"] == 34
     assert record["group_order_log2"] == 38
+
+
+COVER_FIELDS = (
+    "degree",
+    "n_edges",
+    "n_faces",
+    "euler_characteristic",
+    "cover_genus",
+    "h1_dim",
+    "group_order_log2",
+)
+
+
+@pytest.mark.parametrize(
+    "genus, values",
+    [
+        (2, (16, 64, 16, -32, 17, 34, 38)),
+        (3, (64, 384, 64, -256, 129, 258, 264)),
+        (4, (256, 2048, 256, -1536, 769, 1538, 1546)),
+    ],
+)
+def test_info_cover_record(capsys, genus, values):
+    code, out = run_main(capsys, "info", "--genus", str(genus))
+    assert code == 0
+    (record,) = json_records(out)
+    expected = {"schema": 1, "kind": "cover", "genus": genus}
+    assert record == {**expected, **dict(zip(COVER_FIELDS, values))}
 
 
 def test_info_text(capsys):
@@ -262,6 +291,29 @@ def test_summary_reports_peak_rss(capsys, argv):
     peak = json_records(out)[0]["peak_rss_mb"]
     assert isinstance(peak, float) and peak > 0
     assert round(peak, 1) == peak
+
+
+@pytest.mark.parametrize(
+    "platform, maxrss", [("linux", 50 * 1024), ("darwin", 50 * 1024 * 1024)]
+)
+def test_peak_rss_units_per_platform(monkeypatch, platform, maxrss):
+    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    usage = SimpleNamespace(ru_maxrss=maxrss)
+    fake = SimpleNamespace(RUSAGE_SELF=0, getrusage=lambda who: usage)
+    monkeypatch.setattr(cli, "resource", fake)
+    monkeypatch.setattr(sys, "platform", platform)
+    assert cli._peak_rss_mb() == 50.0
+
+
+def test_cli_imports_without_resource(capsys, monkeypatch):
+    # The resource module does not exist on Windows.
+    monkeypatch.setitem(sys.modules, "resource", None)
+    spec = importlib.util.find_spec("simpleloop.cli")
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert fresh.resource is None
+    assert fresh.main(["verify", "--depth", "1", "--kernel-len", "4"]) == 0
+    assert json_records(capsys.readouterr().out)[0]["peak_rss_mb"] is None
 
 
 def test_lemma_check_reports_stage_timing(capsys):
@@ -588,6 +640,26 @@ def test_realize_template(capsys):
     (record,) = json_records(out)
     assert record["kind"] == "recipe_template"
     assert record["group_order_log2"] == 264
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["--genus", "4"], 0, ""),
+        (["--genus", "5"], 3, "resource bound: genus 5"),
+        (["--genus", "1"], 2, "genus must be at least 2"),
+        (["--dimension", "3"], 2, "dimension must be at least 4"),
+        (["--genus", "5", "--dimension", "3"], 2, "dimension must be at least 4"),
+        (["--genus", "1", "--dimension", "3"], 2, "dimension must be at least 4"),
+    ],
+)
+def test_realize_template_builds_no_cover(capsys, monkeypatch, argv, code, message):
+    def no_cover(*args):
+        raise AssertionError("realize built a cover")
+
+    monkeypatch.setattr(CoverCW, "__init__", no_cover)
+    assert main(["realize", *argv]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_usage_errors_via_subprocess():

@@ -10,6 +10,7 @@ from simpleloop.cover import (
     ResourceLimitError,
     build_mod2_cover,
     cover_genus,
+    group_order_log2,
 )
 from simpleloop.gf2 import GF2Matrix, kernel_basis, rank
 from simpleloop.quotient import GroupContext, search_kernel_elements
@@ -37,14 +38,13 @@ from oracles import (
 
 def test_genus2_cell_counts_and_invariants():
     cover = build_mod2_cover(2)
-    stats = cover.stats()
-    assert stats.n_vertices == 16
-    assert stats.n_edges == 64
-    assert stats.n_faces == 16
-    assert stats.euler_characteristic == -32
-    assert stats.cover_genus == 17
-    assert stats.h1_dim == 34
-    assert stats.h1_dim == 2 * stats.cover_genus
+    assert cover.n_vertices == 16
+    assert cover.n_edges == 64
+    assert cover.n_faces == 16
+    assert cover.n_vertices - cover.n_edges + cover.n_faces == -32
+    assert cover_genus(2) == 17
+    assert cover.h1_dim == 34
+    assert cover.h1_dim == 2 * cover_genus(2)
 
 
 def test_boundary_maps_compose_to_zero():
@@ -139,11 +139,12 @@ def test_spanning_tree_paths(genus):
     "genus, cover_genus_, order_log2", [(2, 17, 38), (3, 129, 264), (4, 769, 1546)]
 )
 def test_cover_genus_and_group_order_agree(genus, cover_genus_, order_log2):
-    stats = build_mod2_cover(genus).stats()
+    cover = build_mod2_cover(genus)
     recipe = recipe_for_G(genus, 4)
-    assert cover_genus(genus) == stats.cover_genus == recipe["cover_genus"] == cover_genus_
-    assert stats.group_order_log2 == recipe["group_order_log2"] == order_log2
-    assert stats.h1_dim == 2 * cover_genus_
+    assert cover_genus(genus) == recipe["cover_genus"] == cover_genus_
+    assert group_order_log2(genus) == recipe["group_order_log2"] == order_log2
+    assert 2 * genus + cover.h1_dim == order_log2
+    assert cover.h1_dim == 2 * cover_genus_
 
 
 def test_h1_dim_is_checked_against_the_cover_genus(monkeypatch):
@@ -265,12 +266,11 @@ def test_translate_chain_preserves_classes_count():
 
 def test_genus3_cover_dimensions():
     cover = build_mod2_cover(3)
-    stats = cover.stats()
-    assert stats.n_vertices == 64
-    assert stats.n_edges == 384
-    assert stats.n_faces == 64
-    assert stats.cover_genus == 129
-    assert stats.h1_dim == 258
+    assert cover.n_vertices == 64
+    assert cover.n_edges == 384
+    assert cover.n_faces == 64
+    assert cover_genus(3) == 129
+    assert cover.h1_dim == 258
 
 
 def test_genus_bounds():

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from simpleloop import quotient
 from simpleloop.cover import ResourceLimitError, build_mod2_cover
-from simpleloop.curves import apply_twist, twist_table
+from simpleloop.curves import twist_table
 from simpleloop.quotient import (
     MAX_HALF_WORDS,
     GElement,
@@ -33,6 +34,7 @@ from simpleloop.words import (
     is_trivial,
     letter_order_key,
     random_reduced_word,
+    substitute,
     surface_relator,
 )
 
@@ -372,11 +374,11 @@ def test_every_twist_maps_kernel_witnesses_into_the_kernel(
 ):
     # ker rho is characteristic, so every automorphism preserves it.
     hits = search_kernel_elements(ctx, max_len)
-    twists = twist_table(ctx.genus).values()
+    twists = twist_table(ctx.genus)
     assert (len(hits), len(twists)) == (n_hits, n_twists)
-    for t in twists:
+    for name, images in twists.items():
         for w, _ in hits:
-            assert in_kernel(ctx, apply_twist(t, w)), (t.name, w)
+            assert in_kernel(ctx, substitute(w, images)), (name, w)
 
 
 def test_twist_compositions_map_kernel_witnesses_into_the_kernel():
@@ -386,7 +388,7 @@ def test_twist_compositions_map_kernel_witnesses_into_the_kernel():
     for _ in range(200):
         w = rng.choice(hits)
         for t in rng.choices(twists, k=rng.randint(1, 5)):
-            w = apply_twist(t, w)
+            w = substitute(w, t)
         assert in_kernel(CTX, w)
 
 
@@ -409,6 +411,25 @@ def test_image_rank_is_full(ctx, h1_dim):
         "v_dim": v_dim,
         "h_dim": h1_dim,
     }
+
+
+@pytest.mark.parametrize(
+    "ctx, walks", [(CTX, 38), (CTX3, 264), (CTX4, 1546)], ids=["g2", "g3", "g4"]
+)
+def test_image_rank_walks_generators_and_unit_cycle_words(ctx, walks, monkeypatch):
+    # One walk per generator and per basis class, 2g + h1_dim in all; the
+    # dense classes of the cotree edges are never walked.
+    words = []
+    real_rho = quotient.rho
+
+    def counting_rho(c, w):
+        words.append(w)
+        return real_rho(c, w)
+
+    monkeypatch.setattr(quotient, "rho", counting_rho)
+    image_rank(ctx)
+    assert len(words) == walks == 2 * ctx.genus + ctx.cover.h1_dim
+    assert words[2 * ctx.genus :] == list(ctx.cover.unit_cycle_words)
 
 
 @pytest.mark.parametrize("n_samples", [20, 100, 500])

@@ -307,6 +307,15 @@ def test_substitute():
     assert substitute((1, -1), images) == ()
 
 
+def test_substitute_rejects_zero_like_free_reduce():
+    with pytest.raises(ValueError, match="zero is not a letter"):
+        free_reduce((0,))
+    with pytest.raises(ValueError, match="zero is not a letter"):
+        substitute((0,), {})
+    with pytest.raises(ValueError, match="zero is not a letter"):
+        substitute((1,), {1: (0,)})
+
+
 def test_exhaustive_short_word_problem():
     # every nonempty freely reduced word of length <= 4 is nontrivial
     for w in itertools.islice(all_reduced_words(G, 4), 1, None):

@@ -43,7 +43,7 @@ from .quotient import (
     search_kernel_elements,
 )
 from .realize import parse_presentation, realize, recipe_for_G
-from .words import check_length_bound, dehn_normal_form, word_to_str
+from .words import check_length_bound, dehn_normal_form, is_proper_power, word_to_str
 
 SCHEMA = 1
 NO_WITNESS = "no witness found at this bound"
@@ -59,20 +59,20 @@ def _write(lines, out_path):
         handle.writelines(line + "\n" for line in lines)
 
 
-def _witness_record(genus, word, proper_power):
+def _witness_record(genus, word):
     normal_form = dehn_normal_form(word, genus)
     return {
         "kind": "witness",
         "word": word_to_str(word),
         "length": len(word),
-        "proper_power": proper_power,
+        "proper_power": is_proper_power(word),
         "dehn_normal_form": word_to_str(normal_form),
         "dehn_nontrivial": normal_form != (),
     }
 
 
 def _witnesses_by_length(witnesses, max_len):
-    return [sum(len(w) == k for w, _ in witnesses) for k in range(1, max_len + 1)]
+    return [sum(len(w) == k for w in witnesses) for k in range(1, max_len + 1)]
 
 
 def _classes_by_depth(classes, depth):
@@ -119,10 +119,10 @@ def _peak_rss_mb():
     return round(peak / (1024 * 1024 if sys.platform == "darwin" else 1024), 1)
 
 
-def _timed(timing, key, fn, *args, **kwargs):
+def _timed(timing, key, fn, *args):
     """Call fn and record its wall time in seconds as timing[key]."""
     start = time.perf_counter()
-    result = fn(*args, **kwargs)
+    result = fn(*args)
     timing[key] = round(time.perf_counter() - start, 3)
     return result
 
@@ -133,14 +133,23 @@ def _sweep(args, timing, stage):
 
     The caller checks the usage bounds first, so a usage error wins over the
     depth budget. The verification pass is timed as timing[stage]. Returns
-    the group context, the classes and their VerificationReport.
+    the group context, the classes, their VerificationReport and the lemma
+    record: verify nests it under "lemma", lemma-check spreads it into its
+    summary.
     """
     check_depth(args.depth, args.genus)
     ctx = GroupContext(_timed(timing, "build_s", build_mod2_cover, args.genus))
     classes = _timed(
         timing, "generate_s", generate_simple_classes, args.genus, args.depth, args.max_len
     )
-    return ctx, classes, _timed(timing, stage, verify_non_geometric, ctx, classes)
+    report = _timed(timing, stage, verify_non_geometric, ctx, classes)
+    lemma = {
+        "separating_checked": report.n_separating,
+        "nonseparating_checked": report.n_nonseparating,
+        "lifts_per_class": ctx.cover.n_vertices,
+        "failures": report.lemma_failures,
+    }
+    return ctx, classes, report, lemma
 
 
 def cmd_verify(args):
@@ -148,16 +157,17 @@ def cmd_verify(args):
     check_length_bound(args.max_len, "max_len")
     check_search_budget(args.genus, args.kernel_len)
     timing = {}
-    ctx, classes, report = _sweep(args, timing, "verify_s")
+    ctx, classes, report, lemma = _sweep(args, timing, "verify_s")
     witnesses = _timed(timing, "search_s", search_kernel_elements, ctx, args.kernel_len)
     rank = _timed(timing, "image_rank_s", image_rank, ctx)
 
+    # A contradiction of rho outranks an inconclusive search bound.
     if report.kernel_hits:
         status = "kernel_hit"
+    elif lemma["failures"]:
+        status = "lemma_failure"
     elif not witnesses:
         status = "no_witness_at_bound"
-    elif report.lemma_failures:
-        status = "lemma_failure"
     else:
         status = "ok"
 
@@ -179,12 +189,7 @@ def cmd_verify(args):
         "kernel_hits": report.kernel_hits,
         "witness_count": len(witnesses),
         "witnesses_by_length": _witnesses_by_length(witnesses, args.kernel_len),
-        "lemma": {
-            "separating_checked": report.n_separating,
-            "nonseparating_checked": report.n_nonseparating,
-            "lifts_per_class": ctx.cover.n_vertices,
-            "failures": report.lemma_failures,
-        },
+        "lemma": lemma,
         "image_rank": rank,
         "completeness_note": report.completeness_note,
         "timing": timing,
@@ -194,7 +199,7 @@ def cmd_verify(args):
     def records():
         # The witness and class records are built as they are written.
         yield summary
-        yield from (_witness_record(args.genus, w, flag) for w, flag in witnesses)
+        yield from (_witness_record(args.genus, w) for w in witnesses)
         for rec in report.records:
             rec["kind"] = "class"
             yield rec
@@ -207,9 +212,9 @@ def cmd_verify(args):
         "kernel witnesses found: %d" % len(witnesses),
         "lemma check: %s (%d separating classes, %d lifts each)"
         % (
-            "FAIL" if report.lemma_failures else "pass",
-            report.n_separating,
-            ctx.cover.n_vertices,
+            "FAIL" if lemma["failures"] else "pass",
+            lemma["separating_checked"],
+            lemma["lifts_per_class"],
         ),
         "image rank: v %d/%d, h %d/%d"
         % (rank["v_rank"], rank["v_dim"], rank["h_rank"], rank["h_dim"]),
@@ -234,11 +239,12 @@ def cmd_search_kernel(args):
             "witnesses_by_length": _witnesses_by_length(witnesses, args.kernel_len),
         }
     ]
-    records.extend(_witness_record(args.genus, w, flag) for w, flag in witnesses)
+    records.extend(_witness_record(args.genus, w) for w in witnesses)
     lines = ["witnesses found: %d" % len(witnesses)]
     lines.extend(
-        "%s (length %d%s)" % (word_to_str(w), len(w), ", proper power" if flag else "")
-        for w, flag in witnesses
+        "%s (length %d%s)"
+        % (rec["word"], rec["length"], ", proper power" if rec["proper_power"] else "")
+        for rec in records[1:]
     )
     if not witnesses:
         lines.append(NO_WITNESS)
@@ -249,25 +255,22 @@ def cmd_lemma_check(args):
     check_depth(args.depth)
     check_length_bound(args.max_len, "max_len")
     timing = {}
-    ctx, classes, report = _sweep(args, timing, "lemma_s")
-    failures = report.lemma_failures
+    _, classes, _, lemma = _sweep(args, timing, "lemma_s")
+    failures = lemma["failures"]
     summary = {
         "kind": "summary",
         "status": "lemma_failure" if failures else "ok",
         "genus": args.genus,
         "depth": args.depth,
         "classes_by_depth": _classes_by_depth(classes, args.depth),
-        "separating_checked": report.n_separating,
-        "nonseparating_checked": report.n_nonseparating,
-        "lifts_per_class": ctx.cover.n_vertices,
-        "failures": failures,
+        **lemma,
         "timing": timing,
         "peak_rss_mb": _peak_rss_mb(),
     }
     return (1 if failures else 0), [summary], [
         "separating classes checked: %d (%d lifts each)"
-        % (report.n_separating, ctx.cover.n_vertices),
-        "nonseparating classes checked: %d" % report.n_nonseparating,
+        % (lemma["separating_checked"], lemma["lifts_per_class"]),
+        "nonseparating classes checked: %d" % lemma["nonseparating_checked"],
         "result: %s" % ("FAIL" if failures else "pass"),
         "timing: %s" % _encode(timing),
     ]

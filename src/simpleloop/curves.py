@@ -335,7 +335,7 @@ class VerificationReport(NamedTuple):
     lemma_failures: list[dict]
     classes: list[SimpleClass]
     flags: bytearray
-    completeness_note: str = (
+    completeness_note = (
         "certificates prove simplicity of every tested class; the family is "
         "not an exhaustive enumeration of simple classes"
     )

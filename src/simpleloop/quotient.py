@@ -20,7 +20,6 @@ from .words import (
     canonical_class,
     check_length_bound,
     inverse,
-    is_proper_power,
     is_trivial,
 )
 
@@ -110,9 +109,7 @@ def check_search_budget(genus: int, max_len: int) -> None:
             )
 
 
-def search_kernel_elements(
-    ctx: GroupContext, max_len: int
-) -> list[tuple[Word, bool]]:
+def search_kernel_elements(ctx: GroupContext, max_len: int) -> list[Word]:
     """Find nontrivial kernel words up to a length bound.
 
     Meet in the middle: a cyclically reduced word of length L is u v^-1 with
@@ -120,12 +117,10 @@ def search_kernel_elements(
     direction-free over GF(2) it maps to the identity exactly when
     walk(u, 0) == walk(v, 0). Half-words are bucketed by that pair, and of
     the colliding pairs the canonical representatives of their free
-    conjugacy classes are kept when Dehn-nontrivial, each paired with its
-    proper-power flag.
+    conjugacy classes are kept when Dehn-nontrivial.
 
     Returns:
-        List of (word, is_proper_power) pairs, by length and then in the
-        canonical letter order.
+        The kept words, by length and then in the canonical letter order.
     """
     check_search_budget(ctx.genus, max_len)
     genus, walk = ctx.genus, ctx.cover.walk
@@ -141,7 +136,7 @@ def search_kernel_elements(
                     u + (x,) for u in words if not u or u[-1] != -x
                 )
         tables.append(grown)
-    hits: list[tuple[Word, bool]] = []
+    hits: list[Word] = []
     for length in range(1, max_len + 1):
         found = []
         for key, us in tables[(length + 1) // 2].items():
@@ -153,8 +148,7 @@ def search_kernel_elements(
                     w = u + inverse(v)
                     if canonical_class(w) == w and not is_trivial(w, genus):
                         found.append(w)
-        found.sort(key=_key_string)
-        hits.extend((w, is_proper_power(w)) for w in found)
+        hits.extend(sorted(found, key=_key_string))
     return hits
 
 

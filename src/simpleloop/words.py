@@ -122,11 +122,8 @@ def concat(*ws: Word) -> Word:
 
 
 def cyclic_reduce(w: Word) -> Word:
-    return _trim_seam(free_reduce(w))
-
-
-def _trim_seam(w: Word) -> Word:
-    """Cyclic reduction of a freely reduced word: cancel across the seam."""
+    """Free reduction, then cancellation across the seam."""
+    w = free_reduce(w)
     i, j = 0, len(w)
     while j - i >= 2 and w[i] == -w[j - 1]:
         i += 1
@@ -324,17 +321,14 @@ def canonical_class(w) -> Word:
 
 
 def is_proper_power(w) -> bool:
-    """True iff the cyclic reduction is a literal repetition u^k, k >= 2."""
-    v = cyclic_reduce(w)
-    n = len(v)
-    if n == 0:
-        return False
-    for d in range(1, n // 2 + 1):
-        if n % d:
-            continue
-        if all(v[i] == v[i % d] for i in range(d, n)):
-            return True
-    return False
+    """True iff the cyclic reduction is a literal repetition u^k, k >= 2.
+
+    A nonempty word of length n is such a repetition exactly when it equals
+    one of its rotations by 1 to n - 1, that is when it occurs in its own
+    square at one of those shifts.
+    """
+    key = _key_string(cyclic_reduce(w))
+    return key != "" and key in (key + key)[1:-1]
 
 
 def random_reduced_word(rng: random.Random, genus: int, length: int) -> Word:

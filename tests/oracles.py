@@ -18,7 +18,8 @@ h parts of a product are twisted by it and by a spanning-tree cocycle.
 The twist BFS has references too: ``substitute_per_letter`` inverts an
 image for every negative letter, and ``twist_bfs`` tries every twist on
 every frontier class, reduces each image from scratch and takes its least
-rotation naively (``naive_canonical_class``).
+rotation naively (``naive_canonical_class``). ``literal_power`` finds a
+proper power by trying every period that divides the length.
 """
 
 import functools
@@ -307,6 +308,16 @@ def naive_canonical_class(w):
         keys = [letter_order_key(x) for x in side]
         rotations += [(keys[i:] + keys[:i], side[i:] + side[:i]) for i in range(len(w))]
     return min(rotations)[1]
+
+
+def literal_power(w) -> bool:
+    """``is_proper_power`` by trying each period d < n that divides n."""
+    v = cyclic_reduce(w)
+    n = len(v)
+    return any(
+        n % d == 0 and all(v[i] == v[i % d] for i in range(d, n))
+        for d in range(1, n // 2 + 1)
+    )
 
 
 def twist_bfs(genus, depth, max_len):

@@ -115,6 +115,39 @@ def test_verify_no_witness_status(capsys):
     assert records[0]["status"] == "no_witness_at_bound"
 
 
+@pytest.mark.parametrize(
+    "hit, failure, witness, status",
+    [
+        (True, True, True, "kernel_hit"),
+        (True, True, False, "kernel_hit"),
+        (True, False, True, "kernel_hit"),
+        (True, False, False, "kernel_hit"),
+        (False, True, True, "lemma_failure"),
+        (False, True, False, "lemma_failure"),
+        (False, False, False, "no_witness_at_bound"),
+        (False, False, True, "ok"),
+    ],
+)
+def test_verify_status_ranks_failures_by_severity(
+    capsys, monkeypatch, hit, failure, witness, status
+):
+    # A contradiction of rho outranks an inconclusive search bound.
+    verify = cli.verify_non_geometric
+
+    def planted(ctx, classes):
+        return verify(ctx, classes)._replace(
+            kernel_hits=[{"word": "a1"}] if hit else [],
+            lemma_failures=[{"word": "a1", "reason": "planted"}] if failure else [],
+        )
+
+    found = [(1, 1, 2, 2, -1, -1, -2, -2)] if witness else []
+    monkeypatch.setattr(cli, "verify_non_geometric", planted)
+    monkeypatch.setattr(cli, "search_kernel_elements", lambda ctx, max_len: found)
+    code, out = run_main(capsys, "verify", "--depth", "0", "--kernel-len", "8")
+    assert json_records(out)[0]["status"] == status
+    assert code == (0 if status == "ok" else 1)
+
+
 def test_verify_genus4_image_rank_is_exact(capsys):
     argv = ["verify", "--genus", "4", "--depth", "2", "--kernel-len", "6", "--seed", "7"]
     code, out = run_main(capsys, *argv)

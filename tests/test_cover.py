@@ -339,7 +339,7 @@ def test_walk_is_deck_equivariant_on_closed_words(genus):
     # words cover the h == 0 case.
     cover = build_mod2_cover(genus)
     words = [commutator((1, 1), (2, 2)), surface_relator(genus)]
-    words += [w for w, _ in search_kernel_elements(GroupContext(cover), 6)]
+    words += search_kernel_elements(GroupContext(cover), 6)
     rng = random.Random(53 + genus)
     while len(words) < 150:
         w = random_reduced_word(rng, genus, rng.randrange(1, 16))

@@ -78,6 +78,19 @@ def test_validation_rejects_a_conjugation():
         _validate_table(2, conj)
 
 
+def test_validation_rejects_twists_that_do_not_cancel():
+    # ta1 fixes the relator, but ta1 composed with itself is not the identity.
+    table = dict(twist_table(2))
+    table["ta1_inv"] = table["ta1"]
+    with pytest.raises(AssertionError, match="twist ta1 and its inverse do not cancel"):
+        _validate_table(2, table)
+
+
+def test_standard_curves_reject_low_genus():
+    with pytest.raises(ValueError):
+        standard_curves(1)
+
+
 def test_identity_images_leave_words_alone():
     rng = random.Random(1)
     for _ in range(20):

@@ -92,6 +92,19 @@ def test_z2xz_word_problem():
     assert not z2xz_is_trivial((2, 2, -2))
 
 
+def test_z2xz_rejects_unknown_generator():
+    with pytest.raises(ValueError, match="unknown generator 3"):
+        z2xz_is_trivial((3,))
+
+
+def test_relator_image_with_odd_target_character_rejected():
+    source = Presentation(("a",), ((1, 1, 1),))
+    source_char = OrientationCharacter((0,))
+    target_char = OrientationCharacter((1,))
+    with pytest.raises(ValueError, match="nonzero target character"):
+        sidedness_report(source, source_char, target_char, {1: (1,)})
+
+
 def test_torus_inclusion_is_one_sided():
     report = torus_inclusion_sidedness()
     assert report["two_sided"] is False

@@ -1,8 +1,12 @@
-"""Every name a module exports resolves and is listed once, and every layer
-and class the benchmark tracer looks up by name exists."""
+"""Every name a module exports resolves and is listed once, every layer
+and class the benchmark tracer looks up by name exists, and the README's
+library example prints what its comments say."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import re
 from pathlib import Path
 
 import pytest
@@ -35,3 +39,21 @@ def test_traced_layers_and_classes_resolve():
     for module, cls in tracing.CLASSES:
         mod = importlib.import_module("%s.%s" % (tracing.PACKAGE, module))
         assert isinstance(getattr(mod, cls, None), type), (module, cls)
+
+
+def test_readme_library_example_prints_its_comments():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    # Each print line's comment starts with the output, then an optional
+    # " — " and an explanation.
+    expected = [
+        line.split("#", 1)[1].split(" — ")[0].strip()
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    assert expected == ["True", "False", "11831 []"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines() == expected

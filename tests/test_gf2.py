@@ -138,6 +138,20 @@ def test_quotient_everything_bounds():
         assert coords(q, c) == 0
 
 
+@pytest.mark.parametrize(
+    "rows, cols, data, match",
+    [
+        (2, 3, (vec(1, 0, 0),), "row count"),
+        (1, 3, (1 << 3,), "outside the column range"),
+        (1, 3, (-1,), "outside the column range"),
+    ],
+    ids=["row-count", "bit-past-cols", "negative-row"],
+)
+def test_matrix_rejects_malformed_data(rows, cols, data, match):
+    with pytest.raises(ValueError, match=match):
+        GF2Matrix(rows, cols, data)
+
+
 def test_quotient_rejects_boundary_outside_cycles():
     with pytest.raises(ValueError):
         QuotientMap([vec(1, 1, 0)], [vec(0, 0, 1)])

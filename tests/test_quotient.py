@@ -44,6 +44,7 @@ from oracles import (
     deck_apply,
     image_rank_by_group_law,
     inv_by_deck_action,
+    literal_power,
     mul_by_deck_action,
 )
 
@@ -57,9 +58,7 @@ CTX3 = make_ctx(3)
 CTX4 = make_ctx(4)
 
 
-def dfs_search_kernel_elements(
-    ctx: GroupContext, max_len: int
-) -> list[tuple[Word, bool]]:
+def dfs_search_kernel_elements(ctx: GroupContext, max_len: int) -> list[Word]:
     """Find nontrivial kernel words up to a length bound, depth first.
 
     Oracle for search_kernel_elements, which must return the same list.
@@ -67,10 +66,10 @@ def dfs_search_kernel_elements(
     Enumerates freely and cyclically reduced words by increasing length, one
     canonical representative per free conjugacy class (kernel membership is
     a class property), and keeps the Dehn-nontrivial ones that map to the
-    identity. Each hit is paired with its proper-power flag.
+    identity.
 
     Returns:
-        List of (word, is_proper_power) pairs in discovery order.
+        The kept words in discovery order.
     """
     check_length_bound(max_len, "kernel length")
     genus = ctx.genus
@@ -80,7 +79,7 @@ def dfs_search_kernel_elements(
         key=letter_order_key,
     )
     position = {x: i for i, x in enumerate(alphabet)}
-    hits: list[tuple[Word, bool]] = []
+    hits: list[Word] = []
     word: list[int] = []
 
     def extend(phi: int, length: int) -> None:
@@ -94,7 +93,7 @@ def dfs_search_kernel_elements(
                 return
             if is_trivial(w, genus):
                 return
-            hits.append((w, is_proper_power(w)))
+            hits.append(w)
             return
         remaining = length - len(word)
         if phi.bit_count() > remaining:
@@ -263,25 +262,22 @@ def test_search_length3_empty():
 
 def test_search_length4_finds_fourth_powers():
     hits = search_kernel_elements(CTX, 4)
-    words = [w for w, _ in hits]
-    assert words == [(k,) * 4 for k in range(1, 5)]
-    assert all(flag for _, flag in hits)
+    assert hits == [(k,) * 4 for k in range(1, 5)]
+    assert all(is_proper_power(w) for w in hits)
 
 
 def test_search_length8_finds_commutator_witness():
     hits = search_kernel_elements(CTX, 8)
-    words = [w for w, _ in hits]
     witness = canonical_class(commutator((1, 1), (2, 2)))
-    assert witness in words
-    flags = dict(hits)
-    assert flags[witness] is False
-    for w, flag in hits:
+    assert witness in hits
+    assert is_proper_power(witness) is False
+    for w in hits:
         assert 1 <= len(w) <= 8
         assert abelianization_mod2(w, 2) == 0
         assert in_kernel(CTX, w)
         assert not is_trivial(w, 2)
         assert canonical_class(w) == w
-    assert len(set(words)) == len(words)
+    assert len(set(hits)) == len(hits)
 
 
 def test_search_matches_brute_force_filter():
@@ -295,7 +291,7 @@ def test_search_matches_brute_force_filter():
             if any(x == -y for x, y in zip(w, w[1:] + w[:1])):
                 continue
             if in_kernel(CTX, w) and canonical_class(w) == w and not is_trivial(w, 2):
-                expected.append((w, is_proper_power(w)))
+                expected.append(w)
     assert expected
     assert search_kernel_elements(CTX, 6) == expected
 
@@ -307,20 +303,20 @@ def test_search_matches_dfs_oracle(ctx, max_len):
     expected = dfs_search_kernel_elements(ctx, max_len)
     assert expected
     for bound in range(1, max_len + 1):
-        prefix = [hit for hit in expected if len(hit[0]) <= bound]
+        prefix = [w for w in expected if len(w) <= bound]
         assert search_kernel_elements(ctx, bound) == prefix
 
 
 def test_search_genus3_length8_hits_are_witnesses():
     hits = search_kernel_elements(CTX3, 8)
-    assert any(len(w) == 8 for w, _ in hits)
-    order = [(len(w), [letter_order_key(x) for x in w]) for w, _ in hits]
+    assert any(len(w) == 8 for w in hits)
+    order = [(len(w), [letter_order_key(x) for x in w]) for w in hits]
     assert order == sorted(order)
-    for w, flag in hits:
+    for w in hits:
         assert canonical_class(w) == w
         assert in_kernel(CTX3, w)
         assert not is_trivial(w, 3)
-        assert flag == is_proper_power(w)
+        assert is_proper_power(w) == literal_power(w)
 
 
 def test_search_budget_counts_half_words():
@@ -358,7 +354,7 @@ def test_kernel_is_normal():
     rng = random.Random(7)
     hits = search_kernel_elements(CTX, 6)
     assert hits
-    for w, _ in hits:
+    for w in hits:
         for _ in range(5):
             u = random_reduced_word(rng, 2, rng.randrange(1, 8))
             assert in_kernel(CTX, concat(u, w, inverse(u)))
@@ -377,13 +373,13 @@ def test_every_twist_maps_kernel_witnesses_into_the_kernel(
     twists = twist_table(ctx.genus)
     assert (len(hits), len(twists)) == (n_hits, n_twists)
     for name, images in twists.items():
-        for w, _ in hits:
+        for w in hits:
             assert in_kernel(ctx, substitute(w, images)), (name, w)
 
 
 def test_twist_compositions_map_kernel_witnesses_into_the_kernel():
     rng = random.Random(11)
-    hits = [w for w, _ in search_kernel_elements(CTX, 8)]
+    hits = search_kernel_elements(CTX, 8)
     twists = list(twist_table(2).values())
     for _ in range(200):
         w = rng.choice(hits)

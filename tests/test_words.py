@@ -14,6 +14,7 @@ from simpleloop.words import (
     cyclic_reduce,
     dehn_normal_form,
     free_reduce,
+    gen_index,
     gen_name,
     inverse,
     is_proper_power,
@@ -25,6 +26,8 @@ from simpleloop.words import (
     word_from_str,
     word_to_str,
 )
+
+from oracles import literal_power
 
 G = 2
 R = surface_relator(G)
@@ -298,6 +301,31 @@ def test_proper_powers():
     assert not is_proper_power(())
     # conjugation does not hide the period after cyclic reduction
     assert is_proper_power((2, 1, 1, -2))
+
+
+def test_proper_power_matches_divisor_loop():
+    rng = random.Random(20)
+    for _ in range(20_000):
+        u = random_reduced_word(rng, 2, rng.randrange(0, 6))
+        c = random_reduced_word(rng, 2, rng.randrange(0, 3))
+        w = c + u * rng.randrange(1, 5) + inverse(c)
+        assert is_proper_power(w) == literal_power(w), w
+
+
+@pytest.mark.parametrize(
+    "fn, args, match",
+    [
+        (gen_index, ("c1",), "bad generator name"),
+        (word_from_str, ("a3", 2), "outside genus"),
+        (surface_relator, (1,), "at least 2"),
+        (separating_word, (2, 2), "out of range"),
+        (abelianization_mod2, ((5,), 2), "outside genus"),
+    ],
+    ids=["gen_index", "word_from_str", "surface_relator", "separating_word", "abelianization"],
+)
+def test_out_of_range_input_rejected(fn, args, match):
+    with pytest.raises(ValueError, match=match):
+        fn(*args)
 
 
 def test_substitute():

@@ -4,7 +4,8 @@ Commands: info, verify, search-kernel, lemma-check, torus-demo, realize.
 Each command returns (exit code, records, text lines), and main writes the
 records as JSON lines (schema field on every record) or the text, one line
 at a time; records may be an iterator whose records are built as they are
-written. Exit codes: 0 success, 1 verification failure (including no
+written, and a record that is already its JSON line (a str) is written as
+it is. Exit codes: 0 success, 1 verification failure (including no
 kernel witness at the requested bound), 2 usage or configuration error,
 3 resource bound.
 """
@@ -43,13 +44,29 @@ from .quotient import (
     search_kernel_elements,
 )
 from .realize import parse_presentation, realize, recipe_for_G
-from .words import check_length_bound, dehn_normal_form, is_proper_power, word_to_str
+from .words import (
+    _key_text,
+    check_length_bound,
+    dehn_normal_form,
+    is_proper_power,
+    word_to_str,
+)
 
 SCHEMA = 1
 NO_WITNESS = "no witness found at this bound"
 # One encoder for every record; json.dumps(sort_keys=True) builds a new one
 # per call. The output bytes are the same.
 _encode = json.JSONEncoder(sort_keys=True).encode
+# A class record's JSON line as _encode writes it: the keys of
+# curves._class_record plus kind and schema, in sorted order. Roots, twist
+# names and word texts are spelled from [A-Za-z0-9_ ], so they need no
+# escaping.
+_CLASS_LINE = (
+    '{"h_nonzero": %s, "in_kernel": %s, "kind": "class", "length": %d, '
+    '"root": "%s", "schema": ' + str(SCHEMA) + ', "separating": %s, '
+    '"twists": %s, "v_nonzero": %s, "word": "%s"}'
+)
+_BOOL = ("false", "true")
 
 
 def _write(lines, out_path):
@@ -197,12 +214,20 @@ def cmd_verify(args):
     }
 
     def records():
-        # The witness and class records are built as they are written.
+        # The witness records and class lines are built as they are written.
         yield summary
         yield from (_witness_record(args.genus, w) for w in witnesses)
-        for rec in report.records:
-            rec["kind"] = "class"
-            yield rec
+        for sc, flag in zip(report.classes, report.flags):
+            yield _CLASS_LINE % (
+                _BOOL[flag >> 1],
+                _BOOL[not flag],
+                len(sc.key),
+                sc.root,
+                _BOOL[sc.separating],
+                '["%s"]' % '", "'.join(sc.twists) if sc.twists else "[]",
+                _BOOL[flag & 1],
+                _key_text(sc.key),
+            )
 
     lines = [
         "status: %s" % status,
@@ -427,7 +452,10 @@ def main(argv=None) -> int:
     try:
         code, records, lines = args.func(args)
         if args.format == "json":
-            lines = (_encode({"schema": SCHEMA, **rec}) for rec in records)
+            lines = (
+                rec if isinstance(rec, str) else _encode({"schema": SCHEMA, **rec})
+                for rec in records
+            )
         try:
             _write(lines, args.out)
         except BrokenPipeError:

@@ -12,7 +12,7 @@ from a lifted word to an H1 class: the finite quotient group and the lift
 lemma read the complex through it.
 """
 
-from .words import inverse
+from .words import _key_string, inverse
 
 # The build alone would fit genus 5 (0.045 s, 25 MB in process on a 2-vCPU
 # VM) and genus 6 (0.46 s, 160 MB). The cap stays at 4 until the twist depth
@@ -112,6 +112,8 @@ class CoverCW:
     def walk(self, word, start: int) -> tuple[int, int]:
         """XOR the edge classes along a word's lift from a start vertex.
 
+        The word is a tuple of letters or its key string (words._key_string).
+
         Returns:
             (h, end): H1 class of the lift closed up through the spanning
             tree (tree edges add 0), and the vertex where the lift ends.
@@ -199,6 +201,10 @@ class CoverCW:
             self._letter_classes[k] = forward
             self._letter_classes[-k] = tuple(forward[v ^ bit] for v in range(self.n_vertices))
             self._letter_flips[k] = self._letter_flips[-k] = bit
+        # The same entries under each letter's key character, so walk also
+        # reads a key string.
+        for table in (self._letter_classes, self._letter_flips):
+            table.update({_key_string((x,)): entry for x, entry in table.items()})
 
 
 def build_mod2_cover(genus: int) -> CoverCW:

@@ -27,7 +27,9 @@ from .quotient import GroupContext, rho
 from .words import (
     Word,
     _canonical_images,
+    _class_key,
     _key_string,
+    _key_text,
     _key_translation,
     _key_word,
     canonical_class,
@@ -37,7 +39,6 @@ from .words import (
     separating_word,
     substitute,
     surface_relator,
-    word_to_str,
 )
 
 
@@ -45,16 +46,22 @@ class SimpleClass(NamedTuple):
     """A certified simple closed curve class.
 
     Attributes:
-        cls: canonical representative of the free conjugacy class.
+        key: key string (words._key_string) of the canonical representative
+            of the free conjugacy class.
         root: name of the standard curve the certificate starts from.
         twists: twist names applied to the root, in order.
         separating: whether the curve separates (mod-2 class zero).
     """
 
-    cls: Word
+    key: str
     root: str
     twists: tuple[str, ...]
     separating: bool
+
+    @property
+    def cls(self) -> Word:
+        """The canonical representative as a word, decoded from key."""
+        return _key_word(self.key)
 
 
 def _connector_word(i: int) -> Word:
@@ -147,7 +154,7 @@ def standard_curves(genus: int) -> list[SimpleClass]:
     roots += ["s%d" % k for k in range(1, genus)]
     return [
         SimpleClass(
-            cls=canonical_class(root_word(genus, root)),
+            key=_class_key(root_word(genus, root)),
             root=root,
             twists=(),
             separating=root[0] == "s",
@@ -179,12 +186,12 @@ def replay_certificate(genus: int, root: str, twists: tuple[str, ...]) -> Word:
 
 # Deepest twist BFS per genus. Each level costs about 4-8 times the one
 # before (generate_simple_classes alone, measured in process at max_len 64
-# on a 2-vCPU VM, peak RSS of the process):
-#   g = 2: depth 7 gives 44 490 classes in 1.0 s, 49 MB; depth 8 gives
-#          155 986 in 6.1 s, 146 MB.
-#   g = 3: depth 6 gives 48 999 classes in 1.0 s; depth 7 gives 232 786 in
-#          8.0 s, 200 MB.
-#   g = 4: depth 6 gives 91 004 classes in 2.0 s, 81 MB.
+# on a 2-vCPU VM, peak RSS of the process; times drift by up to 25 %):
+#   g = 2: depth 7 gives 44 490 classes in 1.3 s, 38 MB; depth 8 gives
+#          155 986 in 4-5 s, 98 MB.
+#   g = 3: depth 6 gives 48 999 classes in 0.9 s, 38 MB; depth 7 gives
+#          232 786 in 7-8 s, 138 MB.
+#   g = 4: depth 6 gives 91 004 classes in 2.1 s, 60 MB.
 MAX_DEPTH = {2: 7, 3: 6, 4: 6}
 
 
@@ -243,7 +250,8 @@ def generate_simple_classes(
     A level's skips read only the records of the level above, so each level
     decides every skip first, then applies each twist to its whole batch of
     classes at once (_canonical_images), then numbers the new classes in (class,
-    twist) order. Classes are deduplicated on their key strings.
+    twist) order. Classes are deduplicated on, and stored as, their key
+    strings; nothing is decoded.
     """
     check_depth(depth, genus)
     check_length_bound(max_len, "max_len")
@@ -265,10 +273,9 @@ def generate_simple_classes(
     # twist j, the number of class(j(p)), or inf while that is not known.
     frontier = []
     for sc in standard_curves(genus):
-        key = _key_string(sc.cls)
-        if key not in position:
-            position[key] = len(order)
-            frontier.append((len(order), key, None, None, None))
+        if sc.key not in position:
+            position[sc.key] = len(order)
+            frontier.append((len(order), sc.key, None, None, None))
             order.append(sc)
     unknown = float("inf")
     for level in range(depth):
@@ -304,19 +311,17 @@ def generate_simple_classes(
         for n, record, applied in expansions:
             sc = order[n]
             for j in applied:
-                cls = next_image[j]()
-                if len(cls) > max_len:
+                key = next_image[j]()
+                if len(key) > max_len:
                     continue
-                m = position.get(cls)
+                m = position.get(key)
                 if m is None:
-                    m = position[cls] = len(order)
+                    m = position[key] = len(order)
                     order.append(
-                        SimpleClass(
-                            _key_word(cls), sc.root, sc.twists + (names[j],), sc.separating
-                        )
+                        SimpleClass(key, sc.root, sc.twists + (names[j],), sc.separating)
                     )
                     if expand_next:
-                        next_frontier.append((m, cls, n, j, record))
+                        next_frontier.append((m, key, n, j, record))
                 record[j] = m
         frontier = next_frontier
     return order
@@ -348,8 +353,8 @@ class VerificationReport(NamedTuple):
 
 def _class_record(sc: SimpleClass, flag: int) -> dict:
     return {
-        "word": word_to_str(sc.cls),
-        "length": len(sc.cls),
+        "word": _key_text(sc.key),
+        "length": len(sc.key),
         "root": sc.root,
         "twists": list(sc.twists),
         "separating": sc.separating,
@@ -385,7 +390,7 @@ def verify_non_geometric(
     n_vertices = ctx.cover.n_vertices
     flags, hits, failures = bytearray(), [], []
     for sc in classes:
-        el = rho(ctx, sc.cls)
+        el = rho(ctx, sc.key)
         flag = (el.v != 0) | (el.h != 0) << 1
         flags.append(flag)
         if not flag:
@@ -398,7 +403,7 @@ def verify_non_geometric(
             reasons = ["nonseparating class with zero mod-2 image"]
         else:
             continue
-        word = word_to_str(sc.cls)
+        word = _key_text(sc.key)
         failures.extend({"word": word, "reason": r} for r in reasons)
     n_sep = sum(1 for sc in classes if sc.separating)
     return VerificationReport(

@@ -13,11 +13,10 @@ words.
 from typing import NamedTuple
 
 from .cover import CoverCW, ResourceLimitError, check_genus
-from .gf2 import Echelon
 from .words import (
     Word,
+    _class_key,
     _key_string,
-    canonical_class,
     check_length_bound,
     inverse,
     is_trivial,
@@ -50,9 +49,9 @@ class GroupContext:
 def rho(ctx: GroupContext, w: Word) -> GElement:
     """Image of a word, read from one walk of its lift from vertex 0.
 
-    v is the vertex the lift ends at (the mod-2 abelianization) and h the
-    lift's class closed up through the tree. Raises ValueError on a letter
-    outside the genus.
+    The word is a tuple of letters or its key string. v is the vertex the
+    lift ends at (the mod-2 abelianization) and h the lift's class closed up
+    through the tree. Raises ValueError on a letter outside the genus.
     """
     try:
         h, v = ctx.cover.walk(w, 0)
@@ -117,7 +116,9 @@ def search_kernel_elements(ctx: GroupContext, max_len: int) -> list[Word]:
     direction-free over GF(2) it maps to the identity exactly when
     walk(u, 0) == walk(v, 0). Half-words are bucketed by that pair, and of
     the colliding pairs the canonical representatives of their free
-    conjugacy classes are kept when Dehn-nontrivial.
+    conjugacy classes are kept when Dehn-nontrivial: u v^-1 is canonical
+    when its key string is the key string of its class, compared without
+    decoding.
 
     Returns:
         The kept words, by length and then in the canonical letter order.
@@ -146,33 +147,31 @@ def search_kernel_elements(ctx: GroupContext, max_len: int) -> list[Word]:
                     if v and (u[-1] == v[-1] or u[0] == v[0]):
                         continue
                     w = u + inverse(v)
-                    if canonical_class(w) == w and not is_trivial(w, genus):
-                        found.append(w)
-        hits.extend(sorted(found, key=_key_string))
+                    key = _key_string(w)
+                    if _class_key(w) == key and not is_trivial(w, genus):
+                        found.append((key, w))
+        hits.extend(w for _, w in sorted(found))
     return hits
 
 
 def image_rank(ctx: GroupContext) -> dict:
-    """GF(2) ranks of the v and h parts of rho's image, one walk per word.
+    """Ranks of the v and h parts of rho's image, from one walk per word.
 
-    The 2g generators give the v parts. Unit cycle word j
-    (CoverCW.unit_cycle_words) is a loop at vertex 0 of class 1 << j, so
-    the image holds every (0, h) and maps onto every v: rho is onto the
-    extension group, v_rank is 2g and h_rank is h1_dim, from 2g + h1_dim
-    walks.
+    Generator k maps to v = 1 << (k - 1), so the v parts span all 2g deck
+    bits. Unit cycle word j (CoverCW.unit_cycle_words) walks from vertex 0
+    back to 0 with class 1 << j, so the image holds every (0, h): rho is
+    onto the extension group, v_rank is 2g and h_rank is h1_dim. Each of
+    these 2g + h1_dim equalities is checked; a failure raises AssertionError.
 
     Returns:
         Dict with v_rank, h_rank, v_dim, h_dim.
     """
-    v_span = Echelon()
-    h_span = Echelon()
-    for k in range(1, 2 * ctx.genus + 1):
-        v_span.insert(rho(ctx, (k,)).v, 0)
-    for word in ctx.cover.unit_cycle_words:
-        h_span.insert(rho(ctx, word).h, 0)
-    return {
-        "v_rank": len(v_span.rows),
-        "h_rank": len(h_span.rows),
-        "v_dim": 2 * ctx.genus,
-        "h_dim": ctx.cover.h1_dim,
-    }
+    v_dim, h_dim = 2 * ctx.genus, ctx.cover.h1_dim
+    for k in range(1, v_dim + 1):
+        if rho(ctx, (k,)).v != 1 << (k - 1):
+            raise AssertionError("generator %d does not map to deck bit %d" % (k, k - 1))
+    walk = ctx.cover.walk
+    for j, word in enumerate(ctx.cover.unit_cycle_words):
+        if walk(word, 0) != (1 << j, 0):
+            raise AssertionError("unit cycle word %d does not have class 1 << %d" % (j, j))
+    return {"v_rank": v_dim, "h_rank": h_dim, "v_dim": v_dim, "h_dim": h_dim}

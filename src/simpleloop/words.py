@@ -20,7 +20,6 @@ shortens the word.
 from __future__ import annotations
 
 import functools
-import random
 
 __all__ = [
     "Word",
@@ -42,7 +41,6 @@ __all__ = [
     "letter_order_key",
     "canonical_class",
     "is_proper_power",
-    "random_reduced_word",
     "check_length_bound",
 ]
 
@@ -237,6 +235,12 @@ _KEY_LETTERS = _LetterMemo(lambda c: (ord(c) - 0x3E) // 2 * (-1 if ord(c) & 1 el
 _INVERT = _LetterMemo(lambda code: code ^ 1 if code >= 0x40 else code)
 
 
+# str.translate table spelling each character of a key string as its
+# letter's token and a space, so a key string's text is
+# key.translate(_KEY_TOKENS)[:-1].
+_KEY_TOKENS = _LetterMemo(lambda code: _LETTER_TOKENS[_KEY_LETTERS[chr(code)]] + " ")
+
+
 def _key_string(w) -> str:
     """Key string of a word: one character per letter, in the letter order."""
     return "".join(map(_KEY_CHARS.__getitem__, w))
@@ -245,6 +249,11 @@ def _key_string(w) -> str:
 def _key_word(key: str) -> Word:
     """The word a key string spells."""
     return tuple(map(_KEY_LETTERS.__getitem__, key))
+
+
+def _key_text(key: str) -> str:
+    """The literal syntax of the word a key string spells, as word_to_str."""
+    return key.translate(_KEY_TOKENS)[:-1]
 
 
 def _canonical_key(key: str, inv: str) -> str:
@@ -316,8 +325,13 @@ def canonical_class(w) -> Word:
     Cyclically reduces, then takes the least rotation of the word and of
     its inverse under the fixed letter order.  Rejects the empty word.
     """
+    return _key_word(_class_key(w))
+
+
+def _class_key(w) -> str:
+    """Key string of canonical_class(w)."""
     key = _key_string(free_reduce(w))
-    return _key_word(_canonical_key(key, key[::-1].translate(_INVERT)))
+    return _canonical_key(key, key[::-1].translate(_INVERT))
 
 
 def is_proper_power(w) -> bool:
@@ -329,18 +343,6 @@ def is_proper_power(w) -> bool:
     """
     key = _key_string(cyclic_reduce(w))
     return key != "" and key in (key + key)[1:-1]
-
-
-def random_reduced_word(rng: random.Random, genus: int, length: int) -> Word:
-    """Uniform-ish freely reduced word of exactly the given length."""
-    letters = [k for k in range(1, 2 * genus + 1)] + [-k for k in range(1, 2 * genus + 1)]
-    out: list[int] = []
-    while len(out) < length:
-        x = rng.choice(letters)
-        if out and out[-1] == -x:
-            continue
-        out.append(x)
-    return tuple(out)
 
 
 def check_length_bound(value: int, name: str) -> None:

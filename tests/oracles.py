@@ -15,6 +15,8 @@ law here states G as an extension of the deck group by H1 instead: the
 deck action on H1 comes from translating full-width basis cycles, and the
 h parts of a product are twisted by it and by a spanning-tree cocycle.
 
+``random_reduced_word`` draws the random words of the property tests.
+
 The twist BFS has references too: ``substitute_per_letter`` inverts an
 image for every negative letter, and ``twist_bfs`` tries every twist on
 every frontier class, reduces each image from scratch and takes its least
@@ -29,14 +31,26 @@ from simpleloop.curves import SimpleClass, root_word, standard_curves, twist_tab
 from simpleloop.gf2 import Echelon, GF2Matrix, QuotientMap
 from simpleloop.quotient import GElement, inv, mul, rho
 from simpleloop.words import (
+    _key_string,
     abelianization_mod2,
     cyclic_reduce,
     inverse,
     letter_order_key,
-    random_reduced_word,
     surface_relator,
     word_to_str,
 )
+
+
+def random_reduced_word(rng: random.Random, genus: int, length: int):
+    """Uniform-ish freely reduced word of exactly the given length."""
+    letters = [k for k in range(1, 2 * genus + 1)] + [-k for k in range(1, 2 * genus + 1)]
+    out: list[int] = []
+    while len(out) < length:
+        x = rng.choice(letters)
+        if out and out[-1] == -x:
+            continue
+        out.append(x)
+    return tuple(out)
 
 
 def tree_chains(cover) -> tuple[int, ...]:
@@ -333,7 +347,7 @@ def twist_bfs(genus, depth, max_len):
     for sc in standard_curves(genus):
         cls = naive_canonical_class(root_word(genus, sc.root))
         if cls not in seen:
-            seen[cls] = sc._replace(cls=cls)
+            seen[cls] = sc._replace(key=_key_string(cls))
             order.append(seen[cls])
     frontier = list(order)
     for _ in range(depth):
@@ -344,7 +358,7 @@ def twist_bfs(genus, depth, max_len):
                 if len(cls) > max_len or cls in seen:
                     continue
                 new = SimpleClass(
-                    cls=cls,
+                    key=_key_string(cls),
                     root=sc.root,
                     twists=sc.twists + (name,),
                     separating=abelianization_mod2(cls, genus) == 0,

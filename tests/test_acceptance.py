@@ -39,12 +39,11 @@ from simpleloop.words import (
     inverse,
     is_proper_power,
     is_trivial,
-    random_reduced_word,
     substitute,
     surface_relator,
 )
 
-from oracles import loop_class
+from oracles import loop_class, random_reduced_word
 
 _CACHE = {}
 

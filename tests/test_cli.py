@@ -14,8 +14,14 @@ import pytest
 from simpleloop import cli
 from simpleloop.cli import main
 from simpleloop.cover import MAX_GENUS, CoverCW, build_mod2_cover
+from simpleloop.curves import (
+    generate_simple_classes,
+    standard_curves,
+    twist_table,
+    verify_non_geometric,
+)
 from simpleloop.quotient import GroupContext, in_kernel
-from simpleloop.words import is_trivial, word_from_str
+from simpleloop.words import _key_string, _key_text, is_trivial, word_from_str
 
 
 def run_main(capsys, *argv):
@@ -537,6 +543,38 @@ def test_verify_records_digest_tight_max_len(capsys, argv, n_lines, digest):
     # A tight max_len drops some twist images, which the commutation skip
     # must not confuse with images that are merely unknown.
     check_records_digest(capsys, argv, n_lines, digest)
+
+
+@pytest.mark.parametrize("genus, depth", [(2, 6), (3, 3)])
+def test_class_lines_match_encoded_records(capsys, genus, depth):
+    # verify spells each class line from a format string; it must be the
+    # line the encoder makes of the library's record.
+    _, out = run_main(
+        capsys, "verify", "--genus", str(genus), "--depth", str(depth), "--kernel-len", "4"
+    )
+    ctx = GroupContext(build_mod2_cover(genus))
+    report = verify_non_geometric(ctx, generate_simple_classes(genus, depth, 64))
+    expected = [
+        cli._encode({"schema": cli.SCHEMA, "kind": "class", **rec}) for rec in report.records
+    ]
+    lines = out.splitlines()
+    summary = json.loads(lines[0])
+    assert len(lines) == 1 + summary["witness_count"] + report.total
+    assert lines[len(lines) - report.total :] == expected
+
+
+def test_class_line_fields_need_no_json_escaping():
+    # The class line format writes roots, twist names and word texts
+    # between quotes as they are, so none may hold a character JSON escapes.
+    plain = re.compile(r"^[A-Za-z0-9_ ]*$")
+    for genus in range(2, MAX_GENUS + 1):
+        names = set(twist_table(genus)) | {sc.root for sc in standard_curves(genus)}
+        letters = [x for k in range(1, 2 * genus + 1) for x in (k, -k)]
+        # A word's text is its letters' tokens joined by spaces.
+        texts = [_key_text(_key_string((x,))) for x in letters]
+        texts.append(_key_text(_key_string(letters)))
+        for text in sorted(names) + texts:
+            assert plain.match(text), text
 
 
 def text_lines(output):

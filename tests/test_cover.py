@@ -16,9 +16,9 @@ from simpleloop.gf2 import GF2Matrix, kernel_basis, rank
 from simpleloop.quotient import GroupContext, search_kernel_elements
 from simpleloop.realize import recipe_for_G
 from simpleloop.words import (
+    _key_string,
     abelianization_mod2,
     commutator,
-    random_reduced_word,
     surface_relator,
 )
 
@@ -31,6 +31,7 @@ from oracles import (
     full_quotient,
     incidence,
     loop_class,
+    random_reduced_word,
     translate_chain,
     tree_chains,
 )
@@ -222,6 +223,16 @@ def test_walk_accepts_open_words():
     for v in (0, 5):
         cover.walk((1,), v)
         cover.walk((2, -3), v)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_walk_reads_key_strings_as_words(genus):
+    cover = build_mod2_cover(genus)
+    rng = random.Random(genus)
+    for _ in range(300):
+        w = random_reduced_word(rng, genus, rng.randrange(0, 20))
+        v = rng.randrange(cover.n_vertices)
+        assert cover.walk(_key_string(w), v) == cover.walk(w, v)
 
 
 def test_deck_action_identity():

@@ -21,19 +21,26 @@ from simpleloop.curves import (
 )
 from simpleloop.quotient import GroupContext
 from simpleloop.words import (
+    _class_key,
+    _key_string,
+    _key_word,
     abelianization_mod2,
     canonical_class,
     dehn_normal_form,
     free_reduce,
     is_proper_power,
-    random_reduced_word,
     separating_word,
     substitute,
     surface_relator,
 )
 
 
-from oracles import lemma_check_all_vertices, substitute_per_letter, twist_bfs
+from oracles import (
+    lemma_check_all_vertices,
+    random_reduced_word,
+    substitute_per_letter,
+    twist_bfs,
+)
 
 CTX = GroupContext(build_mod2_cover(2))
 
@@ -357,6 +364,12 @@ def test_verify_depth3_no_kernel_hits():
     assert report.total == 201
 
 
+def test_simple_class_decodes_its_key():
+    for sc in generate_simple_classes(2, 3, 64) + standard_curves(3):
+        assert sc.cls == _key_word(sc.key)
+        assert _key_string(sc.cls) == sc.key
+
+
 def test_lemma_check_standard_curves():
     report = verify_non_geometric(CTX, standard_curves(2))
     assert report.lemma_failures == []
@@ -365,14 +378,14 @@ def test_lemma_check_standard_curves():
 
 
 def test_lemma_check_catches_false_separating_flag():
-    liar = SimpleClass(cls=(1,), root="a1", twists=(), separating=True)
+    liar = SimpleClass(key=_key_string((1,)), root="a1", twists=(), separating=True)
     report = verify_non_geometric(CTX, [liar])
     assert "nonzero mod-2" in report.lemma_failures[0]["reason"]
 
 
 def test_lemma_check_catches_false_nonseparating_flag():
     liar = SimpleClass(
-        cls=canonical_class(separating_word(2, 1)),
+        key=_class_key(separating_word(2, 1)),
         root="s1",
         twists=(),
         separating=False,
@@ -392,7 +405,7 @@ def test_twist_images_of_separating_curve_still_certified():
 
 def test_lemma_check_catches_separating_lift_that_bounds():
     liar = SimpleClass(
-        cls=canonical_class(surface_relator(2)),
+        key=_class_key(surface_relator(2)),
         root="s1",
         twists=(),
         separating=True,
@@ -406,7 +419,7 @@ def test_lemma_check_catches_separating_lift_that_bounds():
 
 def _relator_liar():
     return SimpleClass(
-        cls=canonical_class(surface_relator(2)), root="s1", twists=(), separating=True
+        key=_class_key(surface_relator(2)), root="s1", twists=(), separating=True
     )
 
 
@@ -438,6 +451,7 @@ def test_lemma_check_walks_once_per_class(monkeypatch):
     report = verify_non_geometric(CTX, classes)
     separating = [sc.cls for sc in classes if sc.separating]
     assert len(separating) > 1
-    # One walk from vertex 0 per class decides rho and the lift lemma.
-    assert calls == [(sc.cls, 0) for sc in classes]
+    # One walk from vertex 0 per class, on its key string, decides rho and
+    # the lift lemma.
+    assert calls == [(sc.key, 0) for sc in classes]
     assert len(report.lemma_failures) == CTX.cover.n_vertices

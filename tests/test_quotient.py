@@ -33,7 +33,6 @@ from simpleloop.words import (
     is_proper_power,
     is_trivial,
     letter_order_key,
-    random_reduced_word,
     substitute,
     surface_relator,
 )
@@ -46,6 +45,7 @@ from oracles import (
     inv_by_deck_action,
     literal_power,
     mul_by_deck_action,
+    random_reduced_word,
 )
 
 
@@ -345,9 +345,12 @@ def test_search_over_budget_raises_before_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the search walked before checking its budget")
 
-    monkeypatch.setattr(CTX.cover, "walk", fail)
+    # A fresh context: on undo, monkeypatch leaves the bound method on the
+    # instance, which would hide later class-level patches of CoverCW.walk.
+    ctx = make_ctx()
+    monkeypatch.setattr(ctx.cover, "walk", fail)
     with pytest.raises(ResourceLimitError):
-        search_kernel_elements(CTX, 40)
+        search_kernel_elements(ctx, 40)
 
 
 def test_kernel_is_normal():
@@ -416,16 +419,28 @@ def test_image_rank_walks_generators_and_unit_cycle_words(ctx, walks, monkeypatc
     # One walk per generator and per basis class, 2g + h1_dim in all; the
     # dense classes of the cotree edges are never walked.
     words = []
-    real_rho = quotient.rho
+    real_walk = ctx.cover.walk
 
-    def counting_rho(c, w):
-        words.append(w)
-        return real_rho(c, w)
+    def counting_walk(word, start):
+        words.append((word, start))
+        return real_walk(word, start)
 
-    monkeypatch.setattr(quotient, "rho", counting_rho)
+    monkeypatch.setattr(ctx.cover, "walk", counting_walk)
     image_rank(ctx)
     assert len(words) == walks == 2 * ctx.genus + ctx.cover.h1_dim
-    assert words[2 * ctx.genus :] == list(ctx.cover.unit_cycle_words)
+    assert words[: 2 * ctx.genus] == [((k,), 0) for k in range(1, 2 * ctx.genus + 1)]
+    assert words[2 * ctx.genus :] == [(w, 0) for w in ctx.cover.unit_cycle_words]
+
+
+def test_image_rank_checks_each_unit_cycle_word():
+    # image_rank reads the ranks off 2g + h1_dim equalities rather than
+    # eliminating, so a unit cycle word of the wrong class must raise.
+    cover = build_mod2_cover(2)
+    words = list(cover.unit_cycle_words)
+    words[0], words[1] = words[1], words[0]
+    cover.unit_cycle_words = tuple(words)
+    with pytest.raises(AssertionError, match="unit cycle word 0"):
+        image_rank(GroupContext(cover))
 
 
 @pytest.mark.parametrize("n_samples", [20, 100, 500])

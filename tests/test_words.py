@@ -19,7 +19,6 @@ from simpleloop.words import (
     inverse,
     is_proper_power,
     is_trivial,
-    random_reduced_word,
     separating_word,
     substitute,
     surface_relator,
@@ -27,7 +26,7 @@ from simpleloop.words import (
     word_to_str,
 )
 
-from oracles import literal_power
+from oracles import literal_power, random_reduced_word
 
 G = 2
 R = surface_relator(G)
@@ -280,6 +279,17 @@ def test_word_to_str_matches_per_letter_names():
         assert text == " ".join(word_to_str((x,)) for x in w)
         assert word_from_str(text, genus) == w
     assert word_to_str(()) == ""
+
+
+def test_key_text_matches_word_to_str():
+    from simpleloop.words import _key_string, _key_text
+
+    rng = random.Random(13)
+    for genus in range(2, 9):
+        for _ in range(50):
+            w = random_reduced_word(rng, genus, rng.randrange(0, 20))
+            assert _key_text(_key_string(w)) == word_to_str(w)
+    assert _key_text("") == ""
 
 
 def test_canonical_class_rejects_empty():

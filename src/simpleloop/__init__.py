@@ -58,6 +58,7 @@ from .words import (
     cyclic_reduce,
     dehn_normal_form,
     free_reduce,
+    from_letters,
     inverse,
     is_proper_power,
     is_trivial,
@@ -92,6 +93,7 @@ __all__ = [
     "extend_to_dimension",
     "free_product",
     "free_reduce",
+    "from_letters",
     "generate_simple_classes",
     "image_rank",
     "in_kernel",

@@ -45,7 +45,6 @@ from .quotient import (
 )
 from .realize import parse_presentation, realize, recipe_for_G
 from .words import (
-    _key_text,
     check_length_bound,
     dehn_normal_form,
     is_proper_power,
@@ -84,7 +83,7 @@ def _witness_record(genus, word):
         "length": len(word),
         "proper_power": is_proper_power(word),
         "dehn_normal_form": word_to_str(normal_form),
-        "dehn_nontrivial": normal_form != (),
+        "dehn_nontrivial": normal_form != "",
     }
 
 
@@ -221,12 +220,12 @@ def cmd_verify(args):
             yield _CLASS_LINE % (
                 _BOOL[flag >> 1],
                 _BOOL[not flag],
-                len(sc.key),
+                len(sc.cls),
                 sc.root,
                 _BOOL[sc.separating],
                 '["%s"]' % '", "'.join(sc.twists) if sc.twists else "[]",
                 _BOOL[flag & 1],
-                _key_text(sc.key),
+                word_to_str(sc.cls),
             )
 
     lines = [

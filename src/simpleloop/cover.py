@@ -9,10 +9,11 @@ Every edge carries its H1 class, from one tree-cotree pass over the faces:
 class of any lifted loop, closed up through the tree, is then the XOR of
 these entries along the lift. CoverCW.walk computes it and is the one way
 from a lifted word to an H1 class: the finite quotient group and the lift
-lemma read the complex through it.
+lemma read the complex through it. Words are strings of letters, as in
+simpleloop.words, and the edge table is keyed by letter.
 """
 
-from .words import _key_string, inverse
+from .words import Word, from_letters, inverse, letter_index
 
 # The build alone would fit genus 5 (0.045 s, 25 MB in process on a 2-vCPU
 # VM) and genus 6 (0.46 s, 160 MB). The cap stays at 4 until the twist depth
@@ -60,8 +61,8 @@ class CoverCW:
     Attributes:
         genus: genus of the base surface.
         n_vertices, n_edges, n_faces: cell counts (2^2g, 2g*2^2g, 2^2g).
-        tree_words: per vertex v, the tree path from 0: the set bits of v,
-            ascending.
+        tree_words: per vertex v, the tree path from 0: the generators of
+            the set bits of v, ascending.
         nontree_edges: edges outside the spanning tree, ascending.
         h1_dim: dimension of H1 of the cover over GF(2), checked against
             2 * cover_genus(genus).
@@ -89,7 +90,7 @@ class CoverCW:
         v, j = divmod(e, 2 * self.genus)
         return v, v ^ (1 << j)
 
-    def lift(self, word, start: int) -> tuple[int, int]:
+    def lift(self, word: Word, start: int) -> tuple[int, int]:
         """Lift a word to an edge chain from a start vertex.
 
         Returns:
@@ -98,7 +99,7 @@ class CoverCW:
         """
         chain = 0
         v = start
-        for x in word:
+        for x in map(letter_index, word):
             k = abs(x)
             bit = 1 << (k - 1)
             if x > 0:
@@ -109,10 +110,8 @@ class CoverCW:
                 chain ^= 1 << self.edge_index(v, k)
         return chain, v
 
-    def walk(self, word, start: int) -> tuple[int, int]:
+    def walk(self, word: Word, start: int) -> tuple[int, int]:
         """XOR the edge classes along a word's lift from a start vertex.
-
-        The word is a tuple of letters or its key string (words._key_string).
 
         Returns:
             (h, end): H1 class of the lift closed up through the spanning
@@ -128,15 +127,16 @@ class CoverCW:
             v ^= flips[x]
         return h, v
 
-    def schreier_word(self, e: int) -> tuple[int, ...]:
+    def schreier_word(self, e: int) -> Word:
         """Loop at vertex 0 that runs the tree to edge e, along it, and back.
 
         Its lift from 0 is the fundamental cycle of e, so for a non-tree
         edge walk(schreier_word(e), 0) is (edge_classes[e], 0).
         """
         v, w = self.edge_endpoints(e)
-        letter = e % (2 * self.genus) + 1
-        return self.tree_words[v] + (letter,) + inverse(self.tree_words[w])
+        # The tree path to the one-bit vertex 1 << j is generator j + 1.
+        letter = self.tree_words[v ^ w]
+        return self.tree_words[v] + letter + inverse(self.tree_words[w])
 
     def _build_tree(self) -> None:
         # The tree path to v spells the set bits of v in ascending order, so
@@ -144,10 +144,11 @@ class CoverCW:
         # that bit cleared: edge (u, k) is a tree edge exactly when
         # u < 2^(k - 1).
         n = 2 * self.genus
-        self.tree_words = tuple(
-            tuple(k for k in range(1, n + 1) if v >> (k - 1) & 1)
-            for v in range(self.n_vertices)
-        )
+        # The path to v in [2^j, 2^(j+1)) is the path to v - 2^j, then j + 1.
+        tree_words = [""]
+        for letter in from_letters(range(1, n + 1)):
+            tree_words += [w + letter for w in tree_words]
+        self.tree_words = tuple(tree_words)
         self.nontree_edges = tuple(
             e for e in range(self.n_edges) if (e // n) >> (e % n)
         )
@@ -191,20 +192,18 @@ class CoverCW:
                 raise AssertionError("face 0 relation does not hold")
         self.edge_classes = tuple(classes)
         self.unit_cycle_words = tuple(self.schreier_word(e) for e in basis)
-        # The edge table by (letter, start vertex): letter k from v runs
-        # along edge (v, k), letter -k along edge (v ^ bit, k) backwards.
+        # The edge table by (letter, start vertex): generator k from v runs
+        # along edge (v, k), its inverse along edge (v ^ bit, k) backwards.
         self._letter_classes = {}
         self._letter_flips = {}
         for k in range(1, 2 * self.genus + 1):
             bit = 1 << (k - 1)
+            letter = self.tree_words[bit]
+            back = inverse(letter)
             forward = tuple(classes[self.edge_index(v, k)] for v in range(self.n_vertices))
-            self._letter_classes[k] = forward
-            self._letter_classes[-k] = tuple(forward[v ^ bit] for v in range(self.n_vertices))
-            self._letter_flips[k] = self._letter_flips[-k] = bit
-        # The same entries under each letter's key character, so walk also
-        # reads a key string.
-        for table in (self._letter_classes, self._letter_flips):
-            table.update({_key_string((x,)): entry for x, entry in table.items()})
+            self._letter_classes[letter] = forward
+            self._letter_classes[back] = tuple(forward[v ^ bit] for v in range(self.n_vertices))
+            self._letter_flips[letter] = self._letter_flips[back] = bit
 
 
 def build_mod2_cover(genus: int) -> CoverCW:

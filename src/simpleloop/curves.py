@@ -27,18 +27,15 @@ from .quotient import GroupContext, rho
 from .words import (
     Word,
     _canonical_images,
-    _class_key,
-    _key_string,
-    _key_text,
-    _key_translation,
-    _key_word,
     canonical_class,
     check_length_bound,
     free_reduce,
+    from_letters,
     inverse,
     separating_word,
     substitute,
     surface_relator,
+    word_to_str,
 )
 
 
@@ -46,27 +43,21 @@ class SimpleClass(NamedTuple):
     """A certified simple closed curve class.
 
     Attributes:
-        key: key string (words._key_string) of the canonical representative
-            of the free conjugacy class.
+        cls: canonical representative of the free conjugacy class.
         root: name of the standard curve the certificate starts from.
         twists: twist names applied to the root, in order.
         separating: whether the curve separates (mod-2 class zero).
     """
 
-    key: str
+    cls: Word
     root: str
     twists: tuple[str, ...]
     separating: bool
 
-    @property
-    def cls(self) -> Word:
-        """The canonical representative as a word, decoded from key."""
-        return _key_word(self.key)
-
 
 def _connector_word(i: int) -> Word:
     """Curve word of the connector between handles i and i+1."""
-    return (-(2 * i + 1), 2 * i, 2 * i - 1, -(2 * i))
+    return from_letters((-(2 * i + 1), 2 * i, 2 * i - 1, -(2 * i)))
 
 
 def _validate_table(genus: int, table: dict[str, dict[int, Word]]) -> None:
@@ -75,9 +66,9 @@ def _validate_table(genus: int, table: dict[str, dict[int, Word]]) -> None:
         if substitute(relator, images) != relator:
             raise AssertionError("twist %s does not fix the relator" % name)
         partner = table[_partner(name)]
-        for k in range(1, 2 * genus + 1):
-            round_trip = substitute(substitute((k,), images), partner)
-            if round_trip != (k,):
+        for letter in from_letters(range(1, 2 * genus + 1)):
+            round_trip = substitute(substitute(letter, images), partner)
+            if round_trip != letter:
                 raise AssertionError(
                     "twist %s and its inverse do not cancel" % name
                 )
@@ -95,35 +86,43 @@ def twist_table(genus: int) -> dict[str, dict[int, Word]]:
     table = {}
     for i in range(1, genus + 1):
         a, b = 2 * i - 1, 2 * i
-        table["ta%d" % i] = {b: (b, a)}
-        table["ta%d_inv" % i] = {b: (b, -a)}
-        table["tb%d" % i] = {a: (a, -b)}
-        table["tb%d_inv" % i] = {a: (a, b)}
+        table["ta%d" % i] = {b: from_letters((b, a))}
+        table["ta%d_inv" % i] = {b: from_letters((b, -a))}
+        table["tb%d" % i] = {a: from_letters((a, -b))}
+        table["tb%d_inv" % i] = {a: from_letters((a, b))}
     for i in range(1, genus):
         b, a2, b2 = 2 * i, 2 * i + 1, 2 * i + 2
+        letter_b, letter_a2, letter_b2 = from_letters((b, a2, b2))
         for suffix, L in (("", _connector_word(i)), ("_inv", inverse(_connector_word(i)))):
             table["tc%d%s" % (i, suffix)] = {
-                b: free_reduce(L + (b,)),
-                a2: free_reduce(L + (a2,) + inverse(L)),
-                b2: free_reduce((b2,) + inverse(L)),
+                b: free_reduce(L + letter_b),
+                a2: free_reduce(L + letter_a2 + inverse(L)),
+                b2: free_reduce(letter_b2 + inverse(L)),
             }
     _validate_table(genus, table)
     return table
 
 
+def _moved(images: dict[int, Word]) -> frozenset[str]:
+    """The letters a substitution moves: each generator it maps, and its inverse."""
+    return frozenset(from_letters(x for k in images for x in (k, -k)))
+
+
 def _commute(s: dict[int, Word], t: dict[int, Word]) -> bool:
     """Whether the substitutions s and t of the free group commute."""
-    s_uses = {abs(x) for w in s.values() for x in w}
-    t_uses = {abs(x) for w in t.values() for x in w}
-    if s.keys().isdisjoint(t.keys() | t_uses) and t.keys().isdisjoint(s_uses):
+    s_moves, t_moves = _moved(s), _moved(t)
+    if s_moves.isdisjoint(t_moves.union(*t.values())) and t_moves.isdisjoint(
+        "".join(s.values())
+    ):
         # Each twist fixes every letter the other moves or writes.
         return True
     # A generator's image is its table entry, so each side takes one
     # substitution.
-    return all(
-        substitute(t.get(k, (k,)), s) == substitute(s.get(k, (k,)), t)
-        for k in s.keys() | t.keys()
-    )
+    for k in s.keys() | t.keys():
+        letter = from_letters((k,))
+        if substitute(t.get(k, letter), s) != substitute(s.get(k, letter), t):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +153,7 @@ def standard_curves(genus: int) -> list[SimpleClass]:
     roots += ["s%d" % k for k in range(1, genus)]
     return [
         SimpleClass(
-            key=_class_key(root_word(genus, root)),
+            cls=canonical_class(root_word(genus, root)),
             root=root,
             twists=(),
             separating=root[0] == "s",
@@ -166,10 +165,8 @@ def standard_curves(genus: int) -> list[SimpleClass]:
 def root_word(genus: int, root: str) -> Word:
     """Word of a named standard curve (a1, b2, s1, ...)."""
     kind, idx = root[0], int(root[1:])
-    if kind == "a" and 1 <= idx <= genus:
-        return (2 * idx - 1,)
-    if kind == "b" and 1 <= idx <= genus:
-        return (2 * idx,)
+    if kind in "ab" and 1 <= idx <= genus:
+        return from_letters((2 * idx - 1 if kind == "a" else 2 * idx,))
     if kind == "s" and 1 <= idx <= genus - 1:
         return separating_word(genus, idx)
     raise ValueError("unknown standard curve %r" % root)
@@ -250,17 +247,14 @@ def generate_simple_classes(
     A level's skips read only the records of the level above, so each level
     decides every skip first, then applies each twist to its whole batch of
     classes at once (_canonical_images), then numbers the new classes in (class,
-    twist) order. Classes are deduplicated on, and stored as, their key
-    strings; nothing is decoded.
+    twist) order. Classes are deduplicated on their canonical words.
     """
     check_depth(depth, genus)
     check_length_bound(max_len, "max_len")
     table = twist_table(genus)
     names = sorted(table)
     twists = [table[name] for name in names]
-    # Per twist, the key characters of the letters it moves.
-    moves = [frozenset(_key_string(x for k in t for x in (k, -k))) for t in twists]
-    translations = [_key_translation(t) for t in twists]
+    moves = [_moved(t) for t in twists]
     undo = [names.index(_partner(name)) for name in names]
     pairs = commuting_twists(genus)
     commutes = [
@@ -268,14 +262,14 @@ def generate_simple_classes(
     ]
     position: dict[str, int] = {}
     order: list[SimpleClass] = []
-    # Frontier entries: (class number, key string, parent's number, index of
-    # the last twist, parent's record). The record of a class p lists, per
+    # Frontier entries: (class number, canonical word, parent's number, index
+    # of the last twist, parent's record). The record of a class p lists, per
     # twist j, the number of class(j(p)), or inf while that is not known.
     frontier = []
     for sc in standard_curves(genus):
-        if sc.key not in position:
-            position[sc.key] = len(order)
-            frontier.append((len(order), sc.key, None, None, None))
+        if sc.cls not in position:
+            position[sc.cls] = len(order)
+            frontier.append((len(order), sc.cls, None, None, None))
             order.append(sc)
     unknown = float("inf")
     for level in range(depth):
@@ -285,8 +279,8 @@ def generate_simple_classes(
         expand_next = level + 1 < depth
         batches = [[] for _ in twists]
         expansions = []
-        for n, key, parent, last, above in frontier:
-            letters = set(key)
+        for n, cls, parent, last, above in frontier:
+            letters = set(cls)
             record = [unknown] * len(twists)
             undone, commuting = None, frozenset()
             if last is not None:
@@ -301,27 +295,27 @@ def generate_simple_classes(
                     continue
                 if j in commuting and above[j] < n:
                     continue
-                batches[j].append(key)
+                batches[j].append(cls)
                 applied.append(j)
             expansions.append((n, record, applied))
         next_image = [
-            iter(_canonical_images(*tb, genus)).__next__ for tb in zip(translations, batches)
+            iter(_canonical_images(*tb, genus)).__next__ for tb in zip(twists, batches)
         ]
         next_frontier = []
         for n, record, applied in expansions:
             sc = order[n]
             for j in applied:
-                key = next_image[j]()
-                if len(key) > max_len:
+                cls = next_image[j]()
+                if len(cls) > max_len:
                     continue
-                m = position.get(key)
+                m = position.get(cls)
                 if m is None:
-                    m = position[key] = len(order)
+                    m = position[cls] = len(order)
                     order.append(
-                        SimpleClass(key, sc.root, sc.twists + (names[j],), sc.separating)
+                        SimpleClass(cls, sc.root, sc.twists + (names[j],), sc.separating)
                     )
                     if expand_next:
-                        next_frontier.append((m, key, n, j, record))
+                        next_frontier.append((m, cls, n, j, record))
                 record[j] = m
         frontier = next_frontier
     return order
@@ -353,8 +347,8 @@ class VerificationReport(NamedTuple):
 
 def _class_record(sc: SimpleClass, flag: int) -> dict:
     return {
-        "word": _key_text(sc.key),
-        "length": len(sc.key),
+        "word": word_to_str(sc.cls),
+        "length": len(sc.cls),
         "root": sc.root,
         "twists": list(sc.twists),
         "separating": sc.separating,
@@ -390,7 +384,7 @@ def verify_non_geometric(
     n_vertices = ctx.cover.n_vertices
     flags, hits, failures = bytearray(), [], []
     for sc in classes:
-        el = rho(ctx, sc.key)
+        el = rho(ctx, sc.cls)
         flag = (el.v != 0) | (el.h != 0) << 1
         flags.append(flag)
         if not flag:
@@ -403,7 +397,7 @@ def verify_non_geometric(
             reasons = ["nonseparating class with zero mod-2 image"]
         else:
             continue
-        word = _key_text(sc.key)
+        word = word_to_str(sc.cls)
         failures.extend({"word": word, "reason": r} for r in reasons)
     n_sep = sum(1 for sc in classes if sc.separating)
     return VerificationReport(

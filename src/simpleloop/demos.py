@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .cover import build_mod2_cover, check_genus
 from .quotient import GroupContext, in_kernel
 from .realize import Presentation
-from .words import Word, gen_name, substitute, surface_relator
+from .words import Word, from_letters, gen_name, letter_index, substitute, surface_relator
 
 
 class TorusClass(NamedTuple):
@@ -71,13 +71,18 @@ class OrientationCharacter(NamedTuple("OrientationCharacter", [("values", tuple)
         return super().__new__(cls, values)
 
     def on_word(self, word: Word) -> int:
-        """Value on a word of signed generator indices."""
+        """Value on a word; a letter of no generator 1..len(values) raises ValueError."""
         total = 0
-        for x in word:
-            if not 1 <= abs(x) <= len(self.values):
+        for x in map(letter_index, word):
+            if abs(x) > len(self.values):
                 raise ValueError("unknown generator %d" % x)
             total ^= self.values[abs(x) - 1]
         return total
+
+
+def _generators(n: int) -> dict[int, Word]:
+    """Images sending each of generators 1..n to itself."""
+    return dict(enumerate(from_letters(range(1, n + 1)), 1))
 
 
 def _surface_group(genus: int) -> Presentation:
@@ -88,7 +93,7 @@ def _surface_group(genus: int) -> Presentation:
 def z2xz_is_trivial(word: Word) -> bool:
     """Word problem for Z2 x Z with generators x = 1 (order 2) and y = 2."""
     x_parity = y_sum = 0
-    for letter in word:
+    for letter in map(letter_index, word):
         if abs(letter) == 1:
             x_parity ^= 1
         elif abs(letter) == 2:
@@ -132,7 +137,7 @@ def sidedness_report(
         elif not target_is_trivial(image):
             raise ValueError("relator image is nontrivial in the target")
     checks = {
-        name: source_char.on_word((k,)) == target_char.on_word(images[k])
+        name: source_char.on_word(from_letters((k,))) == target_char.on_word(images[k])
         for k, name in enumerate(source.generators, 1)
     }
     return {
@@ -145,10 +150,10 @@ def sidedness_report(
 def torus_inclusion_sidedness() -> dict:
     """Sidedness of the torus inside the projective-plane-times-circle target."""
     report = sidedness_report(
-        Presentation(("a", "b"), ((1, 2, -1, -2),)),
+        Presentation(("a", "b"), (from_letters((1, 2, -1, -2)),)),
         OrientationCharacter((0, 0)),
         OrientationCharacter((1, 0)),
-        {1: (1,), 2: (2,)},
+        _generators(2),
         z2xz_is_trivial,
     )
     report["name"] = "torus in projective-plane times circle"
@@ -169,7 +174,7 @@ def main_construction_sidedness(genus: int = 2) -> dict:
         _surface_group(genus),
         OrientationCharacter((0,) * n),
         OrientationCharacter((0,) * n),
-        {k: (k,) for k in range(1, n + 1)},
+        _generators(n),
         lambda w: in_kernel(ctx, w),
     )
     report["name"] = "surface into the realized target (genus %d)" % genus
@@ -187,7 +192,7 @@ def free_factor_sidedness() -> dict:
         _surface_group(2),
         OrientationCharacter((0, 0, 0, 0)),
         OrientationCharacter((0, 0, 0, 0, 1)),
-        {k: (k,) for k in range(1, 5)},
+        _generators(4),
     )
     report["name"] = "surface avoiding the order-2 free factor"
     return report

@@ -15,11 +15,12 @@ from typing import NamedTuple
 from .cover import CoverCW, ResourceLimitError, check_genus
 from .words import (
     Word,
-    _class_key,
-    _key_string,
+    canonical_class,
     check_length_bound,
+    from_letters,
     inverse,
     is_trivial,
+    word_to_str,
 )
 
 # Largest kernel search allowed: genus 3 at length 10 (193 260 half-words)
@@ -49,14 +50,15 @@ class GroupContext:
 def rho(ctx: GroupContext, w: Word) -> GElement:
     """Image of a word, read from one walk of its lift from vertex 0.
 
-    The word is a tuple of letters or its key string. v is the vertex the
-    lift ends at (the mod-2 abelianization) and h the lift's class closed up
-    through the tree. Raises ValueError on a letter outside the genus.
+    v is the vertex the lift ends at (the mod-2 abelianization) and h the
+    lift's class closed up through the tree. Raises ValueError on a letter
+    outside the genus.
     """
     try:
         h, v = ctx.cover.walk(w, 0)
     except KeyError as exc:
-        raise ValueError("letter %s outside genus %d" % (exc.args[0], ctx.genus)) from None
+        letter = word_to_str(exc.args[0])
+        raise ValueError("letter %s outside genus %d" % (letter, ctx.genus)) from None
     return GElement(v, h)
 
 
@@ -68,11 +70,8 @@ def representative(ctx: GroupContext, x: GElement) -> Word:
     1 << j, and tree edges add 0 to h.
     """
     units = ctx.cover.unit_cycle_words
-    word = []
-    for j in range(x.h.bit_length()):
-        if x.h >> j & 1:
-            word.extend(units[j])
-    return tuple(word) + ctx.cover.tree_words[x.v]
+    word = "".join(units[j] for j in range(x.h.bit_length()) if x.h >> j & 1)
+    return word + ctx.cover.tree_words[x.v]
 
 
 def mul(ctx: GroupContext, x: GElement, y: GElement) -> GElement:
@@ -117,24 +116,24 @@ def search_kernel_elements(ctx: GroupContext, max_len: int) -> list[Word]:
     walk(u, 0) == walk(v, 0). Half-words are bucketed by that pair, and of
     the colliding pairs the canonical representatives of their free
     conjugacy classes are kept when Dehn-nontrivial: u v^-1 is canonical
-    when its key string is the key string of its class, compared without
-    decoding.
+    when it is its own canonical_class.
 
     Returns:
-        The kept words, by length and then in the canonical letter order.
+        The kept words, by length and then in the letter order.
     """
     check_search_budget(ctx.genus, max_len)
     genus, walk = ctx.genus, ctx.cover.walk
-    letters = [x for k in range(1, 2 * genus + 1) for x in (k, -k)]
+    letters = from_letters(x for k in range(1, 2 * genus + 1) for x in (k, -k))
+    steps = [(x, inverse(x)) for x in letters]
     # tables[k] maps walk(u, 0) to the reduced words u of length k.
-    tables = [{(0, 0): [()]}]
+    tables = [{(0, 0): [""]}]
     for _ in range((max_len + 1) // 2):
         grown = {}
         for (h, end), words in tables[-1].items():
-            for x in letters:
-                step, stop = walk((x,), end)
+            for x, back in steps:
+                step, stop = walk(x, end)
                 grown.setdefault((h ^ step, stop), []).extend(
-                    u + (x,) for u in words if not u or u[-1] != -x
+                    u + x for u in words if u[-1:] != back
                 )
         tables.append(grown)
     hits: list[Word] = []
@@ -142,15 +141,15 @@ def search_kernel_elements(ctx: GroupContext, max_len: int) -> list[Word]:
         found = []
         for key, us in tables[(length + 1) // 2].items():
             for v in tables[length // 2].get(key, ()):
+                v_inv = inverse(v)
                 for u in us:
                     # u v^-1 must be freely and cyclically reduced.
                     if v and (u[-1] == v[-1] or u[0] == v[0]):
                         continue
-                    w = u + inverse(v)
-                    key = _key_string(w)
-                    if _class_key(w) == key and not is_trivial(w, genus):
-                        found.append((key, w))
-        hits.extend(w for _, w in sorted(found))
+                    w = u + v_inv
+                    if canonical_class(w) == w and not is_trivial(w, genus):
+                        found.append(w)
+        hits.extend(sorted(found))
     return hits
 
 
@@ -167,8 +166,8 @@ def image_rank(ctx: GroupContext) -> dict:
         Dict with v_rank, h_rank, v_dim, h_dim.
     """
     v_dim, h_dim = 2 * ctx.genus, ctx.cover.h1_dim
-    for k in range(1, v_dim + 1):
-        if rho(ctx, (k,)).v != 1 << (k - 1):
+    for k, letter in enumerate(from_letters(range(1, v_dim + 1)), 1):
+        if rho(ctx, letter).v != 1 << (k - 1):
             raise AssertionError("generator %d does not map to deck bit %d" % (k, k - 1))
     walk = ctx.cover.walk
     for j, word in enumerate(ctx.cover.unit_cycle_words):

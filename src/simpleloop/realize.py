@@ -8,13 +8,14 @@ sphere back in), which kills exactly that relator. In dimension at least 4
 the surgery loops can be embedded disjointly and unknotted, so the steps
 compose and the resulting fundamental group is the presented group. The
 recipe records the steps and that justification; it never claims a
-homeomorphism type.
+homeomorphism type. Relators are words in the letter encoding of
+simpleloop.words, over generator indices 1 to the number of generators.
 """
 
 from typing import NamedTuple
 
 from .cover import check_genus, cover_genus, group_order_log2
-from .words import Word, free_reduce
+from .words import Word, free_reduce, from_letters, letter_index, substitute
 
 DIMENSION_NOTE = "surgery loops embed disjointly and unknot in dimension >= 4"
 
@@ -22,9 +23,8 @@ DIMENSION_NOTE = "surgery loops embed disjointly and unknot in dimension >= 4"
 class Presentation(NamedTuple("Presentation", [("generators", tuple), ("relators", tuple)])):
     """A finite group presentation over named generators.
 
-    Relators are words over the generators encoded as tuples of nonzero
-    ints: letter +k means generator number k (1-based), -k its inverse.
-    Relators are freely reduced at construction.
+    Relators are words (simpleloop.words) whose generator k is the k-th
+    name (1-based). Relators are freely reduced at construction.
     """
 
     __slots__ = ()
@@ -39,28 +39,28 @@ class Presentation(NamedTuple("Presentation", [("generators", tuple), ("relators
             seen.add(name)
         reduced = []
         for rel in relators:
-            for x in rel:
-                if x == 0 or abs(x) > len(generators):
+            for x in map(letter_index, rel):
+                if abs(x) > len(generators):
                     raise ValueError("relator letter %d out of range" % x)
             reduced.append(free_reduce(rel))
         return super().__new__(cls, generators, tuple(reduced))
 
     def word_str(self, w: Word) -> str:
         parts = []
-        for x in w:
+        for x in map(letter_index, w):
             name = self.generators[abs(x) - 1]
             parts.append(name if x > 0 else name[0].upper() + name[1:])
         return " ".join(parts)
 
     def parse_word(self, text: str) -> Word:
-        w = []
+        letters = []
         for token in text.split():
             name = token[0].lower() + token[1:]
             if name not in self.generators:
                 raise ValueError("unknown generator %r in word" % token)
             k = self.generators.index(name) + 1
-            w.append(k if token[0].islower() else -k)
-        return free_reduce(tuple(w))
+            letters.append(k if token[0].islower() else -k)
+        return free_reduce(from_letters(letters))
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -89,14 +89,12 @@ def free_product(p1: Presentation, p2: Presentation) -> Presentation:
             suffix += 1
         used.add(fresh)
         renamed.append(fresh)
+    # Generator k of the second factor becomes generator k + shift.
     shift = len(p1.generators)
-
-    def shift_word(w: Word) -> Word:
-        return tuple(x + shift if x > 0 else x - shift for x in w)
-
+    images = {k: from_letters((k + shift,)) for k in range(1, len(renamed) + 1)}
     return Presentation(
         generators=p1.generators + tuple(renamed),
-        relators=p1.relators + tuple(shift_word(r) for r in p2.relators),
+        relators=p1.relators + tuple(substitute(r, images) for r in p2.relators),
     )
 
 

@@ -4,10 +4,16 @@ The group is presented as
 
     < a_1, b_1, ..., a_g, b_g | [a_1,b_1][a_2,b_2]...[a_g,b_g] >
 
-A word is a tuple of nonzero signed integers: letter +k is the k-th
-generator in the fixed order a_1, b_1, a_2, b_2, ..., letter -k its
-inverse.  The literal syntax is whitespace separated tokens such as
-"a1 b2 A1 B2" where an uppercase family letter means the inverse.
+Generator k (1-based, in the order a_1, b_1, a_2, b_2, ...) is the letter
+chr(0x40 + 2(k - 1)) and its inverse is the next character, so a_1 is "@",
+a_1^-1 is "A", b_1 is "B" and a_2 is "D". A word is a str of such letters.
+String order is then the letter order a_1 < a_1^-1 < b_1 < b_1^-1 < a_2 <
+..., and inverting a letter flips the low bit of its code. from_letters
+spells signed generator indices (+k for generator k, -k for its inverse) as
+a word, and letter_index reads one letter back; no other module does letter
+arithmetic. The literal syntax is whitespace separated tokens such as
+"a1 b2 A1 B2", where an uppercase family letter means the inverse;
+word_from_str and word_to_str are the only conversions to and from it.
 
 The word problem is decided by Dehn's algorithm: the relator has
 length 4g and satisfies the small cancellation condition, so any
@@ -17,14 +23,16 @@ and replacing that subword by the inverse of the complement strictly
 shortens the word.
 """
 
-from __future__ import annotations
-
 import functools
+import re
+from operator import eq
 
 __all__ = [
     "Word",
     "gen_name",
     "gen_index",
+    "from_letters",
+    "letter_index",
     "word_from_str",
     "word_to_str",
     "free_reduce",
@@ -38,13 +46,16 @@ __all__ = [
     "abelianization_mod2",
     "dehn_normal_form",
     "is_trivial",
-    "letter_order_key",
     "canonical_class",
     "is_proper_power",
     "check_length_bound",
 ]
 
-Word = tuple  # tuple of nonzero signed ints
+Word = str  # one character per letter, see the module docstring
+
+# Code of a_1, the least letter; every character below it is not a letter.
+_BASE = 0x40
+_GEN_NAME = re.compile("[ab][1-9][0-9]*")
 
 
 def gen_name(k: int) -> str:
@@ -54,79 +65,114 @@ def gen_name(k: int) -> str:
 
 
 def gen_index(name: str) -> int:
-    fam = name[0]
-    idx = int(name[1:])
-    if fam not in "ab" or idx < 1:
+    """Index of a generator name [ab][1-9][0-9]*: a1 -> 1, b1 -> 2, a2 -> 3, ..."""
+    if not _GEN_NAME.fullmatch(name):
         raise ValueError(f"bad generator name: {name!r}")
-    return 2 * idx - 1 if fam == "a" else 2 * idx
+    idx = int(name[1:])
+    return 2 * idx - 1 if name[0] == "a" else 2 * idx
+
+
+def from_letters(letters) -> Word:
+    """The word of a sequence of signed generator indices: +k is generator
+    k, -k its inverse. Zero raises ValueError."""
+    out = []
+    for x in letters:
+        if x == 0:
+            raise ValueError("zero is not a letter")
+        out.append(chr(_BASE + 2 * abs(x) - 2 + (x < 0)))
+    return "".join(out)
+
+
+def letter_index(c: str) -> int:
+    """Signed generator index of one letter: k for generator k, -k for its
+    inverse. A character below "@" raises ValueError."""
+    code = ord(c) - _BASE
+    if code < 0:
+        raise ValueError("%r is not a letter" % c)
+    return -(code // 2 + 1) if code & 1 else code // 2 + 1
 
 
 def word_from_str(text: str, genus: int) -> Word:
     """Parse literal syntax; uppercase family letter means inverse."""
-    out = []
+    letters = []
     for tok in text.split():
-        fam = tok[0]
-        sign = -1 if fam.isupper() else 1
-        k = gen_index(fam.lower() + tok[1:])
+        k = gen_index(tok[0].lower() + tok[1:])
         if k > 2 * genus:
             raise ValueError(f"letter {tok!r} outside genus {genus}")
-        out.append(sign * k)
-    return tuple(out)
+        letters.append(k if tok[0] in "ab" else -k)
+    return from_letters(letters)
 
 
 class _LetterMemo(dict):
-    """Values of a function of one letter or character, each computed on first use."""
+    """str.translate table whose entry for a code is computed on first use."""
 
     def __init__(self, fn):
         super().__init__()
         self.fn = fn
 
-    def __missing__(self, x: int):
-        value = self[x] = self.fn(x)
+    def __missing__(self, code: int):
+        value = self[code] = self.fn(code)
         return value
 
 
-def _letter_token(x: int) -> str:
+def _token(code: int) -> str:
+    x = letter_index(chr(code))
     name = gen_name(abs(x))
-    return name if x > 0 else name[0].upper() + name[1:]
+    return (name if x > 0 else name.capitalize()) + " "
 
 
-_LETTER_TOKENS = _LetterMemo(_letter_token)
+# Each letter's token and a space, so a word's text is w.translate(_TOKENS)[:-1].
+_TOKENS = _LetterMemo(_token)
+# Each letter's inverse; characters below "@", such as the "," between the
+# words of a batch, stay as they are.
+_INVERT = _LetterMemo(lambda code: code ^ 1 if code >= _BASE else code)
 
 
 def word_to_str(w: Word) -> str:
-    return " ".join(map(_LETTER_TOKENS.__getitem__, w))
+    return w.translate(_TOKENS)[:-1]
 
 
-def free_reduce(w) -> Word:
-    """Cancel adjacent inverse pairs until none remain."""
+def free_reduce(w: Word) -> Word:
+    """Cancel adjacent inverse pairs until none remain.
+
+    A character below "@" raises ValueError.
+    """
+    if w and min(w) < "@":
+        raise ValueError("%r is not a letter" % min(w))
+    # w[i + 1] cancels w[i] exactly when it is w[i]'s inverse.
+    if not any(map(eq, w[1:], w.translate(_INVERT))):
+        return w
     out: list[int] = []
-    for x in w:
-        if x == 0:
-            raise ValueError("zero is not a letter")
-        if out and out[-1] == -x:
+    for code in map(ord, w):
+        if out and out[-1] == code ^ 1:
             out.pop()
         else:
-            out.append(x)
-    return tuple(out)
+            out.append(code)
+    return "".join(map(chr, out))
 
 
 def inverse(w: Word) -> Word:
-    return tuple(-x for x in reversed(w))
+    return w[::-1].translate(_INVERT)
 
 
 def concat(*ws: Word) -> Word:
-    return free_reduce(x for w in ws for x in w)
+    return free_reduce("".join(ws))
+
+
+def _seam(key: str, inv: str) -> int:
+    """Letters cancelling at each end of a freely reduced word, given its inverse."""
+    # inv[i] is the inverse of key[-1 - i], so the seam cancels while they match.
+    n, i = len(key), 0
+    while n - 2 * i >= 2 and key[i] == inv[i]:
+        i += 1
+    return i
 
 
 def cyclic_reduce(w: Word) -> Word:
     """Free reduction, then cancellation across the seam."""
     w = free_reduce(w)
-    i, j = 0, len(w)
-    while j - i >= 2 and w[i] == -w[j - 1]:
-        i += 1
-        j -= 1
-    return w[i:j]
+    i = _seam(w, inverse(w))
+    return w[i:len(w) - i]
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -137,11 +183,9 @@ def surface_relator(genus: int) -> Word:
     """The defining relator [a1,b1]...[ag,bg]; genus must be >= 2."""
     if genus < 2:
         raise ValueError("genus must be at least 2")
-    out = []
-    for i in range(1, genus + 1):
-        a, b = 2 * i - 1, 2 * i
-        out.extend([a, b, -a, -b])
-    return tuple(out)
+    return from_letters(
+        x for a in range(1, 2 * genus, 2) for x in (a, a + 1, -a, -a - 1)
+    )
 
 
 def separating_word(genus: int, k: int) -> Word:
@@ -151,27 +195,41 @@ def separating_word(genus: int, k: int) -> Word:
     return surface_relator(genus)[:4 * k]
 
 
+def _images_table(images: dict[int, Word]) -> dict[int, Word]:
+    """str.translate table sending generator k to images[k], its inverse to
+    the inverse image."""
+    table = {}
+    for k, img in images.items():
+        code = ord(from_letters((k,)))
+        table[code], table[code ^ 1] = img, inverse(img)
+    return table
+
+
 def substitute(w: Word, images: dict[int, Word]) -> Word:
     """Apply the endomorphism sending generator k to images[k], then reduce.
 
-    Generators missing from the map are kept fixed. The output is freely
-    reduced; a zero letter raises ValueError, as in free_reduce.
+    The keys are positive generator indices; generators missing from the
+    map are kept fixed. One str.translate replaces every letter, and
+    free_reduce reduces the result, so a character below "@" raises
+    ValueError.
     """
-    table = {}
-    for k, img in images.items():
-        table[k] = img
-        table[-k] = inverse(img)
-    return free_reduce(y for x in w for y in table.get(x, (x,)))
+    return free_reduce(w.translate(_images_table(images)))
+
+
+def _check_letters(w: Word, genus: int) -> None:
+    """Raise ValueError unless every character of w is a letter of the genus."""
+    top = chr(_BASE + 4 * genus)
+    if w and not "@" <= min(w) <= max(w) < top:
+        c = next(c for c in w if not "@" <= c < top)
+        raise ValueError("letter %s outside genus %d" % (word_to_str(c), genus))
 
 
 def abelianization_mod2(w: Word, genus: int) -> int:
     """Class in H_1(S; Z/2) = (Z/2)^{2g} as a bitmask, bit k-1 for generator k."""
+    _check_letters(w, genus)
     v = 0
-    for x in w:
-        k = abs(x)
-        if k > 2 * genus:
-            raise ValueError(f"letter {x} outside genus {genus}")
-        v ^= 1 << (k - 1)
+    for code in map(ord, w):
+        v ^= 1 << ((code - _BASE) >> 1)
     return v
 
 
@@ -185,92 +243,48 @@ def _dehn_table(genus: int) -> dict[Word, Word]:
         for rot in range(n):
             rr = base[rot:] + base[:rot]
             for length in range(2 * genus + 1, n + 1):
-                head, tail = rr[:length], rr[length:]
-                table[head] = inverse(tail)
+                table[rr[:length]] = inverse(rr[length:])
     return table
 
 
-def dehn_normal_form(w, genus: int) -> Word:
-    """Fully Dehn-reduced cyclic word; empty iff w is trivial in the group."""
+def dehn_normal_form(w: Word, genus: int) -> Word:
+    """Fully Dehn-reduced cyclic word; empty iff w is trivial in the group.
+
+    Each step replaces the longest piece, at the first start in the cyclic
+    word, that is more than half of a relator rotation. A letter outside
+    the genus raises ValueError.
+    """
+    _check_letters(w, genus)
     table = _dehn_table(genus)
-    shortest = 2 * genus + 1
-    longest = 4 * genus
     w = cyclic_reduce(w)
-    changed = True
-    while changed and w:
-        changed = False
+    while w:
         n = len(w)
         doubled = w + w
-        top = min(longest, n)
-        for i in range(n):
-            if changed:
-                break
-            for length in range(top, shortest - 1, -1):
-                rep = table.get(doubled[i:i + length])
-                if rep is not None:
-                    rest = doubled[i + length:i + n]
-                    w = cyclic_reduce(rep + rest)
-                    changed = True
-                    break
+        lengths = range(min(4 * genus, n), 2 * genus, -1)
+        hit = next(((i, k) for i in range(n) for k in lengths if doubled[i:i + k] in table), None)
+        if hit is None:
+            break
+        i, k = hit
+        w = cyclic_reduce(table[doubled[i:i + k]] + doubled[i + k:i + n])
     return w
 
 
-def is_trivial(w, genus: int) -> bool:
+def is_trivial(w: Word, genus: int) -> bool:
     """Word problem via Dehn's algorithm; complete for surface groups."""
-    return len(dehn_normal_form(w, genus)) == 0
-
-
-def letter_order_key(x: int) -> int:
-    """Total order a1 < a1^-1 < b1 < b1^-1 < a2 < ... as an integer key."""
-    return 2 * (abs(x) - 1) + (1 if x < 0 else 0)
-
-
-# A word's key string spells it one character per letter, chr(0x40 + key)
-# for the letter's letter_order_key. String order is then the letter order,
-# and inverting a letter flips the low bit of its character's code.
-_KEY_CHARS = _LetterMemo(lambda x: chr(0x40 + letter_order_key(x)))
-_KEY_LETTERS = _LetterMemo(lambda c: (ord(c) - 0x3E) // 2 * (-1 if ord(c) & 1 else 1))
-# str.translate table inverting each letter of a key string; characters
-# below 0x40, such as the "," between the words of a batch, stay as they are.
-_INVERT = _LetterMemo(lambda code: code ^ 1 if code >= 0x40 else code)
-
-
-# str.translate table spelling each character of a key string as its
-# letter's token and a space, so a key string's text is
-# key.translate(_KEY_TOKENS)[:-1].
-_KEY_TOKENS = _LetterMemo(lambda code: _LETTER_TOKENS[_KEY_LETTERS[chr(code)]] + " ")
-
-
-def _key_string(w) -> str:
-    """Key string of a word: one character per letter, in the letter order."""
-    return "".join(map(_KEY_CHARS.__getitem__, w))
-
-
-def _key_word(key: str) -> Word:
-    """The word a key string spells."""
-    return tuple(map(_KEY_LETTERS.__getitem__, key))
-
-
-def _key_text(key: str) -> str:
-    """The literal syntax of the word a key string spells, as word_to_str."""
-    return key.translate(_KEY_TOKENS)[:-1]
+    return not dehn_normal_form(w, genus)
 
 
 def _canonical_key(key: str, inv: str) -> str:
-    """Key string of canonical_class, given a freely reduced word's key string
-    and the key string of its inverse.
+    """canonical_class of a freely reduced word, given the word and its inverse.
 
     Cuts the seam, then takes the least rotation of the word and of its
     inverse. Only a rotation that starts at the least character can be the
     least, so only those starts are compared. Rejects the empty word.
     """
-    # inv[i] is the inverse of key[-1 - i], so the seam cancels while they match.
-    n, i = len(key), 0
-    while n - 2 * i >= 2 and key[i] == inv[i]:
-        i += 1
+    i = _seam(key, inv)
+    n = len(key) - 2 * i
     if i:
-        key, inv = key[i:n - i], inv[i:n - i]
-        n -= 2 * i
+        key, inv = key[i:i + n], inv[i:i + n]
     if not key:
         raise ValueError("the trivial word has no essential class")
     least = min(min(key), min(inv))
@@ -286,20 +300,9 @@ def _canonical_key(key: str, inv: str) -> str:
     return best
 
 
-def _key_translation(images: dict[int, Word]) -> dict:
-    """str.translate table of the substitution k -> images[k] on key strings."""
-    return str.maketrans(
-        {
-            _key_string((x,)): _key_string(y)
-            for k, w in images.items()
-            for x, y in ((k, w), (-k, inverse(w)))
-        }
-    )
-
-
-def _canonical_images(translation: dict, keys: list[str], genus: int) -> list[str]:
-    """_canonical_key of the image of each key string under a translation,
-    for words over the letters of a genus.
+def _canonical_images(images: dict[int, Word], keys: list[Word], genus: int) -> list[Word]:
+    """canonical_class of the image of each word under a substitution, for
+    words over the letters of a genus.
 
     One translation of the joined batch replaces each letter by its image.
     Inverse pairs are then removed until a pass removes none: each removal
@@ -308,40 +311,36 @@ def _canonical_images(translation: dict, keys: list[str], genus: int) -> list[st
     """
     if not keys:
         return []
-    batch = ",".join(keys).translate(translation)
-    pairs = [_key_string((x, -x)) for x in range(-2 * genus, 2 * genus + 1) if x]
+    batch = ",".join(keys).translate(_images_table(images))
+    pairs = [c + inverse(c) for c in map(chr, range(_BASE, _BASE + 4 * genus))]
     size = None
     while size != len(batch):
         size = len(batch)
         for pair in pairs:
             batch = batch.replace(pair, "")
-    inverses = batch[::-1].translate(_INVERT).split(",")
+    inverses = inverse(batch).split(",")
     return list(map(_canonical_key, batch.split(","), reversed(inverses)))
 
 
-def canonical_class(w) -> Word:
+def canonical_class(w: Word) -> Word:
     """Canonical representative of the free conjugacy class of w or w^-1.
 
     Cyclically reduces, then takes the least rotation of the word and of
-    its inverse under the fixed letter order.  Rejects the empty word.
+    its inverse in the letter order, which is the string order. Rejects the
+    empty word.
     """
-    return _key_word(_class_key(w))
+    key = free_reduce(w)
+    return _canonical_key(key, inverse(key))
 
 
-def _class_key(w) -> str:
-    """Key string of canonical_class(w)."""
-    key = _key_string(free_reduce(w))
-    return _canonical_key(key, key[::-1].translate(_INVERT))
-
-
-def is_proper_power(w) -> bool:
+def is_proper_power(w: Word) -> bool:
     """True iff the cyclic reduction is a literal repetition u^k, k >= 2.
 
     A nonempty word of length n is such a repetition exactly when it equals
     one of its rotations by 1 to n - 1, that is when it occurs in its own
     square at one of those shifts.
     """
-    key = _key_string(cyclic_reduce(w))
+    key = cyclic_reduce(w)
     return key != "" and key in (key + key)[1:-1]
 
 

@@ -17,11 +17,19 @@ h parts of a product are twisted by it and by a spanning-tree cocycle.
 
 ``random_reduced_word`` draws the random words of the property tests.
 
+The package spells a word as a string, one character per letter. The word
+layer keeps its earlier spelling here as a reference: a word as a tuple of
+signed generator indices (+k for generator k, -k for its inverse), with
+``tuple_free_reduce``, ``tuple_cyclic_reduce``, ``tuple_dehn_normal_form``
+and ``naive_canonical_class`` (every rotation compared by
+``letter_order_key``). ``to_letters`` reads a string word back as such a
+tuple, with its own letter arithmetic.
+
 The twist BFS has references too: ``substitute_per_letter`` inverts an
 image for every negative letter, and ``twist_bfs`` tries every twist on
 every frontier class, reduces each image from scratch and takes its least
-rotation naively (``naive_canonical_class``). ``literal_power`` finds a
-proper power by trying every period that divides the length.
+rotation naively. ``literal_power`` finds a proper power by trying every
+period that divides the length.
 """
 
 import functools
@@ -31,18 +39,32 @@ from simpleloop.curves import SimpleClass, root_word, standard_curves, twist_tab
 from simpleloop.gf2 import Echelon, GF2Matrix, QuotientMap
 from simpleloop.quotient import GElement, inv, mul, rho
 from simpleloop.words import (
-    _key_string,
     abelianization_mod2,
-    cyclic_reduce,
-    inverse,
-    letter_order_key,
+    from_letters,
     surface_relator,
     word_to_str,
 )
 
 
-def random_reduced_word(rng: random.Random, genus: int, length: int):
-    """Uniform-ish freely reduced word of exactly the given length."""
+def to_letters(w: str) -> tuple[int, ...]:
+    """Signed generator indices of a word: character 0x40 + 2(k - 1) is
+    generator k, the next character its inverse."""
+    out = []
+    for c in w:
+        code = ord(c) - 0x40
+        if code < 0:
+            raise ValueError("%r is not a letter" % c)
+        out.append(-(code // 2 + 1) if code % 2 else code // 2 + 1)
+    return tuple(out)
+
+
+def letter_order_key(x: int) -> int:
+    """Total order a1 < a1^-1 < b1 < b1^-1 < a2 < ... as an integer key."""
+    return 2 * (abs(x) - 1) + (1 if x < 0 else 0)
+
+
+def random_letters(rng: random.Random, genus: int, length: int) -> tuple[int, ...]:
+    """Uniform-ish freely reduced tuple word of exactly the given length."""
     letters = [k for k in range(1, 2 * genus + 1)] + [-k for k in range(1, 2 * genus + 1)]
     out: list[int] = []
     while len(out) < length:
@@ -51,6 +73,77 @@ def random_reduced_word(rng: random.Random, genus: int, length: int):
             continue
         out.append(x)
     return tuple(out)
+
+
+def random_reduced_word(rng: random.Random, genus: int, length: int) -> str:
+    """``random_letters`` spelled as a word."""
+    return from_letters(random_letters(rng, genus, length))
+
+
+def tuple_inverse(w: tuple) -> tuple:
+    return tuple(-x for x in reversed(w))
+
+
+def tuple_free_reduce(w) -> tuple:
+    """Cancel adjacent inverse pairs until none remain."""
+    out: list[int] = []
+    for x in w:
+        if x == 0:
+            raise ValueError("zero is not a letter")
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def tuple_cyclic_reduce(w) -> tuple:
+    """Free reduction, then cancellation across the seam."""
+    w = tuple_free_reduce(w)
+    i, j = 0, len(w)
+    while j - i >= 2 and w[i] == -w[j - 1]:
+        i += 1
+        j -= 1
+    return w[i:j]
+
+
+def tuple_surface_relator(genus: int) -> tuple:
+    return tuple(x for a in range(1, 2 * genus, 2) for x in (a, a + 1, -a, -a - 1))
+
+
+@functools.cache
+def _tuple_dehn_table(genus: int) -> dict:
+    r = tuple_surface_relator(genus)
+    n = len(r)
+    table = {}
+    for base in (r, tuple_inverse(r)):
+        for rot in range(n):
+            rr = base[rot:] + base[:rot]
+            for length in range(2 * genus + 1, n + 1):
+                table[rr[:length]] = tuple_inverse(rr[length:])
+    return table
+
+
+def tuple_dehn_normal_form(w, genus: int) -> tuple:
+    """Dehn's algorithm on tuple words: replace the first, longest piece of
+    more than half a relator rotation, until none is left."""
+    table = _tuple_dehn_table(genus)
+    w = tuple_cyclic_reduce(w)
+    changed = True
+    while changed and w:
+        changed = False
+        n = len(w)
+        doubled = w + w
+        for i in range(n):
+            if changed:
+                break
+            for length in range(min(4 * genus, n), 2 * genus, -1):
+                rep = table.get(doubled[i:i + length])
+                if rep is not None:
+                    w = tuple_cyclic_reduce(rep + doubled[i + length:i + n])
+                    changed = True
+                    break
+    return w
 
 
 def tree_chains(cover) -> tuple[int, ...]:
@@ -294,39 +387,41 @@ def lemma_check_all_vertices(ctx, classes) -> tuple[int, int, list[dict]]:
 
 
 def substitute_per_letter(w, images):
-    """``substitute`` looking up and inverting the image of each letter."""
+    """``substitute`` looking up and inverting the image of each letter, on
+    tuple words."""
+    images = {k: to_letters(img) for k, img in images.items()}
     out = []
-    for x in w:
+    for x in to_letters(w):
         img = images.get(abs(x), (abs(x),))
         if x < 0:
-            img = inverse(img)
+            img = tuple_inverse(img)
         for y in img:
             if out and out[-1] == -y:
                 out.pop()
             else:
                 out.append(y)
-    return tuple(out)
+    return from_letters(out)
 
 
 def naive_canonical_class(w):
     """``canonical_class`` as the least of every rotation of w and of w^-1.
 
-    Words are compared as lists of ``letter_order_key`` values, so this
-    shares no rotation code with the package's key strings.
+    Words are compared as lists of ``letter_order_key`` values of their
+    tuple spelling, so this shares no rotation code with the package.
     """
-    w = cyclic_reduce(w)
+    w = tuple_cyclic_reduce(to_letters(w))
     if not w:
         raise ValueError("the trivial word has no essential class")
     rotations = []
-    for side in (w, inverse(w)):
+    for side in (w, tuple_inverse(w)):
         keys = [letter_order_key(x) for x in side]
         rotations += [(keys[i:] + keys[:i], side[i:] + side[:i]) for i in range(len(w))]
-    return min(rotations)[1]
+    return from_letters(min(rotations)[1])
 
 
 def literal_power(w) -> bool:
     """``is_proper_power`` by trying each period d < n that divides n."""
-    v = cyclic_reduce(w)
+    v = tuple_cyclic_reduce(to_letters(w))
     n = len(v)
     return any(
         n % d == 0 and all(v[i] == v[i % d] for i in range(d, n))
@@ -347,7 +442,7 @@ def twist_bfs(genus, depth, max_len):
     for sc in standard_curves(genus):
         cls = naive_canonical_class(root_word(genus, sc.root))
         if cls not in seen:
-            seen[cls] = sc._replace(key=_key_string(cls))
+            seen[cls] = sc._replace(cls=cls)
             order.append(seen[cls])
     frontier = list(order)
     for _ in range(depth):
@@ -358,7 +453,7 @@ def twist_bfs(genus, depth, max_len):
                 if len(cls) > max_len or cls in seen:
                     continue
                 new = SimpleClass(
-                    key=_key_string(cls),
+                    cls=cls,
                     root=sc.root,
                     twists=sc.twists + (name,),
                     separating=abelianization_mod2(cls, genus) == 0,

@@ -36,6 +36,7 @@ from simpleloop.words import (
     commutator,
     concat,
     free_reduce,
+    from_letters,
     inverse,
     is_proper_power,
     is_trivial,
@@ -92,7 +93,7 @@ def test_criterion_02_separating_orbit_lifts():
     start = time.perf_counter()
     cover = _ctx().cover
     table = twist_table(2)
-    seed = canonical_class(commutator((1,), (2,)))
+    seed = canonical_class(commutator(*from_letters((1, 2))))
     orbit = {seed}
     frontier = [seed]
     for _ in range(3):
@@ -162,7 +163,8 @@ def test_criterion_05_kernel_is_nontrivial():
     for w in witnesses:
         assert in_kernel(ctx, w)
         assert not is_trivial(w, 2)
-    direct = commutator((1, 1), (2, 2))
+    a1, b1 = from_letters((1, 2))
+    direct = commutator(a1 * 2, b1 * 2)
     assert in_kernel(ctx, direct)
     assert not is_trivial(direct, 2)
     elapsed = time.perf_counter() - start
@@ -261,7 +263,7 @@ def test_criterion_10_realization_round_trip():
         relators = []
         for _ in range(rng.randrange(0, 6)):
             while True:
-                word = tuple(
+                word = from_letters(
                     rng.choice((1, -1)) * rng.randrange(1, k + 1)
                     for _ in range(rng.randrange(1, 7))
                 )

@@ -21,7 +21,7 @@ from simpleloop.curves import (
     verify_non_geometric,
 )
 from simpleloop.quotient import GroupContext, in_kernel
-from simpleloop.words import _key_string, _key_text, is_trivial, word_from_str
+from simpleloop.words import from_letters, is_trivial, word_from_str, word_to_str
 
 
 def run_main(capsys, *argv):
@@ -146,7 +146,7 @@ def test_verify_status_ranks_failures_by_severity(
             lemma_failures=[{"word": "a1", "reason": "planted"}] if failure else [],
         )
 
-    found = [(1, 1, 2, 2, -1, -1, -2, -2)] if witness else []
+    found = [from_letters((1, 1, 2, 2, -1, -1, -2, -2))] if witness else []
     monkeypatch.setattr(cli, "verify_non_geometric", planted)
     monkeypatch.setattr(cli, "search_kernel_elements", lambda ctx, max_len: found)
     code, out = run_main(capsys, "verify", "--depth", "0", "--kernel-len", "8")
@@ -545,6 +545,31 @@ def test_verify_records_digest_tight_max_len(capsys, argv, n_lines, digest):
     check_records_digest(capsys, argv, n_lines, digest)
 
 
+@pytest.mark.parametrize(
+    "argv, n_lines, digest",
+    [
+        (
+            ["--kernel-len", "10"],
+            378,
+            "89106ad8b400dc956394e148b0771b9150e7643463bac4e0b70cc5de65aa278b",
+        ),
+        (
+            ["--genus", "3", "--kernel-len", "8"],
+            193,
+            "1642aaf75c96d9aa72ff1b4547e945927fa120fb101a1d4360f1d6c56f8b3adf",
+        ),
+    ],
+    ids=["g2-len-10", "g3-len-8"],
+)
+def test_search_kernel_output_digest(capsys, argv, n_lines, digest):
+    # The whole JSON output, summary included: each witness record carries
+    # the word's text, its Dehn normal form and the proper-power flag.
+    code, out = run_main(capsys, "search-kernel", *argv)
+    assert code == 0
+    assert len(out.splitlines()) == n_lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("genus, depth", [(2, 6), (3, 3)])
 def test_class_lines_match_encoded_records(capsys, genus, depth):
     # verify spells each class line from a format string; it must be the
@@ -569,10 +594,10 @@ def test_class_line_fields_need_no_json_escaping():
     plain = re.compile(r"^[A-Za-z0-9_ ]*$")
     for genus in range(2, MAX_GENUS + 1):
         names = set(twist_table(genus)) | {sc.root for sc in standard_curves(genus)}
-        letters = [x for k in range(1, 2 * genus + 1) for x in (k, -k)]
+        letters = from_letters(x for k in range(1, 2 * genus + 1) for x in (k, -k))
         # A word's text is its letters' tokens joined by spaces.
-        texts = [_key_text(_key_string((x,))) for x in letters]
-        texts.append(_key_text(_key_string(letters)))
+        texts = [word_to_str(x) for x in letters]
+        texts.append(word_to_str(letters))
         for text in sorted(names) + texts:
             assert plain.match(text), text
 

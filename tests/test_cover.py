@@ -16,9 +16,9 @@ from simpleloop.gf2 import GF2Matrix, kernel_basis, rank
 from simpleloop.quotient import GroupContext, search_kernel_elements
 from simpleloop.realize import recipe_for_G
 from simpleloop.words import (
-    _key_string,
     abelianization_mod2,
     commutator,
+    from_letters,
     surface_relator,
 )
 
@@ -31,10 +31,13 @@ from oracles import (
     full_quotient,
     incidence,
     loop_class,
+    random_letters,
     random_reduced_word,
     translate_chain,
     tree_chains,
 )
+
+A1, B1 = from_letters((1, 2))
 
 
 def test_genus2_cell_counts_and_invariants():
@@ -91,14 +94,14 @@ def test_relator_lift_closes_with_trivial_class():
 
 def test_commutator_lift_has_nonzero_class():
     cover = build_mod2_cover(2)
-    chain, end = cover.lift(commutator((1,), (2,)), 0)
+    chain, end = cover.lift(commutator(A1, B1), 0)
     assert end == 0
     assert loop_class(cover, chain) != 0
 
 
 def test_fourth_power_chain_cancels_mod2():
     cover = build_mod2_cover(2)
-    chain, end = cover.lift((1, 1, 1, 1), 0)
+    chain, end = cover.lift(A1 * 4, 0)
     assert end == 0
     assert chain == 0
     assert loop_class(cover, chain) == 0
@@ -106,8 +109,8 @@ def test_fourth_power_chain_cancels_mod2():
 
 def test_generator_squares_have_nonzero_class():
     cover = build_mod2_cover(2)
-    for k in range(1, 5):
-        chain, end = cover.lift((k, k), 0)
+    for letter in from_letters(range(1, 5)):
+        chain, end = cover.lift(letter * 2, 0)
         assert end == 0
         assert chain != 0
         assert loop_class(cover, chain) != 0
@@ -117,7 +120,7 @@ def test_generator_squares_have_nonzero_class():
 def test_spanning_tree_paths(genus):
     cover = build_mod2_cover(genus)
     chains = tree_chains(cover)
-    assert cover.tree_words[0] == ()
+    assert cover.tree_words[0] == ""
     assert chains[0] == 0
     for v in range(cover.n_vertices):
         word = cover.tree_words[v]
@@ -211,7 +214,7 @@ def test_lift_endpoint_tracks_abelianization():
 
 def test_walk_class_matches_loop_class_for_closed_words():
     cover = build_mod2_cover(2)
-    word = commutator((1,), (2,))
+    word = commutator(A1, B1)
     for v in (0, 3, 10):
         chain, end = cover.lift(word, v)
         assert end == v
@@ -221,18 +224,35 @@ def test_walk_class_matches_loop_class_for_closed_words():
 def test_walk_accepts_open_words():
     cover = build_mod2_cover(2)
     for v in (0, 5):
-        cover.walk((1,), v)
-        cover.walk((2, -3), v)
+        cover.walk(A1, v)
+        cover.walk(from_letters((2, -3)), v)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4])
 def test_walk_reads_key_strings_as_words(genus):
+    # Reference: the edge classes XORed along the lift of the word's tuple
+    # of signed generator indices, edge by edge.
     cover = build_mod2_cover(genus)
     rng = random.Random(genus)
     for _ in range(300):
-        w = random_reduced_word(rng, genus, rng.randrange(0, 20))
-        v = rng.randrange(cover.n_vertices)
-        assert cover.walk(_key_string(w), v) == cover.walk(w, v)
+        letters = random_letters(rng, genus, rng.randrange(0, 20))
+        start = v = rng.randrange(cover.n_vertices)
+        h = 0
+        for x in letters:
+            k = abs(x)
+            if x < 0:
+                v ^= 1 << (k - 1)
+            h ^= cover.edge_classes[cover.edge_index(v, k)]
+            if x > 0:
+                v ^= 1 << (k - 1)
+        assert cover.walk(from_letters(letters), start) == (h, v)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_edge_table_is_keyed_once_by_letter(genus):
+    cover = build_mod2_cover(genus)
+    letters = set(from_letters(x for k in range(1, 2 * genus + 1) for x in (k, -k)))
+    assert set(cover._letter_classes) == set(cover._letter_flips) == letters
 
 
 def test_deck_action_identity():
@@ -349,7 +369,7 @@ def test_walk_is_deck_equivariant_on_closed_words(genus):
     # from 0; the lift lemma in verify_non_geometric rests on this. Kernel
     # words cover the h == 0 case.
     cover = build_mod2_cover(genus)
-    words = [commutator((1, 1), (2, 2)), surface_relator(genus)]
+    words = [commutator(A1 * 2, B1 * 2), surface_relator(genus)]
     words += search_kernel_elements(GroupContext(cover), 6)
     rng = random.Random(53 + genus)
     while len(words) < 150:
@@ -374,7 +394,7 @@ def test_deck_action_matches_translated_basis_cycles():
 
 def test_loop_class_rejects_open_chain():
     cover = build_mod2_cover(2)
-    chain, end = cover.lift((1,), 0)
+    chain, end = cover.lift(A1, 0)
     assert end != 0
     with pytest.raises(ValueError):
         loop_class(cover, chain)

@@ -21,13 +21,10 @@ from simpleloop.curves import (
 )
 from simpleloop.quotient import GroupContext
 from simpleloop.words import (
-    _class_key,
-    _key_string,
-    _key_word,
     abelianization_mod2,
     canonical_class,
     dehn_normal_form,
-    free_reduce,
+    from_letters,
     is_proper_power,
     separating_word,
     substitute,
@@ -39,10 +36,12 @@ from oracles import (
     lemma_check_all_vertices,
     random_reduced_word,
     substitute_per_letter,
+    to_letters,
     twist_bfs,
 )
 
 CTX = GroupContext(build_mod2_cover(2))
+A1 = from_letters((1,))
 
 
 def test_table_sizes():
@@ -65,8 +64,8 @@ def test_every_twist_fixes_relator_exactly():
 
 def test_validation_rejects_non_automorphism():
     bad = {
-        "bad": {2: (1,)},
-        "bad_inv": {2: (1,)},
+        "bad": {2: A1},
+        "bad_inv": {2: A1},
     }
     with pytest.raises(AssertionError):
         _validate_table(2, bad)
@@ -76,8 +75,8 @@ def test_validation_rejects_a_conjugation():
     # Conjugation by a1 fixes the relator's conjugacy class and cancels with
     # its inverse, but moves the relator itself.
     conj = {
-        "conj": {k: (1, k, -1) for k in range(1, 5)},
-        "conj_inv": {k: (-1, k, 1) for k in range(1, 5)},
+        "conj": {k: from_letters((1, k, -1)) for k in range(1, 5)},
+        "conj_inv": {k: from_letters((-1, k, 1)) for k in range(1, 5)},
     }
     relator = surface_relator(2)
     assert canonical_class(substitute(relator, conj["conj"])) == canonical_class(relator)
@@ -120,7 +119,7 @@ def _integer_abelianization(images: dict, genus: int) -> tuple:
     n = 2 * genus
     mat = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        for x in images.get(k, (k,)):
+        for x in to_letters(images.get(k, from_letters((k,)))):
             mat[abs(x) - 1][k - 1] += 1 if x > 0 else -1
     return tuple(tuple(row) for row in mat)
 
@@ -157,11 +156,11 @@ def test_disjoint_twists_commute_on_homology():
 def test_chain_relation_is_word_level_identity():
     table = twist_table(2)
     sequence = [table[n] for n in ("ta1", "tb1", "tc1", "tb2", "ta2")] * 6
-    for k in range(1, 5):
-        image = (k,)
+    for letter in from_letters(range(1, 5)):
+        image = letter
         for t in sequence:
             image = substitute(image, t)
-        assert dehn_normal_form(image, 2) == (k,)
+        assert dehn_normal_form(image, 2) == letter
 
 
 def test_standard_curves_genus2():
@@ -185,8 +184,8 @@ def test_standard_curves_genus3():
 
 
 def test_root_words():
-    assert root_word(2, "a1") == (1,)
-    assert root_word(2, "b2") == (4,)
+    assert root_word(2, "a1") == from_letters((1,))
+    assert root_word(2, "b2") == from_letters((4,))
     assert root_word(2, "s1") == separating_word(2, 1)
     with pytest.raises(ValueError):
         root_word(2, "s2")
@@ -268,9 +267,9 @@ def test_commuting_twists_match_brute_force(genus, count):
         for t in table
         if s != t
         and all(
-            substitute(substitute((k,), table[t]), table[s])
-            == substitute(substitute((k,), table[s]), table[t])
-            for k in range(1, 2 * genus + 1)
+            substitute(substitute(x, table[t]), table[s])
+            == substitute(substitute(x, table[s]), table[t])
+            for x in from_letters(range(1, 2 * genus + 1))
         )
     }
     got = commuting_twists(genus)
@@ -284,9 +283,9 @@ def test_generation_skips_decided_twist_images(monkeypatch):
     images = []
     real = curves._canonical_images
 
-    def counting_canonical_images(translation, keys, genus):
-        images.append(len(keys))
-        return real(translation, keys, genus)
+    def counting_canonical_images(twist, words, genus):
+        images.append(len(words))
+        return real(twist, words, genus)
 
     monkeypatch.setattr(curves, "_canonical_images", counting_canonical_images)
     assert len(generate_simple_classes(2, 6, 64)) == 11831
@@ -364,10 +363,10 @@ def test_verify_depth3_no_kernel_hits():
     assert report.total == 201
 
 
-def test_simple_class_decodes_its_key():
-    for sc in generate_simple_classes(2, 3, 64) + standard_curves(3):
-        assert sc.cls == _key_word(sc.key)
-        assert _key_string(sc.cls) == sc.key
+def test_simple_class_holds_its_canonical_word():
+    assert SimpleClass._fields == ("cls", "root", "twists", "separating")
+    for sc in standard_curves(3):
+        assert sc.cls == canonical_class(root_word(3, sc.root))
 
 
 def test_lemma_check_standard_curves():
@@ -378,14 +377,14 @@ def test_lemma_check_standard_curves():
 
 
 def test_lemma_check_catches_false_separating_flag():
-    liar = SimpleClass(key=_key_string((1,)), root="a1", twists=(), separating=True)
+    liar = SimpleClass(cls=A1, root="a1", twists=(), separating=True)
     report = verify_non_geometric(CTX, [liar])
     assert "nonzero mod-2" in report.lemma_failures[0]["reason"]
 
 
 def test_lemma_check_catches_false_nonseparating_flag():
     liar = SimpleClass(
-        key=_class_key(separating_word(2, 1)),
+        cls=canonical_class(separating_word(2, 1)),
         root="s1",
         twists=(),
         separating=False,
@@ -405,7 +404,7 @@ def test_twist_images_of_separating_curve_still_certified():
 
 def test_lemma_check_catches_separating_lift_that_bounds():
     liar = SimpleClass(
-        key=_class_key(surface_relator(2)),
+        cls=canonical_class(surface_relator(2)),
         root="s1",
         twists=(),
         separating=True,
@@ -419,7 +418,7 @@ def test_lemma_check_catches_separating_lift_that_bounds():
 
 def _relator_liar():
     return SimpleClass(
-        key=_class_key(surface_relator(2)), root="s1", twists=(), separating=True
+        cls=canonical_class(surface_relator(2)), root="s1", twists=(), separating=True
     )
 
 
@@ -451,7 +450,7 @@ def test_lemma_check_walks_once_per_class(monkeypatch):
     report = verify_non_geometric(CTX, classes)
     separating = [sc.cls for sc in classes if sc.separating]
     assert len(separating) > 1
-    # One walk from vertex 0 per class, on its key string, decides rho and
-    # the lift lemma.
-    assert calls == [(sc.key, 0) for sc in classes]
+    # One walk from vertex 0 per class, on its canonical word, decides rho
+    # and the lift lemma.
+    assert calls == [(sc.cls, 0) for sc in classes]
     assert len(report.lemma_failures) == CTX.cover.n_vertices

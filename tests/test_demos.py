@@ -20,8 +20,9 @@ from simpleloop.demos import (
     z2xz_is_trivial,
 )
 from simpleloop.realize import Presentation
+from simpleloop.words import from_letters
 
-TORUS = Presentation(("a", "b"), ((1, 2, -1, -2),))
+TORUS = Presentation(("a", "b"), (from_letters((1, 2, -1, -2)),))
 
 
 def test_iota_star_examples():
@@ -75,34 +76,34 @@ def test_character_values_validated():
 
 def test_character_on_word_handles_inverses():
     char = OrientationCharacter((1, 0))
-    assert char.on_word((1,)) == 1
-    assert char.on_word((-1,)) == 1
-    assert char.on_word((1, -1)) == 0
-    assert char.on_word((1, 2, 1)) == 0
+    assert char.on_word(from_letters((1,))) == 1
+    assert char.on_word(from_letters((-1,))) == 1
+    assert char.on_word(from_letters((1, -1))) == 0
+    assert char.on_word(from_letters((1, 2, 1))) == 0
     with pytest.raises(ValueError):
-        char.on_word((3,))
+        char.on_word(from_letters((3,)))
 
 
 def test_z2xz_word_problem():
-    assert z2xz_is_trivial(())
-    assert z2xz_is_trivial((1, 1))
-    assert z2xz_is_trivial((1, 2, -1, -2))
-    assert not z2xz_is_trivial((2,))
-    assert not z2xz_is_trivial((1,))
-    assert not z2xz_is_trivial((2, 2, -2))
+    assert z2xz_is_trivial("")
+    assert z2xz_is_trivial(from_letters((1, 1)))
+    assert z2xz_is_trivial(from_letters((1, 2, -1, -2)))
+    assert not z2xz_is_trivial(from_letters((2,)))
+    assert not z2xz_is_trivial(from_letters((1,)))
+    assert not z2xz_is_trivial(from_letters((2, 2, -2)))
 
 
 def test_z2xz_rejects_unknown_generator():
     with pytest.raises(ValueError, match="unknown generator 3"):
-        z2xz_is_trivial((3,))
+        z2xz_is_trivial(from_letters((3,)))
 
 
 def test_relator_image_with_odd_target_character_rejected():
-    source = Presentation(("a",), ((1, 1, 1),))
+    source = Presentation(("a",), (from_letters((1, 1, 1)),))
     source_char = OrientationCharacter((0,))
     target_char = OrientationCharacter((1,))
     with pytest.raises(ValueError, match="nonzero target character"):
-        sidedness_report(source, source_char, target_char, {1: (1,)})
+        sidedness_report(source, source_char, target_char, {1: from_letters((1,))})
 
 
 def test_torus_inclusion_is_one_sided():
@@ -144,29 +145,30 @@ def test_two_sidedness_invariant_under_character_preserving_change():
         TORUS,
         source_char,
         target_char,
-        {1: (1,), 2: (2,)},
+        {1: from_letters((1,)), 2: from_letters((2,))},
         z2xz_is_trivial,
     )["two_sided"]
     second = sidedness_report(
         TORUS,
         source_char,
         target_char,
-        {1: (1, 2), 2: (2,)},
+        {1: from_letters((1, 2)), 2: from_letters((2,))},
         z2xz_is_trivial,
     )["two_sided"]
     assert first == second == False
 
 
 def test_ill_defined_source_character_rejected():
-    source = Presentation(("a",), ((1, 1, 1),))
+    source = Presentation(("a",), (from_letters((1, 1, 1)),))
     source_char = OrientationCharacter((1,))
     target_char = OrientationCharacter((1,))
     with pytest.raises(ValueError):
-        sidedness_report(source, source_char, target_char, {1: (1,)})["two_sided"]
+        images = {1: from_letters((1,))}
+        sidedness_report(source, source_char, target_char, images)["two_sided"]
 
 
 def test_ill_defined_homomorphism_rejected():
-    source = Presentation(("a",), ((1, 1),))
+    source = Presentation(("a",), (from_letters((1, 1)),))
     source_char = OrientationCharacter((0,))
     target_char = OrientationCharacter((1, 0))
     with pytest.raises(ValueError):
@@ -174,21 +176,27 @@ def test_ill_defined_homomorphism_rejected():
             source,
             source_char,
             target_char,
-            {1: (2,)},
+            {1: from_letters((2,))},
             z2xz_is_trivial,
         )["two_sided"]
 
 
 def test_sidedness_report_notes_skipped_relator_check():
-    source = Presentation(("a",), ((1, 1, -1, -1),))
+    source = Presentation(("a",), (from_letters((1, 1, -1, -1)),))
     source_char = OrientationCharacter((0,))
     target_char = OrientationCharacter((0,))
-    report = sidedness_report(source, source_char, target_char, {1: (1,)}, None)
+    images = {1: from_letters((1,))}
+    report = sidedness_report(source, source_char, target_char, images, None)
     assert any("not checked" in note for note in report["notes"])
 
 
 @pytest.mark.parametrize(
-    "images", [{1: (1,)}, {1: (1,), 2: (2,), 3: (1,)}, {1: (1,), 3: (2,)}]
+    "images",
+    [
+        {1: from_letters((1,))},
+        {1: from_letters((1,)), 2: from_letters((2,)), 3: from_letters((1,))},
+        {1: from_letters((1,)), 3: from_letters((2,))},
+    ],
 )
 def test_sidedness_report_needs_one_image_per_source_generator(images):
     source_char = OrientationCharacter((0, 0))

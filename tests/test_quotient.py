@@ -28,11 +28,13 @@ from simpleloop.words import (
     check_length_bound,
     commutator,
     concat,
+    dehn_normal_form,
     free_reduce,
     inverse,
     is_proper_power,
+    from_letters,
     is_trivial,
-    letter_order_key,
+    separating_word,
     substitute,
     surface_relator,
 )
@@ -43,9 +45,11 @@ from oracles import (
     deck_apply,
     image_rank_by_group_law,
     inv_by_deck_action,
+    letter_order_key,
     literal_power,
     mul_by_deck_action,
     random_reduced_word,
+    to_letters,
 )
 
 
@@ -56,6 +60,7 @@ def make_ctx(genus=2):
 CTX = make_ctx()
 CTX3 = make_ctx(3)
 CTX4 = make_ctx(4)
+A1, B1 = from_letters((1, 2))
 
 
 def dfs_search_kernel_elements(ctx: GroupContext, max_len: int) -> list[Word]:
@@ -63,10 +68,10 @@ def dfs_search_kernel_elements(ctx: GroupContext, max_len: int) -> list[Word]:
 
     Oracle for search_kernel_elements, which must return the same list.
 
-    Enumerates freely and cyclically reduced words by increasing length, one
-    canonical representative per free conjugacy class (kernel membership is
-    a class property), and keeps the Dehn-nontrivial ones that map to the
-    identity.
+    Enumerates freely and cyclically reduced words by increasing length, as
+    tuples of signed generator indices, one canonical representative per
+    free conjugacy class (kernel membership is a class property), and keeps
+    the Dehn-nontrivial ones that map to the identity.
 
     Returns:
         The kept words in discovery order.
@@ -86,7 +91,7 @@ def dfs_search_kernel_elements(ctx: GroupContext, max_len: int) -> list[Word]:
         if len(word) == length:
             if phi != 0 or word[-1] == -word[0]:
                 return
-            w = tuple(word)
+            w = from_letters(word)
             if canonical_class(w) != w:
                 return
             if ctx.cover.walk(w, 0)[0] != 0:
@@ -114,17 +119,17 @@ def dfs_search_kernel_elements(ctx: GroupContext, max_len: int) -> list[Word]:
 
 def test_rho_of_relator_and_empty_word():
     assert rho(CTX, surface_relator(2)) == CTX.identity
-    assert rho(CTX, ()) == CTX.identity
+    assert rho(CTX, "") == CTX.identity
 
 
 def test_rho_of_generator_nonidentity():
-    el = rho(CTX, (1,))
+    el = rho(CTX, A1)
     assert el.v == 1
     assert el != CTX.identity
 
 
 def test_rho_of_standard_separating_curve():
-    el = rho(CTX, commutator((1,), (2,)))
+    el = rho(CTX, commutator(A1, B1))
     assert el.v == 0
     assert el.h != 0
 
@@ -138,7 +143,7 @@ def test_identity_laws():
 
 
 def test_inverses():
-    assert mul(CTX, rho(CTX, (1,)), rho(CTX, (-1,))) == CTX.identity
+    assert mul(CTX, rho(CTX, A1), rho(CTX, inverse(A1))) == CTX.identity
     rng = random.Random(2)
     for _ in range(100):
         w = random_reduced_word(rng, 2, rng.randrange(0, 12))
@@ -227,15 +232,15 @@ def test_rho_invariant_under_relator_splices():
         u = random_reduced_word(rng, 2, rng.randrange(0, 5))
         r = relator if rng.random() < 0.5 else inverse(relator)
         pos = rng.randrange(len(w) + 1)
-        spliced = w[:pos] + tuple(concat(u, r, inverse(u))) + w[pos:]
+        spliced = w[:pos] + concat(u, r, inverse(u)) + w[pos:]
         assert rho(CTX, free_reduce(spliced)) == rho(CTX, w)
         assert rho(CTX, spliced) == rho(CTX, w)
 
 
 def test_kernel_membership_basics():
-    assert in_kernel(CTX, ())
-    assert not in_kernel(CTX, (1,))
-    witness = commutator((1, 1), (2, 2))
+    assert in_kernel(CTX, "")
+    assert not in_kernel(CTX, A1)
+    witness = commutator(A1 * 2, B1 * 2)
     assert in_kernel(CTX, witness)
     assert not is_trivial(witness, 2)
 
@@ -252,8 +257,8 @@ def test_fourth_powers_lie_in_kernel():
 
 
 def test_generator_squares_not_in_kernel():
-    for k in range(1, 5):
-        assert not in_kernel(CTX, (k, k))
+    for letter in from_letters(range(1, 5)):
+        assert not in_kernel(CTX, letter * 2)
 
 
 def test_search_length3_empty():
@@ -262,13 +267,13 @@ def test_search_length3_empty():
 
 def test_search_length4_finds_fourth_powers():
     hits = search_kernel_elements(CTX, 4)
-    assert hits == [(k,) * 4 for k in range(1, 5)]
+    assert hits == [letter * 4 for letter in from_letters(range(1, 5))]
     assert all(is_proper_power(w) for w in hits)
 
 
 def test_search_length8_finds_commutator_witness():
     hits = search_kernel_elements(CTX, 8)
-    witness = canonical_class(commutator((1, 1), (2, 2)))
+    witness = canonical_class(commutator(A1 * 2, B1 * 2))
     assert witness in hits
     assert is_proper_power(witness) is False
     for w in hits:
@@ -287,9 +292,10 @@ def test_search_matches_brute_force_filter():
     alphabet = sorted((1, 2, 3, 4, -1, -2, -3, -4), key=letter_order_key)
     expected = []
     for length in range(1, 7):
-        for w in itertools.product(alphabet, repeat=length):
-            if any(x == -y for x, y in zip(w, w[1:] + w[:1])):
+        for letters in itertools.product(alphabet, repeat=length):
+            if any(x == -y for x, y in zip(letters, letters[1:] + letters[:1])):
                 continue
+            w = from_letters(letters)
             if in_kernel(CTX, w) and canonical_class(w) == w and not is_trivial(w, 2):
                 expected.append(w)
     assert expected
@@ -310,7 +316,7 @@ def test_search_matches_dfs_oracle(ctx, max_len):
 def test_search_genus3_length8_hits_are_witnesses():
     hits = search_kernel_elements(CTX3, 8)
     assert any(len(w) == 8 for w in hits)
-    order = [(len(w), [letter_order_key(x) for x in w]) for w in hits]
+    order = [(len(w), [letter_order_key(x) for x in to_letters(w)]) for w in hits]
     assert order == sorted(order)
     for w in hits:
         assert canonical_class(w) == w
@@ -428,7 +434,7 @@ def test_image_rank_walks_generators_and_unit_cycle_words(ctx, walks, monkeypatc
     monkeypatch.setattr(ctx.cover, "walk", counting_walk)
     image_rank(ctx)
     assert len(words) == walks == 2 * ctx.genus + ctx.cover.h1_dim
-    assert words[: 2 * ctx.genus] == [((k,), 0) for k in range(1, 2 * ctx.genus + 1)]
+    assert words[: 2 * ctx.genus] == [(x, 0) for x in from_letters(range(1, 2 * ctx.genus + 1))]
     assert words[2 * ctx.genus :] == [(w, 0) for w in ctx.cover.unit_cycle_words]
 
 
@@ -466,8 +472,22 @@ def test_gelement_equality_is_structural():
 
 
 def test_rho_and_in_kernel_reject_letters_outside_genus():
-    for w in ((5,), (1, -5, 5), (-6, 6)):
+    for w in map(from_letters, ((5,), (1, -5, 5), (-6, 6))):
         with pytest.raises(ValueError):
             rho(CTX, w)
         with pytest.raises(ValueError):
             in_kernel(CTX, w)
+
+
+@pytest.mark.parametrize("ctx", [CTX, CTX3, CTX4], ids=["g2", "g3", "g4"])
+def test_orbit_facts(ctx):
+    # The orbit argument reduces the verdict to a1, the separating curves
+    # s_k and one kernel witness, at every genus.
+    assert rho(ctx, A1).v == 1
+    for k in range(1, ctx.genus):
+        el = rho(ctx, separating_word(ctx.genus, k))
+        assert el.v == 0 and el.h != 0
+    witness = commutator(A1 * 2, B1 * 2)
+    assert len(witness) == 8
+    assert in_kernel(ctx, witness)
+    assert dehn_normal_form(witness, ctx.genus) == witness

@@ -13,11 +13,12 @@ from simpleloop.realize import (
     realize,
     recipe_for_G,
 )
+from simpleloop.words import from_letters
 
 
 def test_presentation_reduces_relators():
-    p = Presentation(generators=("a", "b"), relators=((1, -1, 2, 2),))
-    assert p.relators == ((2, 2),)
+    p = Presentation(generators=("a", "b"), relators=(from_letters((1, -1, 2, 2)),))
+    assert p.relators == (from_letters((2, 2)),)
 
 
 def test_presentation_validates_names_and_letters():
@@ -26,14 +27,14 @@ def test_presentation_validates_names_and_letters():
     with pytest.raises(ValueError):
         Presentation(generators=("A",), relators=())
     with pytest.raises(ValueError):
-        Presentation(generators=("a",), relators=((2,),))
+        Presentation(generators=("a",), relators=(from_letters((2,)),))
     with pytest.raises(ValueError):
-        Presentation(generators=("a",), relators=((0,),))
+        Presentation(generators=("a",), relators=("?",))
 
 
 def test_word_round_trip():
     p = Presentation(generators=("a", "b", "c"), relators=())
-    w = (1, -2, 3, 3, -1)
+    w = from_letters((1, -2, 3, 3, -1))
     assert p.parse_word(p.word_str(w)) == w
 
 
@@ -46,7 +47,7 @@ def test_parse_presentation_file():
     """
     p = parse_presentation(text)
     assert p.generators == ("a", "b")
-    assert p.relators == ((1, 1), (1, 2, -1, -2))
+    assert p.relators == (from_letters((1, 1)), from_letters((1, 2, -1, -2)))
     with pytest.raises(ValueError):
         parse_presentation("")
     with pytest.raises(ValueError):
@@ -61,23 +62,35 @@ def test_free_product_basic():
 
 def test_free_product_identity():
     trivial = Presentation(generators=(), relators=())
-    p = Presentation(generators=("a", "b"), relators=((1, 1),))
+    p = Presentation(generators=("a", "b"), relators=(from_letters((1, 1)),))
     assert free_product(trivial, p) == p
     assert free_product(p, trivial) == p
 
 
 def test_free_product_renames_collisions():
-    za = Presentation(generators=("a",), relators=((1, 1),))
-    zb = Presentation(generators=("a",), relators=((1, 1, 1),))
+    za = Presentation(generators=("a",), relators=(from_letters((1, 1)),))
+    zb = Presentation(generators=("a",), relators=(from_letters((1, 1, 1)),))
     prod = free_product(za, zb)
     assert prod.generators == ("a", "a2")
-    assert prod.relators == ((1, 1), (2, 2, 2))
+    assert prod.relators == (from_letters((1, 1)), from_letters((2, 2, 2)))
+
+
+def test_free_product_shifts_any_generator_index():
+    # Letters are characters, so a generator index past the genus range of
+    # the surface groups shifts like any other.
+    names = tuple("g%d" % i for i in range(1, 301))
+    p1 = Presentation(generators=names, relators=(from_letters((300, 300)),))
+    p2 = Presentation(generators=("h",), relators=(from_letters((1, -1, 1, 1)),))
+    prod = free_product(p1, p2)
+    assert prod.relators == (from_letters((300, 300)), from_letters((301, 301)))
+    assert [prod.word_str(r) for r in prod.relators] == ["g300 g300", "h h"]
+    assert prod.parse_word("H g300") == from_letters((-301, 300))
 
 
 def test_free_product_associative_for_disjoint_names():
-    p1 = Presentation(generators=("a",), relators=((1, 1),))
+    p1 = Presentation(generators=("a",), relators=(from_letters((1, 1)),))
     p2 = Presentation(generators=("b",), relators=())
-    p3 = Presentation(generators=("c",), relators=((1, 1, 1),))
+    p3 = Presentation(generators=("c",), relators=(from_letters((1, 1, 1)),))
     assert free_product(free_product(p1, p2), p3) == free_product(
         p1, free_product(p2, p3)
     )
@@ -93,7 +106,7 @@ def test_k_fold_free_product_of_z():
 
 
 def test_realize_smallest_example():
-    p = Presentation(generators=("a",), relators=((1, 1),))
+    p = Presentation(generators=("a",), relators=(from_letters((1, 1)),))
     recipe = realize(p, 4)
     assert isinstance(recipe, ManifoldRecipe)
     assert recipe.dimension == 4
@@ -133,7 +146,7 @@ def test_realize_round_trip_random_presentations():
                 if word and word[-1] == -x:
                     continue
                 word.append(x)
-            relators.append(tuple(word))
+            relators.append(from_letters(word))
         p = Presentation(generators=gens, relators=tuple(relators))
         recipe = realize(p, 4)
         assert recipe.resulting_group == p

@@ -7,6 +7,7 @@ from collections import deque
 import pytest
 
 from simpleloop.words import (
+    _canonical_images,
     abelianization_mod2,
     canonical_class,
     commutator,
@@ -14,11 +15,13 @@ from simpleloop.words import (
     cyclic_reduce,
     dehn_normal_form,
     free_reduce,
+    from_letters,
     gen_index,
     gen_name,
     inverse,
     is_proper_power,
     is_trivial,
+    letter_index,
     separating_word,
     substitute,
     surface_relator,
@@ -26,24 +29,35 @@ from simpleloop.words import (
     word_to_str,
 )
 
-from oracles import literal_power, random_reduced_word
+from oracles import (
+    letter_order_key,
+    literal_power,
+    naive_canonical_class,
+    random_letters,
+    random_reduced_word,
+    to_letters,
+    tuple_cyclic_reduce,
+    tuple_dehn_normal_form,
+    tuple_free_reduce,
+    tuple_inverse,
+    tuple_surface_relator,
+)
 
 G = 2
 R = surface_relator(G)
 
 
 def all_reduced_words(genus, max_len):
-    letters = [k for k in range(1, 2 * genus + 1)]
-    letters += [-k for k in letters]
-    frontier = [()]
-    yield ()
+    letters = from_letters(x for k in range(1, 2 * genus + 1) for x in (k, -k))
+    frontier = [""]
+    yield ""
     for _ in range(max_len):
         nxt = []
         for w in frontier:
             for x in letters:
-                if w and w[-1] == -x:
+                if w and w[-1] == inverse(x):
                     continue
-                nw = w + (x,)
+                nw = w + x
                 nxt.append(nw)
                 yield nw
         frontier = nxt
@@ -58,8 +72,8 @@ def relator_insertion_closure(genus, budget):
     for base in (r, inverse(r)):
         for i in range(len(base)):
             inserts.append(base[i:] + base[:i])
-    seen = {()}
-    queue = deque([()])
+    seen = {""}
+    queue = deque([""])
     while queue:
         w = queue.popleft()
         for p in range(len(w) + 1):
@@ -78,35 +92,36 @@ def test_parse_format_round_trip():
 
 
 def test_free_reduce():
-    assert free_reduce((1, -1)) == ()
-    assert free_reduce((1, 2, -2, -1)) == ()
-    assert free_reduce((1, 2, -2, 3)) == (1, 3)
-    assert free_reduce(()) == ()
+    assert free_reduce(from_letters((1, -1))) == ""
+    assert free_reduce(from_letters((1, 2, -2, -1))) == ""
+    assert free_reduce(from_letters((1, 2, -2, 3))) == from_letters((1, 3))
+    assert free_reduce("") == ""
 
 
 def test_cyclic_reduce():
-    assert cyclic_reduce((1, 2, -1)) == (2,)
-    assert cyclic_reduce((1, 2, 3, -2, -1)) == (3,)
-    assert cyclic_reduce((1, 2)) == (1, 2)
+    assert cyclic_reduce(from_letters((1, 2, -1))) == from_letters((2,))
+    assert cyclic_reduce(from_letters((1, 2, 3, -2, -1))) == from_letters((3,))
+    assert cyclic_reduce(from_letters((1, 2))) == from_letters((1, 2))
 
 
 def test_concat_inverse():
     rng = random.Random(3)
     for _ in range(100):
         u = random_reduced_word(rng, G, rng.randrange(0, 12))
-        assert concat(u, inverse(u)) == ()
+        assert concat(u, inverse(u)) == ""
         assert free_reduce(u) == u
 
 
 def test_relator_shape():
-    assert R == (1, 2, -1, -2, 3, 4, -3, -4)
+    assert R == from_letters((1, 2, -1, -2, 3, 4, -3, -4))
+    assert to_letters(surface_relator(4)) == tuple_surface_relator(4)
     assert len(surface_relator(3)) == 12
     assert abelianization_mod2(R, G) == 0
 
 
 def test_relator_is_trivial():
     assert is_trivial(R, G)
-    assert is_trivial((), G)
+    assert is_trivial("", G)
     assert is_trivial(inverse(R), G)
 
 
@@ -128,10 +143,11 @@ def test_products_of_relator_conjugates_are_trivial():
 
 
 def test_nontrivial_words():
-    assert not is_trivial((1,), G)
-    assert not is_trivial((1, 1, 1, 1), G)
-    assert not is_trivial(commutator((1,), (2,)), G)
-    witness = commutator((1, 1), (2, 2))
+    a1, b1 = from_letters((1, 2))
+    assert not is_trivial(a1, G)
+    assert not is_trivial(a1 * 4, G)
+    assert not is_trivial(commutator(a1, b1), G)
+    witness = commutator(a1 * 2, b1 * 2)
     assert not is_trivial(witness, G)
 
 
@@ -140,15 +156,15 @@ def test_dehn_agrees_with_insertion_oracle_short_words():
     for w in certified:
         assert is_trivial(w, G)
     short_certified = {w for w in certified if len(w) <= 6}
-    assert short_certified == {()}
+    assert short_certified == {""}
     # complete check: the only trivially reducible word of length <= 6
     # is the empty one, so Dehn must refute everything else
     for w in all_reduced_words(G, 6):
-        assert is_trivial(w, G) == (w == ())
+        assert is_trivial(w, G) == (w == "")
 
 
 def test_dehn_normal_form_of_relator_power():
-    assert dehn_normal_form(concat(R, R), G) == ()
+    assert dehn_normal_form(concat(R, R), G) == ""
 
 
 def test_triviality_genus_3():
@@ -157,7 +173,7 @@ def test_triviality_genus_3():
     for _ in range(30):
         u = random_reduced_word(rng, 3, rng.randrange(0, 8))
         assert is_trivial(concat(u, r3, inverse(u)), 3)
-    assert not is_trivial((5, 6), 3)
+    assert not is_trivial(from_letters((5, 6)), 3)
 
 
 def test_abelianization_homomorphism():
@@ -168,9 +184,9 @@ def test_abelianization_homomorphism():
         assert abelianization_mod2(concat(u, v), G) == (
             abelianization_mod2(u, G) ^ abelianization_mod2(v, G)
         )
-    assert abelianization_mod2((1,), G) == 1
-    assert abelianization_mod2((2,), G) == 2
-    assert abelianization_mod2((-1,), G) == 1
+    assert abelianization_mod2(from_letters((1,)), G) == 1
+    assert abelianization_mod2(from_letters((2,)), G) == 2
+    assert abelianization_mod2(from_letters((-1,)), G) == 1
 
 
 def test_separating_words_abelianize_to_zero():
@@ -194,51 +210,49 @@ def test_canonical_class_rotation_and_inverse_invariance():
 
 
 def test_canonical_class_least_rotation_matches_naive():
-    from simpleloop.words import letter_order_key
-
+    # The words are built as tuples of signed generator indices, and the
+    # naive least rotation compares letter_order_key lists of the tuples.
     rng = random.Random(17)
     words = []
     for genus in (2, 3, 4):
         for _ in range(300):
-            words.append(random_reduced_word(rng, genus, rng.randrange(1, 41)))
+            words.append(random_letters(rng, genus, rng.randrange(1, 41)))
         # Periodic and near-periodic words have several least rotations, and
         # w and w^-1 can tie.
         for k in range(1, 21):
-            u = random_reduced_word(rng, genus, rng.randrange(1, 5))
+            u = random_letters(rng, genus, rng.randrange(1, 5))
             words += [(1, 2) * k, (1, 2) * k + (3,), (1,) * k, u * k, u * k + (1,)]
             # The least letter repeats: only some of its starts win.
             words += [(1, 2) * k + (1, 3), (1, 3) * k + (1, 2)]
     words += [(1, 3, 1, 2), (1, 2, 1, 3), (-1, 3, -1, 2, -1, 2)]
-    # The inverse wins: w holds A1 but not a1, so w^-1 holds the least key.
+    # The inverse wins: w holds A1 but not a1, so w^-1 holds the least letter.
     words += [(-1, 2), (2, -1, 3, -1, -2), (-1,) * 3 + (4, 3)]
     for genus in (2, 3, 4):
         for _ in range(100):
-            u = random_reduced_word(rng, genus, rng.randrange(1, 30))
+            u = random_letters(rng, genus, rng.randrange(1, 30))
             words.append(tuple(-x if abs(x) == 1 else x for x in u))
-    # Ties: both sides hold the least key, and w^-1 is a rotation of w.
+    # Ties: both sides hold the least letter, and w^-1 is a rotation of w.
     words += [(1, 2, -1, -2), (1, -1), (1, 2, -1, 3), (1, 2, -2, -1)]
     words += [(1, 2, -1, -2) * 2, (1, 3, -1, -3, 2, -2)]
     # Seam trimming: conjugates of shorter words, reduced only at the seam.
     for genus in (2, 3, 4):
         for _ in range(100):
-            u = random_reduced_word(rng, genus, rng.randrange(1, 6))
-            v = random_reduced_word(rng, genus, rng.randrange(1, 20))
-            words.append(free_reduce(u + v + inverse(u)))
+            u = random_letters(rng, genus, rng.randrange(1, 6))
+            v = random_letters(rng, genus, rng.randrange(1, 20))
+            words.append(tuple_free_reduce(u + v + tuple_inverse(u)))
     for w in words:
-        w = cyclic_reduce(w)
+        w = tuple_cyclic_reduce(w)
         if not w:
             continue
         cands = []
-        for base in (w, inverse(w)):
+        for base in (w, tuple_inverse(w)):
             for i in range(len(base)):
                 cands.append(base[i:] + base[:i])
         naive = min(cands, key=lambda t: [letter_order_key(x) for x in t])
-        assert canonical_class(w) == naive
+        assert canonical_class(from_letters(w)) == from_letters(naive)
 
 
 def test_canonical_images_match_canonical_class_per_word():
-    from simpleloop.words import _canonical_images, _key_string, _key_translation, _key_word
-
     rng = random.Random(23)
     for genus in (2, 3, 4):
         n_gens = 2 * genus
@@ -254,16 +268,13 @@ def test_canonical_images_match_canonical_class_per_word():
                 w = cyclic_reduce(random_reduced_word(rng, genus, rng.randrange(1, 25)))
                 if w and cyclic_reduce(substitute(w, images)):
                     batch.append(w)
-            keys = [_key_string(w) for w in batch]
-            got = _canonical_images(_key_translation(images), keys, genus)
-            assert list(map(_key_word, got)) == [
-                canonical_class(substitute(w, images)) for w in batch
-            ]
+            got = _canonical_images(images, batch, genus)
+            assert got == [canonical_class(substitute(w, images)) for w in batch]
     # An image that cancels to nothing has no class, even inside a batch.
-    keys = [_key_string((2,)), _key_string((1, 2, -1)), _key_string((3,))]
+    batch = [from_letters((2,)), from_letters((1, 2, -1)), from_letters((3,))]
     with pytest.raises(ValueError, match="trivial"):
-        _canonical_images(_key_translation({2: ()}), keys, 2)
-    assert _canonical_images(_key_translation({}), [], 2) == []
+        _canonical_images({2: ""}, batch, 2)
+    assert _canonical_images({}, [], 2) == []
 
 
 def test_word_to_str_matches_per_letter_names():
@@ -273,44 +284,46 @@ def test_word_to_str_matches_per_letter_names():
         for x in letters:
             name = gen_name(abs(x))
             want = name if x > 0 else name[0].upper() + name[1:]
-            assert word_to_str((x,)) == want
-        w = tuple(letters) + tuple(reversed(letters))
+            assert word_to_str(from_letters((x,))) == want
+        w = from_letters(letters + letters[::-1])
         text = word_to_str(w)
-        assert text == " ".join(word_to_str((x,)) for x in w)
+        assert text == " ".join(word_to_str(c) for c in w)
         assert word_from_str(text, genus) == w
-    assert word_to_str(()) == ""
+    assert word_to_str("") == ""
 
 
-def test_key_text_matches_word_to_str():
-    from simpleloop.words import _key_string, _key_text
-
+def test_word_to_str_matches_tuple_spelling():
+    # word_to_str is one str.translate; the reference spells each signed
+    # index of the word's tuple.
     rng = random.Random(13)
     for genus in range(2, 9):
         for _ in range(50):
-            w = random_reduced_word(rng, genus, rng.randrange(0, 20))
-            assert _key_text(_key_string(w)) == word_to_str(w)
-    assert _key_text("") == ""
+            u = random_letters(rng, genus, rng.randrange(0, 20))
+            names = [gen_name(abs(x)) for x in u]
+            want = " ".join(n if x > 0 else n.capitalize() for x, n in zip(u, names))
+            assert word_to_str(from_letters(u)) == want
+            assert to_letters(from_letters(u)) == u
+            assert tuple(map(letter_index, from_letters(u))) == u
 
 
 def test_canonical_class_rejects_empty():
-    import pytest
-
     with pytest.raises(ValueError):
-        canonical_class(())
+        canonical_class("")
     with pytest.raises(ValueError):
-        canonical_class((1, -1))
+        canonical_class(from_letters((1, -1)))
 
 
 def test_proper_powers():
-    assert is_proper_power((1, 1))
-    assert is_proper_power((1, 2, 1, 2, 1, 2))
-    assert is_proper_power((1, 1, 1, 1))
-    assert not is_proper_power((1,))
-    assert not is_proper_power((1, 2))
-    assert not is_proper_power(commutator((1, 1), (2, 2)))
-    assert not is_proper_power(())
+    a1, b1 = from_letters((1, 2))
+    assert is_proper_power(a1 * 2)
+    assert is_proper_power((a1 + b1) * 3)
+    assert is_proper_power(a1 * 4)
+    assert not is_proper_power(a1)
+    assert not is_proper_power(a1 + b1)
+    assert not is_proper_power(commutator(a1 * 2, b1 * 2))
+    assert not is_proper_power("")
     # conjugation does not hide the period after cyclic reduction
-    assert is_proper_power((2, 1, 1, -2))
+    assert is_proper_power(from_letters((2, 1, 1, -2)))
 
 
 def test_proper_power_matches_divisor_loop():
@@ -329,32 +342,107 @@ def test_proper_power_matches_divisor_loop():
         (word_from_str, ("a3", 2), "outside genus"),
         (surface_relator, (1,), "at least 2"),
         (separating_word, (2, 2), "out of range"),
-        (abelianization_mod2, ((5,), 2), "outside genus"),
+        (abelianization_mod2, (from_letters((5,)), 2), "outside genus"),
+        (gen_index, ("",), "bad generator name"),
+        (word_from_str, ("a+1", 10), "bad generator name"),
+        (word_from_str, ("a01", 10), "bad generator name"),
+        (word_from_str, ("b1_0", 10), "bad generator name"),
+        (word_from_str, ("a\u0661", 10), "bad generator name"),
+        (dehn_normal_form, (from_letters((5,)), 2), "outside genus"),
+        (is_trivial, (from_letters((1, -6)), 2), "outside genus"),
+        (abelianization_mod2, ("?", 2), "not a letter"),
+        (dehn_normal_form, ("@?", 2), "not a letter"),
+        (letter_index, ("?",), "not a letter"),
+        (from_letters, ((1, 0),), "zero is not a letter"),
     ],
-    ids=["gen_index", "word_from_str", "surface_relator", "separating_word", "abelianization"],
+    ids=[
+        "gen_index",
+        "word_from_str",
+        "surface_relator",
+        "separating_word",
+        "abelianization",
+        "gen_index_empty",
+        "word_from_str_sign",
+        "word_from_str_leading_zero",
+        "word_from_str_underscore",
+        "word_from_str_non_ascii_digit",
+        "dehn_normal_form",
+        "is_trivial",
+        "abelianization_non_letter",
+        "dehn_normal_form_non_letter",
+        "letter_index",
+        "from_letters",
+    ],
 )
 def test_out_of_range_input_rejected(fn, args, match):
     with pytest.raises(ValueError, match=match):
         fn(*args)
 
 
+def test_word_from_str_accepted_names():
+    # Only [aAbB][1-9][0-9]* is a token; int() would also read "a+1", "a01",
+    # "b1_0" and non-ASCII digits.
+    assert word_from_str("a1 B2 a10 A12", 12) == from_letters((1, -4, 19, -23))
+    assert word_from_str(" a1\tb1\n", 2) == from_letters((1, 2))
+    assert gen_index("b10") == 20
+
+
 def test_substitute():
-    images = {1: (1, 2), 2: (2,), 3: (3,), 4: (4,)}
-    assert substitute((1,), images) == (1, 2)
-    assert substitute((-1,), images) == (-2, -1)
-    assert substitute((1, -1), images) == ()
+    a1, b1, a2, b2 = from_letters((1, 2, 3, 4))
+    images = {1: a1 + b1, 2: b1, 3: a2, 4: b2}
+    assert substitute(a1, images) == a1 + b1
+    assert substitute(inverse(a1), images) == from_letters((-2, -1))
+    assert substitute(from_letters((1, -1)), images) == ""
 
 
 def test_substitute_rejects_zero_like_free_reduce():
+    # A character below "@" is not a letter, as zero was not one.
+    with pytest.raises(ValueError, match="not a letter"):
+        free_reduce("?")
+    with pytest.raises(ValueError, match="not a letter"):
+        substitute("?", {})
+    with pytest.raises(ValueError, match="not a letter"):
+        substitute(from_letters((1,)), {1: "?"})
     with pytest.raises(ValueError, match="zero is not a letter"):
-        free_reduce((0,))
-    with pytest.raises(ValueError, match="zero is not a letter"):
-        substitute((0,), {})
-    with pytest.raises(ValueError, match="zero is not a letter"):
-        substitute((1,), {1: (0,)})
+        substitute(from_letters((1,)), {0: from_letters((1,))})
 
 
 def test_exhaustive_short_word_problem():
     # every nonempty freely reduced word of length <= 4 is nontrivial
     for w in itertools.islice(all_reduced_words(G, 4), 1, None):
         assert not is_trivial(w, G)
+
+
+def _spliced_letters(rng, genus):
+    """A random tuple word with conjugates of relator pieces spliced in."""
+    r = tuple_surface_relator(genus)
+    w = random_letters(rng, genus, rng.randrange(0, 20))
+    for _ in range(rng.randrange(0, 3)):
+        u = random_letters(rng, genus, rng.randrange(0, 4))
+        base = r if rng.random() < 0.5 else tuple_inverse(r)
+        i = rng.randrange(len(base))
+        piece = (base[i:] + base[:i])[: rng.randrange(2 * genus, len(base) + 1)]
+        pos = rng.randrange(len(w) + 1)
+        w = w[:pos] + u + piece + tuple_inverse(u) + w[pos:]
+    return w
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_string_words_match_tuple_references(genus):
+    # The tuple spelling of each operation is kept in the oracles; every
+    # string operation must agree with it on random words with relator
+    # pieces spliced in, so that Dehn's algorithm has work to do.
+    rng = random.Random(31 + genus)
+    n_rewritten = 0
+    for _ in range(1500):
+        t = _spliced_letters(rng, genus)
+        w = from_letters(t)
+        assert free_reduce(w) == from_letters(tuple_free_reduce(t))
+        assert cyclic_reduce(w) == from_letters(tuple_cyclic_reduce(t))
+        assert inverse(w) == from_letters(tuple_inverse(t))
+        normal_form = dehn_normal_form(w, genus)
+        assert normal_form == from_letters(tuple_dehn_normal_form(t, genus))
+        n_rewritten += len(normal_form) < len(cyclic_reduce(w))
+        if cyclic_reduce(w):
+            assert canonical_class(w) == naive_canonical_class(w)
+    assert n_rewritten > 300

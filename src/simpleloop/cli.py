@@ -356,7 +356,7 @@ def cmd_torus_demo(args):
 
 def cmd_realize(args):
     if args.presentation:
-        with open(args.presentation) as handle:
+        with open(args.presentation, encoding="utf-8") as handle:
             pres = parse_presentation(handle.read())
         recipe = realize(pres, args.dimension)
         group = recipe.resulting_group

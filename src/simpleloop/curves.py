@@ -31,6 +31,7 @@ from .words import (
     check_length_bound,
     free_reduce,
     from_letters,
+    gen_name,
     inverse,
     separating_word,
     substitute,
@@ -145,31 +146,31 @@ def commuting_twists(genus: int) -> frozenset[tuple[str, str]]:
     return frozenset(pairs)
 
 
+def _standard_roots(genus: int) -> dict[str, Word]:
+    """Name and word of each standard curve: the generators a1, b1, ..., bg,
+    named by words.gen_name, then the separating curves s1 ... s(g-1)."""
+    roots = {gen_name(k): from_letters((k,)) for k in range(1, 2 * genus + 1)}
+    roots.update(("s%d" % k, separating_word(genus, k)) for k in range(1, genus))
+    return roots
+
+
 def standard_curves(genus: int) -> list[SimpleClass]:
     """The standard simple curves: 2g handle curves and g-1 separating ones."""
     if genus < 2:
         raise ValueError("genus must be at least 2")
-    roots = ["%s%d" % (fam, i) for i in range(1, genus + 1) for fam in "ab"]
-    roots += ["s%d" % k for k in range(1, genus)]
     return [
-        SimpleClass(
-            cls=canonical_class(root_word(genus, root)),
-            root=root,
-            twists=(),
-            separating=root[0] == "s",
-        )
-        for root in roots
+        SimpleClass(cls=canonical_class(word), root=root, twists=(), separating=root[0] == "s")
+        for root, word in _standard_roots(genus).items()
     ]
 
 
 def root_word(genus: int, root: str) -> Word:
-    """Word of a named standard curve (a1, b2, s1, ...)."""
-    kind, idx = root[0], int(root[1:])
-    if kind in "ab" and 1 <= idx <= genus:
-        return from_letters((2 * idx - 1 if kind == "a" else 2 * idx,))
-    if kind == "s" and 1 <= idx <= genus - 1:
-        return separating_word(genus, idx)
-    raise ValueError("unknown standard curve %r" % root)
+    """Word of a named standard curve (a1, b2, s1, ...); a name that is not
+    one of the genus's standard curves raises ValueError."""
+    word = _standard_roots(genus).get(root)
+    if word is None:
+        raise ValueError("unknown standard curve %r" % root)
+    return word
 
 
 def replay_certificate(genus: int, root: str, twists: tuple[str, ...]) -> Word:

@@ -12,10 +12,10 @@ character equals the target character composed with the induced map.
 import math
 from typing import NamedTuple
 
-from .cover import build_mod2_cover, check_genus
+from .cover import build_mod2_cover
 from .quotient import GroupContext, in_kernel
-from .realize import Presentation
-from .words import Word, from_letters, gen_name, letter_index, substitute, surface_relator
+from .realize import Presentation, check_dimension, generator_letters
+from .words import Word, from_letters, gen_name, substitute, surface_relator
 
 
 class TorusClass(NamedTuple):
@@ -72,12 +72,7 @@ class OrientationCharacter(NamedTuple("OrientationCharacter", [("values", tuple)
 
     def on_word(self, word: Word) -> int:
         """Value on a word; a letter of no generator 1..len(values) raises ValueError."""
-        total = 0
-        for x in map(letter_index, word):
-            if abs(x) > len(self.values):
-                raise ValueError("unknown generator %d" % x)
-            total ^= self.values[abs(x) - 1]
-        return total
+        return sum(self.values[abs(x) - 1] for x in generator_letters(word, len(self.values))) % 2
 
 
 def _generators(n: int) -> dict[int, Word]:
@@ -92,15 +87,8 @@ def _surface_group(genus: int) -> Presentation:
 
 def z2xz_is_trivial(word: Word) -> bool:
     """Word problem for Z2 x Z with generators x = 1 (order 2) and y = 2."""
-    x_parity = y_sum = 0
-    for letter in map(letter_index, word):
-        if abs(letter) == 1:
-            x_parity ^= 1
-        elif abs(letter) == 2:
-            y_sum += 1 if letter > 0 else -1
-        else:
-            raise ValueError("unknown generator %d" % letter)
-    return x_parity == 0 and y_sum == 0
+    letters = generator_letters(word, 2)
+    return (letters.count(1) + letters.count(-1)) % 2 == 0 and letters.count(2) == letters.count(-2)
 
 
 def sidedness_report(
@@ -167,7 +155,6 @@ def main_construction_sidedness(genus: int = 2) -> dict:
     target), so the map is 2-sided whatever the generator images are. The
     target's word problem is G's, in_kernel, which checks the relator image.
     """
-    check_genus(genus)
     ctx = GroupContext(build_mod2_cover(genus))
     n = 2 * genus
     report = sidedness_report(
@@ -206,8 +193,7 @@ def extend_to_dimension(n: int) -> dict:
     4 adds a circle factor to the fundamental group; the record's warning
     says why the kernel of the induced map is unchanged all the same.
     """
-    if n < 4:
-        raise ValueError("ambient dimension must be at least 4")
+    check_dimension(n)
     record = {
         "dimension": n,
         "pi1_unchanged": n >= 5,

@@ -17,10 +17,10 @@ from .words import (
     Word,
     canonical_class,
     check_length_bound,
+    check_letters,
     from_letters,
     inverse,
     is_trivial,
-    word_to_str,
 )
 
 # Largest kernel search allowed: genus 3 at length 10 (193 260 half-words)
@@ -56,9 +56,9 @@ def rho(ctx: GroupContext, w: Word) -> GElement:
     """
     try:
         h, v = ctx.cover.walk(w, 0)
-    except KeyError as exc:
-        letter = word_to_str(exc.args[0])
-        raise ValueError("letter %s outside genus %d" % (letter, ctx.genus)) from None
+    except KeyError:
+        check_letters(w, ctx.genus)
+        raise
     return GElement(v, h)
 
 

@@ -20,6 +20,21 @@ from .words import Word, free_reduce, from_letters, letter_index, substitute
 DIMENSION_NOTE = "surgery loops embed disjointly and unknot in dimension >= 4"
 
 
+def check_dimension(n: int) -> None:
+    """Reject an ambient dimension below 4, where DIMENSION_NOTE does not hold."""
+    if n < 4:
+        raise ValueError("ambient dimension must be at least 4: " + DIMENSION_NOTE)
+
+
+def generator_letters(w: Word, n: int) -> list[int]:
+    """Signed generator indices of w's letters; one of no generator 1..n raises ValueError."""
+    letters = list(map(letter_index, w))
+    for x in letters:
+        if abs(x) > n:
+            raise ValueError("unknown generator %d" % abs(x))
+    return letters
+
+
 class Presentation(NamedTuple("Presentation", [("generators", tuple), ("relators", tuple)])):
     """A finite group presentation over named generators.
 
@@ -34,14 +49,16 @@ class Presentation(NamedTuple("Presentation", [("generators", tuple), ("relators
         for name in generators:
             if not name or not name[0].islower():
                 raise ValueError("generator name %r must start lowercase" % (name,))
+            # parse_word must read word_str's inverse spelling back.
+            inverse = name[0].upper() + name[1:]
+            if inverse[0].islower() or inverse[0].lower() + inverse[1:] != name:
+                raise ValueError("generator name %r has no uppercase inverse spelling" % (name,))
             if name in seen:
                 raise ValueError("duplicate generator name %r" % (name,))
             seen.add(name)
         reduced = []
         for rel in relators:
-            for x in map(letter_index, rel):
-                if abs(x) > len(generators):
-                    raise ValueError("relator letter %d out of range" % x)
+            generator_letters(rel, len(generators))
             reduced.append(free_reduce(rel))
         return super().__new__(cls, generators, tuple(reduced))
 
@@ -110,10 +127,7 @@ class ManifoldRecipe(NamedTuple):
 
 def realize(p: Presentation, n: int) -> ManifoldRecipe:
     """Recipe for an n-manifold with fundamental group presented by p."""
-    if n < 4:
-        raise ValueError(
-            "ambient dimension must be at least 4: " + DIMENSION_NOTE
-        )
+    check_dimension(n)
     k = len(p.generators)
     base = {
         "summands": ["S^%d" % n] + ["S^%d x S^1" % (n - 1)] * k,
@@ -146,10 +160,7 @@ def recipe_for_G(g: int, n: int) -> dict:
     order from their closed forms (no cover is built), and the 2-sidedness
     note (the target's orientation character is trivial).
     """
-    if n < 4:
-        raise ValueError(
-            "ambient dimension must be at least 4: " + DIMENSION_NOTE
-        )
+    check_dimension(n)
     check_genus(g)
     return {
         "genus": g,

@@ -43,6 +43,7 @@ __all__ = [
     "surface_relator",
     "separating_word",
     "substitute",
+    "check_letters",
     "abelianization_mod2",
     "dehn_normal_form",
     "is_trivial",
@@ -94,13 +95,9 @@ def letter_index(c: str) -> int:
 
 def word_from_str(text: str, genus: int) -> Word:
     """Parse literal syntax; uppercase family letter means inverse."""
-    letters = []
-    for tok in text.split():
-        k = gen_index(tok[0].lower() + tok[1:])
-        if k > 2 * genus:
-            raise ValueError(f"letter {tok!r} outside genus {genus}")
-        letters.append(k if tok[0] in "ab" else -k)
-    return from_letters(letters)
+    w = from_letters(gen_index(t.lower()) * (1 if t[0] in "ab" else -1) for t in text.split())
+    check_letters(w, genus)
+    return w
 
 
 class _LetterMemo(dict):
@@ -216,7 +213,7 @@ def substitute(w: Word, images: dict[int, Word]) -> Word:
     return free_reduce(w.translate(_images_table(images)))
 
 
-def _check_letters(w: Word, genus: int) -> None:
+def check_letters(w: Word, genus: int) -> None:
     """Raise ValueError unless every character of w is a letter of the genus."""
     top = chr(_BASE + 4 * genus)
     if w and not "@" <= min(w) <= max(w) < top:
@@ -226,7 +223,7 @@ def _check_letters(w: Word, genus: int) -> None:
 
 def abelianization_mod2(w: Word, genus: int) -> int:
     """Class in H_1(S; Z/2) = (Z/2)^{2g} as a bitmask, bit k-1 for generator k."""
-    _check_letters(w, genus)
+    check_letters(w, genus)
     v = 0
     for code in map(ord, w):
         v ^= 1 << ((code - _BASE) >> 1)
@@ -254,7 +251,7 @@ def dehn_normal_form(w: Word, genus: int) -> Word:
     word, that is more than half of a relator rotation. A letter outside
     the genus raises ValueError.
     """
-    _check_letters(w, genus)
+    check_letters(w, genus)
     table = _dehn_table(genus)
     w = cyclic_reduce(w)
     while w:

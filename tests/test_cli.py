@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from simpleloop import cli
+from simpleloop import cli, demos
 from simpleloop.cli import main
 from simpleloop.cover import MAX_GENUS, CoverCW, build_mod2_cover
 from simpleloop.curves import (
@@ -706,6 +706,15 @@ def test_torus_demo_text(capsys):
     assert "1-sided" in out
 
 
+def test_torus_demo_fails_on_a_simple_kernel_class(capsys, monkeypatch):
+    monkeypatch.setattr(demos, "iota_star", lambda c: (0, 0))
+    code, out = run_main(capsys, "torus-demo")
+    assert code == 1
+    summary = json_records(out)[0]
+    assert summary["status"] == "demo_failure"
+    assert summary["non_geometric_kernel"] is False
+
+
 def test_realize_from_file(tmp_path, capsys):
     path = tmp_path / "pres.txt"
     path.write_text("a\na a\n")
@@ -723,6 +732,49 @@ def test_realize_rejects_dimension3(tmp_path, capsys):
     path.write_text("a\na a\n")
     code, _ = run_main(capsys, "realize", str(path), "--dimension", "3")
     assert code == 2
+
+
+# A presentation file realize must refuse: its bytes, and the message.
+BAD_PRESENTATIONS = {
+    "dotless_i": (
+        "\u0131\nI\n".encode(),
+        "generator name '\u0131' has no uppercase inverse spelling",
+    ),
+    "unknown_generator": (b"a b\na c\n", "unknown generator 'c' in word"),
+    "not_utf8": (b"a\n\xff\xfe\n", "'utf-8' codec can't decode byte 0xff"),
+    "directory": (None, "Is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PRESENTATIONS))
+def test_realize_rejects_bad_presentation_file(tmp_path, capsys, case):
+    data, message = BAD_PRESENTATIONS[case]
+    path = tmp_path / "pres.txt"
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    assert main(["realize", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def test_realize_rejects_bad_presentation_file_via_subprocess(tmp_path):
+    for case in ("dotless_i", "not_utf8"):
+        data, message = BAD_PRESENTATIONS[case]
+        path = tmp_path / (case + ".txt")
+        path.write_bytes(data)
+        result = subprocess.run(
+            [sys.executable, "-m", "simpleloop.cli", "realize", str(path)],
+            capture_output=True,
+            encoding="utf-8",
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert message in result.stderr
 
 
 def test_realize_missing_file(capsys):

@@ -19,6 +19,7 @@ from simpleloop.words import (
     abelianization_mod2,
     commutator,
     from_letters,
+    separating_word,
     surface_relator,
 )
 
@@ -182,6 +183,39 @@ def test_every_edge_lies_in_exactly_two_faces(genus):
     # The face named across an edge is the other face that holds it.
     for e, faces in pairs:
         assert faces == set(faces_of[e])
+
+
+def _is_cocycle(cover, edges):
+    """Whether an edge set meets every face an even number of times."""
+    return all(
+        sum(e in edges for e, _ in cover._face_edges(f)) % 2 == 0
+        for f in range(cover.n_faces)
+    )
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_separating_curve_certificates(genus):
+    # The closed-form certificate that rho(s_k) != 1 at every genus: the
+    # mod-2 cocycle Z_k = {(0, a1), (0, a_{k+1}), (b1, a_{k+1}), (b_{k+1}, a1)}
+    # pairs to 1 with the lift of s_k from 0, which meets it only in (0, a1).
+    cover = build_mod2_cover(genus)
+    a1_edge = cover.edge_index(0, 1)
+    for k in range(1, genus):
+        # a_{k+1} is generator 2k + 1; vertex b_i is 1 << (2i - 1).
+        a, b1, b = 2 * k + 1, 1 << 1, 1 << (2 * k + 1)
+        pairs = ((0, 1), (0, a), (b1, a), (b, 1))
+        zk = {cover.edge_index(v, j) for v, j in pairs}
+        assert len(zk) == 4 and _is_cocycle(cover, zk)
+        chain, end = cover.lift(separating_word(genus, k), 0)
+        assert end == 0
+        assert [e for e in zk if chain >> e & 1] == [a1_edge]
+        # No edge can be dropped, and Z_k's translate by a1 is a cocycle
+        # that pairs to 0 with the same lift.
+        for e in zk:
+            assert not _is_cocycle(cover, zk - {e})
+        moved = {cover.edge_index(v ^ 1, j) for v, j in pairs}
+        assert _is_cocycle(cover, moved)
+        assert sum(chain >> e & 1 for e in moved) % 2 == 0
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4])

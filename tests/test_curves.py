@@ -1,6 +1,7 @@
 """Tests for twist automorphisms and certified simple class generation."""
 
 import random
+import re
 
 import pytest
 
@@ -187,10 +188,33 @@ def test_root_words():
     assert root_word(2, "a1") == from_letters((1,))
     assert root_word(2, "b2") == from_letters((4,))
     assert root_word(2, "s1") == separating_word(2, 1)
+    assert root_word(4, "b4") == from_letters((8,))
+    assert root_word(4, "s3") == separating_word(4, 3)
+    assert root_word(12, "a10") == from_letters((19,))
     with pytest.raises(ValueError):
         root_word(2, "s2")
     with pytest.raises(ValueError):
         root_word(2, "x1")
+
+
+# Names int() would read ("a+1", "a01", "a\u0661", "b 2", "s01"), names it
+# would not, and names outside the genus.
+BAD_ROOTS = [
+    "a+1", "a01", "a\u0661", "b 2", "s01",
+    "a", "a_1", "", "s", "A1", "x1",
+    "a3", "b0", "s0", "s2",
+]
+
+
+@pytest.mark.parametrize("root", BAD_ROOTS)
+@pytest.mark.parametrize(
+    "entry",
+    [root_word, lambda genus, root: replay_certificate(genus, root, ("ta1",))],
+    ids=["root_word", "replay_certificate"],
+)
+def test_bad_root_names_rejected(entry, root):
+    with pytest.raises(ValueError, match="^unknown standard curve %s$" % re.escape(repr(root))):
+        entry(2, root)
 
 
 def test_depth0_is_standard_curves():

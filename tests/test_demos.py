@@ -60,6 +60,16 @@ def test_kernel_scan_finds_exactly_even_horizontal_classes():
     assert scan["non_geometric"]
 
 
+def test_kernel_scan_reports_simple_kernel_classes(monkeypatch):
+    # With every class sent to (0, 0), the primitive ones land in the kernel
+    # and the scan must say the kernel is geometric.
+    monkeypatch.setattr(demos, "iota_star", lambda c: (0, 0))
+    scan = torus_kernel_scan(2)
+    assert (1, 0) in scan["simple_in_kernel"] and (2, 1) in scan["simple_in_kernel"]
+    assert (2, 0) not in scan["simple_in_kernel"]
+    assert scan["non_geometric"] is False
+
+
 def test_kernel_scan_bound100():
     assert torus_kernel_scan(100)["non_geometric"]
 
@@ -127,7 +137,8 @@ def test_main_construction_checks_the_relator_image_in_G(monkeypatch):
 
 
 def test_main_construction_genus_bounds():
-    with pytest.raises(ValueError):
+    # The cover build states the genus rule; demos does not check it again.
+    with pytest.raises(ValueError, match="^genus must be at least 2$"):
         main_construction_sidedness(1)
     with pytest.raises(ResourceLimitError):
         main_construction_sidedness(5)

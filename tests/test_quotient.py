@@ -449,6 +449,15 @@ def test_image_rank_checks_each_unit_cycle_word():
         image_rank(GroupContext(cover))
 
 
+def test_image_rank_checks_each_generator():
+    # A fresh cover whose letter a1 flips the wrong deck bit: a1 no longer
+    # maps to deck bit 0.
+    cover = build_mod2_cover(2)
+    cover._letter_flips[from_letters((1,))] = 2
+    with pytest.raises(AssertionError, match="generator 1 does not map to deck bit 0"):
+        image_rank(GroupContext(cover))
+
+
 @pytest.mark.parametrize("n_samples", [20, 100, 500])
 @pytest.mark.parametrize("ctx", [CTX, CTX3], ids=["g2", "g3"])
 def test_group_law_sampler_stays_within_image_rank(ctx, n_samples):
@@ -472,11 +481,11 @@ def test_gelement_equality_is_structural():
 
 
 def test_rho_and_in_kernel_reject_letters_outside_genus():
-    for w in map(from_letters, ((5,), (1, -5, 5), (-6, 6))):
-        with pytest.raises(ValueError):
-            rho(CTX, w)
-        with pytest.raises(ValueError):
-            in_kernel(CTX, w)
+    # words.check_letters states the rule; rho runs it only when the walk fails.
+    for letters, name in (((5,), "a3"), ((1, -5, 5), "A3"), ((-6, 6), "B3")):
+        for fn in (rho, in_kernel):
+            with pytest.raises(ValueError, match="^letter %s outside genus 2$" % name):
+                fn(CTX, from_letters(letters))
 
 
 @pytest.mark.parametrize("ctx", [CTX, CTX3, CTX4], ids=["g2", "g3", "g4"])

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from simpleloop.cover import ResourceLimitError
+from simpleloop.demos import OrientationCharacter, extend_to_dimension, z2xz_is_trivial
 from simpleloop.realize import (
+    DIMENSION_NOTE,
     ManifoldRecipe,
     Presentation,
     free_product,
@@ -30,6 +32,65 @@ def test_presentation_validates_names_and_letters():
         Presentation(generators=("a",), relators=(from_letters((2,)),))
     with pytest.raises(ValueError):
         Presentation(generators=("a",), relators=("?",))
+
+
+DIMENSION = "^ambient dimension must be at least 4: %s$" % DIMENSION_NOTE
+NO_INVERSE = "has no uppercase inverse spelling"
+
+
+# One row per entry point of each presentation rule in simpleloop.realize:
+# generator letters (generator_letters), generator names (Presentation) and
+# the ambient dimension (check_dimension).
+@pytest.mark.parametrize(
+    "fn, args, match",
+    [
+        (Presentation, (("a",), (from_letters((2,)),)), "^unknown generator 2$"),
+        (Presentation, (("a",), (from_letters((1, -3)),)), "^unknown generator 3$"),
+        (OrientationCharacter((0,)).on_word, (from_letters((-2,)),), "^unknown generator 2$"),
+        (z2xz_is_trivial, (from_letters((1, 3)),), "^unknown generator 3$"),
+        (Presentation, (("\u0131",), ()), NO_INVERSE),
+        (Presentation, (("a", "\u00df"), ()), NO_INVERSE),
+        (Presentation, (("\ufb00",), ()), NO_INVERSE),
+        (parse_presentation, ("\u0131\nI",), NO_INVERSE),
+        (realize, (Presentation(("a",), ()), 3), DIMENSION),
+        (recipe_for_G, (2, 3), DIMENSION),
+        (recipe_for_G, (1, 3), DIMENSION),
+        (extend_to_dimension, (3,), DIMENSION),
+    ],
+    ids=[
+        "presentation_letter",
+        "presentation_inverse_letter",
+        "on_word",
+        "z2xz_is_trivial",
+        "dotless_i",
+        "sharp_s",
+        "ff_ligature",
+        "parse_presentation_dotless_i",
+        "realize",
+        "recipe_for_G",
+        "recipe_for_G_dimension_before_genus",
+        "extend_to_dimension",
+    ],
+)
+def test_bad_presentation_input_rejected(fn, args, match):
+    with pytest.raises(ValueError, match=match):
+        fn(*args)
+
+
+def test_accepted_names_read_their_inverse_back():
+    # Every name Presentation accepts spells its inverse so that parse_word
+    # reads it back; the others are rejected by the name check.
+    inverse = from_letters((-1,))
+    accepted = 0
+    for code in range(0x10000):
+        name = chr(code) + "x"
+        try:
+            p = Presentation((name,), ())
+        except ValueError:
+            continue
+        assert p.parse_word(p.word_str(inverse)) == inverse, name
+        accepted += 1
+    assert accepted > 1000
 
 
 def test_word_round_trip():

@@ -10,6 +10,7 @@ from simpleloop.words import (
     _canonical_images,
     abelianization_mod2,
     canonical_class,
+    check_letters,
     commutator,
     concat,
     cyclic_reduce,
@@ -339,21 +340,24 @@ def test_proper_power_matches_divisor_loop():
     "fn, args, match",
     [
         (gen_index, ("c1",), "bad generator name"),
-        (word_from_str, ("a3", 2), "outside genus"),
+        (word_from_str, ("a3", 2), "^letter a3 outside genus 2$"),
         (surface_relator, (1,), "at least 2"),
         (separating_word, (2, 2), "out of range"),
-        (abelianization_mod2, (from_letters((5,)), 2), "outside genus"),
+        (abelianization_mod2, (from_letters((5,)), 2), "^letter a3 outside genus 2$"),
         (gen_index, ("",), "bad generator name"),
         (word_from_str, ("a+1", 10), "bad generator name"),
         (word_from_str, ("a01", 10), "bad generator name"),
         (word_from_str, ("b1_0", 10), "bad generator name"),
         (word_from_str, ("a\u0661", 10), "bad generator name"),
-        (dehn_normal_form, (from_letters((5,)), 2), "outside genus"),
-        (is_trivial, (from_letters((1, -6)), 2), "outside genus"),
+        (dehn_normal_form, (from_letters((5,)), 2), "^letter a3 outside genus 2$"),
+        (is_trivial, (from_letters((1, -6)), 2), "^letter B3 outside genus 2$"),
         (abelianization_mod2, ("?", 2), "not a letter"),
         (dehn_normal_form, ("@?", 2), "not a letter"),
         (letter_index, ("?",), "not a letter"),
         (from_letters, ((1, 0),), "zero is not a letter"),
+        (check_letters, (from_letters((1, -5)), 2), "^letter A3 outside genus 2$"),
+        (word_from_str, ("a1 B3", 2), "^letter B3 outside genus 2$"),
+        (check_letters, ("@?", 2), "not a letter"),
     ],
     ids=[
         "gen_index",
@@ -372,6 +376,9 @@ def test_proper_power_matches_divisor_loop():
         "dehn_normal_form_non_letter",
         "letter_index",
         "from_letters",
+        "check_letters",
+        "word_from_str_inverse",
+        "check_letters_non_letter",
     ],
 )
 def test_out_of_range_input_rejected(fn, args, match):

@@ -5,122 +5,104 @@ an explicit CW complex, assembles the finite quotient group the cover
 defines, and machine-checks that the quotient's kernel is nontrivial yet
 meets no certified simple closed curve class, alongside the classical torus
 demonstration and symbolic manifold-construction recipes.
+
+Importing the package imports none of its modules: each name below, and each
+module, is imported on first attribute access (PEP 562), so a command loads
+only the modules it uses.
 """
 
-from .cover import (
-    CoverCW,
-    ResourceLimitError,
-    build_mod2_cover,
-)
-from .curves import (
-    SimpleClass,
-    VerificationReport,
-    generate_simple_classes,
-    replay_certificate,
-    standard_curves,
-    twist_table,
-    verify_non_geometric,
-)
-from .demos import (
-    OrientationCharacter,
-    TorusClass,
-    extend_to_dimension,
-    iota_star,
-    is_simple_torus,
-    torus_kernel_scan,
-)
-from .gf2 import GF2Matrix, QuotientMap, kernel_basis, rank, rref
-from .quotient import (
-    GElement,
-    GroupContext,
-    image_rank,
-    in_kernel,
-    inv,
-    mul,
-    representative,
-    rho,
-    search_kernel_elements,
-)
-from .realize import (
-    ManifoldRecipe,
-    Presentation,
-    free_product,
-    parse_presentation,
-    realize,
-    recipe_for_G,
-)
-from .words import (
-    Word,
-    abelianization_mod2,
-    canonical_class,
-    commutator,
-    concat,
-    cyclic_reduce,
-    dehn_normal_form,
-    free_reduce,
-    from_letters,
-    inverse,
-    is_proper_power,
-    is_trivial,
-    separating_word,
-    substitute,
-    surface_relator,
-    word_from_str,
-    word_to_str,
-)
+import importlib
+import sys
+import types
 
-__all__ = [
-    "CoverCW",
-    "GElement",
-    "GF2Matrix",
-    "GroupContext",
-    "ManifoldRecipe",
-    "OrientationCharacter",
-    "Presentation",
-    "QuotientMap",
-    "ResourceLimitError",
-    "SimpleClass",
-    "TorusClass",
-    "VerificationReport",
-    "Word",
-    "abelianization_mod2",
-    "build_mod2_cover",
-    "canonical_class",
-    "commutator",
-    "concat",
-    "cyclic_reduce",
-    "dehn_normal_form",
-    "extend_to_dimension",
-    "free_product",
-    "free_reduce",
-    "from_letters",
-    "generate_simple_classes",
-    "image_rank",
-    "in_kernel",
-    "inv",
-    "inverse",
-    "iota_star",
-    "is_proper_power",
-    "is_simple_torus",
-    "is_trivial",
-    "kernel_basis",
-    "mul",
-    "parse_presentation",
-    "rank",
-    "realize",
-    "recipe_for_G",
-    "replay_certificate",
-    "representative",
-    "rho",
-    "rref",
-    "search_kernel_elements",
-    "separating_word",
-    "standard_curves",
-    "substitute",
-    "surface_relator",
-    "torus_kernel_scan",
-    "twist_table",
-    "verify_non_geometric",
-    "word_from_str",
-    "word_to_str",
-]
+# The names each module exports at the package level.
+_EXPORTS = {
+    "cover": ("CoverCW", "ResourceLimitError", "build_mod2_cover"),
+    "curves": (
+        "SimpleClass",
+        "VerificationReport",
+        "generate_simple_classes",
+        "replay_certificate",
+        "standard_curves",
+        "twist_table",
+        "verify_non_geometric",
+    ),
+    "demos": (
+        "OrientationCharacter",
+        "TorusClass",
+        "extend_to_dimension",
+        "iota_star",
+        "is_simple_torus",
+        "torus_kernel_scan",
+    ),
+    "gf2": ("GF2Matrix", "QuotientMap", "kernel_basis", "rank", "rref"),
+    "quotient": (
+        "GElement",
+        "GroupContext",
+        "image_rank",
+        "in_kernel",
+        "inv",
+        "mul",
+        "representative",
+        "rho",
+        "search_kernel_elements",
+    ),
+    "realize": (
+        "ManifoldRecipe",
+        "Presentation",
+        "free_product",
+        "parse_presentation",
+        "realize",
+        "recipe_for_G",
+    ),
+    "words": (
+        "Word",
+        "abelianization_mod2",
+        "canonical_class",
+        "commutator",
+        "concat",
+        "cyclic_reduce",
+        "dehn_normal_form",
+        "free_reduce",
+        "from_letters",
+        "inverse",
+        "is_proper_power",
+        "is_trivial",
+        "separating_word",
+        "substitute",
+        "surface_relator",
+        "word_from_str",
+        "word_to_str",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        value = globals()[name] = getattr(importlib.import_module("." + module, __name__), name)
+        return value
+    if name in _EXPORTS:
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))
+
+
+class _Package(types.ModuleType):
+    """The package's module type: the import system binds each submodule on
+    the package once it is loaded, but an exported name that a submodule
+    shares (realize) keeps naming the export."""
+
+    def __setattr__(self, name, value):
+        if name in _MODULE_OF and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

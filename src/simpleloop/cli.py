@@ -7,7 +7,8 @@ at a time; records may be an iterator whose records are built as they are
 written, and a record that is already its JSON line (a str) is written as
 it is. Exit codes: 0 success, 1 verification failure (including no
 kernel witness at the requested bound), 2 usage or configuration error,
-3 resource bound.
+3 resource bound. torus-demo and realize import the modules only they use
+(demos, realize) when they run, so the other commands never load them.
 """
 
 import argparse
@@ -30,24 +31,17 @@ from .cover import (
     group_order_log2,
 )
 from .curves import check_depth, generate_simple_classes, verify_non_geometric
-from .demos import (
-    extend_to_dimension,
-    free_factor_sidedness,
-    main_construction_sidedness,
-    torus_inclusion_sidedness,
-    torus_kernel_scan,
-)
 from .quotient import (
     GroupContext,
     check_search_budget,
     image_rank,
     search_kernel_elements,
 )
-from .realize import parse_presentation, realize, recipe_for_G
 from .words import (
     check_length_bound,
     dehn_normal_form,
     is_proper_power,
+    spell_words,
     word_to_str,
 )
 
@@ -216,7 +210,8 @@ def cmd_verify(args):
         # The witness records and class lines are built as they are written.
         yield summary
         yield from (_witness_record(args.genus, w) for w in witnesses)
-        for sc, flag in zip(report.classes, report.flags):
+        texts = spell_words([sc.cls for sc in report.classes])
+        for sc, flag, text in zip(report.classes, report.flags, texts):
             yield _CLASS_LINE % (
                 _BOOL[flag >> 1],
                 _BOOL[not flag],
@@ -225,7 +220,7 @@ def cmd_verify(args):
                 _BOOL[sc.separating],
                 '["%s"]' % '", "'.join(sc.twists) if sc.twists else "[]",
                 _BOOL[flag & 1],
-                word_to_str(sc.cls),
+                text,
             )
 
     lines = [
@@ -301,6 +296,14 @@ def cmd_lemma_check(args):
 
 
 def cmd_torus_demo(args):
+    from .demos import (
+        extend_to_dimension,
+        free_factor_sidedness,
+        main_construction_sidedness,
+        torus_inclusion_sidedness,
+        torus_kernel_scan,
+    )
+
     scan = torus_kernel_scan(100)
     reports = [
         torus_inclusion_sidedness(),
@@ -355,6 +358,8 @@ def cmd_torus_demo(args):
 
 
 def cmd_realize(args):
+    from .realize import parse_presentation, realize, recipe_for_G
+
     if args.presentation:
         with open(args.presentation, encoding="utf-8") as handle:
             pres = parse_presentation(handle.read())

@@ -13,7 +13,7 @@ lemma read the complex through it. Words are strings of letters, as in
 simpleloop.words, and the edge table is keyed by letter.
 """
 
-from .words import Word, from_letters, inverse, letter_index
+from .words import Word, check_min_genus, from_letters, inverse, letter_index
 
 # The build alone would fit genus 5 (0.045 s, 25 MB in process on a 2-vCPU
 # VM) and genus 6 (0.46 s, 160 MB). The cap stays at 4 until the twist depth
@@ -27,8 +27,7 @@ class ResourceLimitError(RuntimeError):
 
 def check_genus(genus: int) -> None:
     """Reject a genus below 2 (ValueError) or above MAX_GENUS (resource bound)."""
-    if genus < 2:
-        raise ValueError("genus must be at least 2")
+    check_min_genus(genus)
     if genus > MAX_GENUS:
         raise ResourceLimitError(
             "genus %d cover exceeds the supported size budget (max genus %d)"

@@ -23,12 +23,14 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .cover import ResourceLimitError
-from .quotient import GroupContext, rho
+from .quotient import GroupContext
 from .words import (
     Word,
     _canonical_images,
     canonical_class,
     check_length_bound,
+    check_letters,
+    check_min_genus,
     free_reduce,
     from_letters,
     gen_name,
@@ -82,8 +84,7 @@ def twist_table(genus: int) -> dict[str, dict[int, Word]]:
 
     A twist acts on a word w as substitute(w, table[name]).
     """
-    if genus < 2:
-        raise ValueError("genus must be at least 2")
+    check_min_genus(genus)
     table = {}
     for i in range(1, genus + 1):
         a, b = 2 * i - 1, 2 * i
@@ -156,8 +157,7 @@ def _standard_roots(genus: int) -> dict[str, Word]:
 
 def standard_curves(genus: int) -> list[SimpleClass]:
     """The standard simple curves: 2g handle curves and g-1 separating ones."""
-    if genus < 2:
-        raise ValueError("genus must be at least 2")
+    check_min_genus(genus)
     return [
         SimpleClass(cls=canonical_class(word), root=root, twists=(), separating=root[0] == "s")
         for root, word in _standard_roots(genus).items()
@@ -375,26 +375,32 @@ def verify_non_geometric(
     certificate's root curve, so these two checks test the certificate
     against rho.
 
-    rho walks the class once from vertex 0: v is its mod-2 class and h the
-    class of its lift from 0. With v == 0 every lift closes, and the lift
-    from vertex u is the deck translate by u of the lift from 0, so its class
-    is the image of h under that translation. Deck translations act
-    invertibly on H1, so the lifts all have nonzero class when h != 0 and
-    all fail when h == 0.
+    rho(ctx, w) is (v, h) for (h, v) = ctx.cover.walk(w, 0), which is read
+    here directly, once per class: v is its mod-2 class and h the class of
+    its lift from 0. With v == 0 every lift closes, and the lift from vertex
+    u is the deck translate by u of the lift from 0, so its class is the
+    image of h under that translation. Deck translations act invertibly on
+    H1, so the lifts all have nonzero class when h != 0 and all fail when
+    h == 0. A letter outside the genus raises rho's ValueError.
     """
-    n_vertices = ctx.cover.n_vertices
-    flags, hits, failures = bytearray(), [], []
-    for sc in classes:
-        el = rho(ctx, sc.cls)
-        flag = (el.v != 0) | (el.h != 0) << 1
-        flags.append(flag)
+    n_vertices, walk = ctx.cover.n_vertices, ctx.cover.walk
+    flags = bytearray()
+    try:
+        for sc in classes:
+            h, v = walk(sc.cls, 0)
+            flags.append((v != 0) | (h != 0) << 1)
+    except KeyError:
+        check_letters(sc.cls, ctx.genus)
+        raise
+    hits, failures = [], []
+    for sc, flag in zip(classes, flags):
         if not flag:
             hits.append(_class_record(sc, flag))
-        if sc.separating and el.v:
+        if sc.separating and flag & 1:
             reasons = ["separating class with nonzero mod-2 image"]
-        elif sc.separating and not el.h:
+        elif sc.separating and not flag & 2:
             reasons = ["lift from vertex %d separates the cover" % u for u in range(n_vertices)]
-        elif not sc.separating and not el.v:
+        elif not sc.separating and not flag & 1:
             reasons = ["nonseparating class with zero mod-2 image"]
         else:
             continue

@@ -12,6 +12,7 @@ homeomorphism type. Relators are words in the letter encoding of
 simpleloop.words, over generator indices 1 to the number of generators.
 """
 
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .cover import check_genus, cover_genus, group_order_log2
@@ -39,12 +40,13 @@ class Presentation(NamedTuple("Presentation", [("generators", tuple), ("relators
     """A finite group presentation over named generators.
 
     Relators are words (simpleloop.words) whose generator k is the k-th
-    name (1-based). Relators are freely reduced at construction.
+    name (1-based), given as any iterable, which is read once the names are
+    checked. Relators are freely reduced at construction.
     """
 
     __slots__ = ()
 
-    def __new__(cls, generators: tuple[str, ...], relators: tuple[Word, ...]):
+    def __new__(cls, generators: tuple[str, ...], relators: Iterable[Word]):
         seen = set()
         for name in generators:
             if not name or not name[0].islower():
@@ -70,14 +72,20 @@ class Presentation(NamedTuple("Presentation", [("generators", tuple), ("relators
         return " ".join(parts)
 
     def parse_word(self, text: str) -> Word:
-        letters = []
-        for token in text.split():
-            name = token[0].lower() + token[1:]
-            if name not in self.generators:
-                raise ValueError("unknown generator %r in word" % token)
-            k = self.generators.index(name) + 1
-            letters.append(k if token[0].islower() else -k)
-        return free_reduce(from_letters(letters))
+        return _parse_word(self.generators, text)
+
+
+def _parse_word(generators: tuple[str, ...], text: str) -> Word:
+    """The word spelled by names of the generators, an uppercase first letter
+    meaning the inverse, freely reduced."""
+    letters = []
+    for token in text.split():
+        name = token[0].lower() + token[1:]
+        if name not in generators:
+            raise ValueError("unknown generator %r in word" % token)
+        k = generators.index(name) + 1
+        letters.append(k if token[0].islower() else -k)
+    return free_reduce(from_letters(letters))
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -89,9 +97,10 @@ def parse_presentation(text: str) -> Presentation:
     ]
     if not lines:
         raise ValueError("empty presentation input")
-    pres = Presentation(generators=tuple(lines[0].split()), relators=())
-    relators = tuple(pres.parse_word(line) for line in lines[1:])
-    return Presentation(generators=pres.generators, relators=relators)
+    generators = tuple(lines[0].split())
+    # Presentation reads the relators after its name checks, so a bad name
+    # is reported before a bad relator line.
+    return Presentation(generators, (_parse_word(generators, line) for line in lines[1:]))
 
 
 def free_product(p1: Presentation, p2: Presentation) -> Presentation:

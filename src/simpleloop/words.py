@@ -35,11 +35,13 @@ __all__ = [
     "letter_index",
     "word_from_str",
     "word_to_str",
+    "spell_words",
     "free_reduce",
     "inverse",
     "concat",
     "cyclic_reduce",
     "commutator",
+    "check_min_genus",
     "surface_relator",
     "separating_word",
     "substitute",
@@ -129,6 +131,23 @@ def word_to_str(w: Word) -> str:
     return w.translate(_TOKENS)[:-1]
 
 
+# _TOKENS keyed by the letter, with "\n", spell_words' separator, kept as it is.
+_LINE_TOKENS = _LetterMemo(lambda c: c if c == "\n" else _TOKENS[ord(c)])
+
+
+def spell_words(ws: list[Word]) -> list[str]:
+    """word_to_str of each word, from one pass over the joined words.
+
+    The pass looks each character up with one dict call, which is faster
+    than str.translate writing several characters per character.
+    """
+    texts = "".join(map(_LINE_TOKENS.__getitem__, "\n".join(ws))).split("\n")
+    if len(texts) != len(ws):
+        # No words, or a word holds "\n", which word_to_str rejects.
+        return list(map(word_to_str, ws))
+    return [text[:-1] for text in texts]
+
+
 def free_reduce(w: Word) -> Word:
     """Cancel adjacent inverse pairs until none remain.
 
@@ -176,10 +195,16 @@ def commutator(u: Word, v: Word) -> Word:
     return concat(u, v, inverse(u), inverse(v))
 
 
-def surface_relator(genus: int) -> Word:
-    """The defining relator [a1,b1]...[ag,bg]; genus must be >= 2."""
+def check_min_genus(genus: int) -> None:
+    """Reject a genus below 2, where Dehn's algorithm does not decide the
+    word problem."""
     if genus < 2:
         raise ValueError("genus must be at least 2")
+
+
+def surface_relator(genus: int) -> Word:
+    """The defining relator [a1,b1]...[ag,bg]; genus must be >= 2."""
+    check_min_genus(genus)
     return from_letters(
         x for a in range(1, 2 * genus, 2) for x in (a, a + 1, -a, -a - 1)
     )
@@ -284,9 +309,16 @@ def _canonical_key(key: str, inv: str) -> str:
         key, inv = key[i:i + n], inv[i:i + n]
     if not key:
         raise ValueError("the trivial word has no essential class")
-    least = min(min(key), min(inv))
+    # The least character of key and inv is the positive letter of the least
+    # generator that key spells: in key, or in inv when key holds its inverse.
+    code = _BASE
+    while chr(code) not in key and chr(code + 1) not in key:
+        code += 2
+    least = chr(code)
     best = None
     for side in (key, inv):
+        if least not in side:
+            continue
         doubled = side + side
         i = doubled.find(least)
         while 0 <= i < n:
@@ -297,18 +329,32 @@ def _canonical_key(key: str, inv: str) -> str:
     return best
 
 
+# The characters below "@" other than ",": no word of a batch holds one, so
+# _canonical_images can stand them in for the letters it substitutes.
+_MARKS = "".join(chr(code) for code in range(_BASE) if chr(code) != ",")
+
+
 def _canonical_images(images: dict[int, Word], keys: list[Word], genus: int) -> list[Word]:
     """canonical_class of the image of each word under a substitution, for
     words over the letters of a genus.
 
-    One translation of the joined batch replaces each letter by its image.
-    Inverse pairs are then removed until a pass removes none: each removal
-    is a free cancellation and free reduction is confluent, so each word
-    ends freely reduced. The inverses are read off the reversed batch.
+    One translation of the joined batch replaces each moved letter by a
+    mark, and one str.replace per mark puts in its image: str.translate
+    keeps to its fast path only while it writes one character per
+    character. Inverse pairs are then removed until a pass removes none:
+    each removal is a free cancellation and free reduction is confluent, so
+    each word ends freely reduced. The inverses are read off the reversed
+    batch.
     """
     if not keys:
         return []
-    batch = ",".join(keys).translate(_images_table(images))
+    table = _images_table(images)
+    # A substitution that moves more letters than there are marks (32
+    # generators or more) has the rest replaced by the translation itself.
+    marks = dict(zip(table, _MARKS))
+    batch = ",".join(keys).translate({**table, **marks})
+    for code, mark in marks.items():
+        batch = batch.replace(mark, table[code])
     pairs = [c + inverse(c) for c in map(chr, range(_BASE, _BASE + 4 * genus))]
     size = None
     while size != len(batch):

@@ -6,7 +6,13 @@ import re
 import pytest
 
 from simpleloop import curves
-from simpleloop.cover import MAX_GENUS, CoverCW, ResourceLimitError, build_mod2_cover
+from simpleloop.cover import (
+    MAX_GENUS,
+    CoverCW,
+    ResourceLimitError,
+    build_mod2_cover,
+    check_genus,
+)
 from simpleloop.curves import (
     MAX_DEPTH,
     SimpleClass,
@@ -24,6 +30,7 @@ from simpleloop.quotient import GroupContext
 from simpleloop.words import (
     abelianization_mod2,
     canonical_class,
+    check_min_genus,
     dehn_normal_form,
     from_letters,
     is_proper_power,
@@ -54,6 +61,26 @@ def test_table_sizes():
 def test_table_rejects_low_genus():
     with pytest.raises(ValueError):
         twist_table(1)
+
+
+@pytest.mark.parametrize("genus", [1, 0, -1])
+def test_genus_below_two_rejected_by_one_rule(genus, monkeypatch):
+    # words.check_min_genus is the one home of the rule; twist_table runs it
+    # before it builds any table entry.
+    def no_table(*args):
+        raise AssertionError("twist table built")
+
+    monkeypatch.setattr(curves, "from_letters", no_table)
+    for fn in (check_min_genus, check_genus, surface_relator, twist_table, standard_curves):
+        with pytest.raises(ValueError, match="^genus must be at least 2$"):
+            fn(genus)
+
+
+def test_verify_rejects_letters_outside_the_genus():
+    # The pass reads the walk directly and raises rho's error on a bad letter.
+    liar = SimpleClass(from_letters((1, 5)), "a1", (), False)
+    with pytest.raises(ValueError, match="^letter a3 outside genus 2$"):
+        verify_non_geometric(CTX, standard_curves(2) + [liar])
 
 
 def test_every_twist_fixes_relator_exactly():

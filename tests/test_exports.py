@@ -1,12 +1,16 @@
 """Every name a module exports resolves and is listed once, every layer
-and class the benchmark tracer looks up by name exists, and the README's
-library example prints what its comments say."""
+and class the benchmark tracer looks up by name exists, the README's
+library example prints what its comments say, and the package and the
+command load each module only when it is used."""
 
 import contextlib
 import importlib
 import importlib.util
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +61,95 @@ def test_readme_library_example_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(code, {})
     assert out.getvalue().splitlines() == expected
+
+
+def _run_fresh(code):
+    """Run code in a fresh interpreter that imports simpleloop from this tree."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_package_import_loads_no_module():
+    out = _run_fresh(
+        "import sys, simpleloop\n"
+        "print(sorted(m for m in sys.modules if m.startswith('simpleloop')))"
+    )
+    assert out.split() == ["['simpleloop']"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--depth", "1", "--kernel-len", "4"],
+        ["lemma-check", "--depth", "1"],
+        ["info"],
+        ["search-kernel", "--kernel-len", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_command_loads_only_the_modules_it_uses(argv):
+    # demos, realize and gf2 serve torus-demo, realize and the library only.
+    out = _run_fresh(
+        "import os, sys, simpleloop, simpleloop.cli\n"
+        "code = simpleloop.cli.main(%r + ['--out', os.devnull])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('simpleloop.')))"
+        % argv
+    )
+    assert out.split() == [
+        "0",
+        "simpleloop.cli",
+        "simpleloop.cover",
+        "simpleloop.curves",
+        "simpleloop.quotient",
+        "simpleloop.words",
+    ]
+
+
+def test_lazy_exports_resolve_in_a_fresh_process():
+    # Each name is read before its module is imported, and again after.
+    out = _run_fresh(
+        "import importlib, simpleloop\n"
+        "listed = set(dir(simpleloop))\n"
+        "missing = [n for n in simpleloop.__all__ if n not in listed]\n"
+        "values = {n: getattr(simpleloop, n) for n in simpleloop.__all__}\n"
+        "modules = [importlib.import_module('simpleloop.' + m) for m in\n"
+        "    ('cover', 'curves', 'demos', 'gf2', 'quotient', 'realize', 'words')]\n"
+        "wrong = [n for n, v in values.items() if getattr(simpleloop, n) is not v\n"
+        "    or not any(getattr(m, n, None) is v for m in modules)]\n"
+        "from simpleloop import *\n"
+        "print(missing, wrong, simpleloop.gf2.__name__, 'gf2' in dir(simpleloop))\n"
+        "try:\n"
+        "    simpleloop.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out.splitlines() == [
+        "[] [] simpleloop.gf2 True",
+        "module 'simpleloop' has no attribute 'no_such_name'",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, module",
+    [(["torus-demo"], "demos"), (["realize", "--genus", "2"], "realize")],
+    ids=["torus-demo", "realize"],
+)
+def test_commands_import_their_own_modules(argv, module):
+    # The package's realize stays the function once the command has loaded
+    # the module of the same name.
+    out = _run_fresh(
+        "import os, sys, simpleloop.cli\n"
+        "code = simpleloop.cli.main(%r + ['--out', os.devnull])\n"
+        "module = sys.modules.get('simpleloop.%s')\n"
+        "print(code, module is not None, simpleloop.realize.__module__)" % (argv, module)
+    )
+    assert out.split() == ["0", "True", "simpleloop.realize"]

@@ -1,5 +1,6 @@
 """Tests for presentations, free products, and manifold recipes."""
 
+import importlib
 import random
 
 import pytest
@@ -113,6 +114,37 @@ def test_parse_presentation_file():
         parse_presentation("")
     with pytest.raises(ValueError):
         parse_presentation("a\nz")
+
+
+def test_parse_presentation_builds_one_presentation(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Presentation(*args)
+
+    # simpleloop.realize names the function realize, so fetch the module.
+    module = importlib.import_module("simpleloop.realize")
+    monkeypatch.setattr(module, "Presentation", counting)
+    p = parse_presentation("a b\na a\nb A\n")
+    assert len(built) == 1
+    assert p == Presentation(("a", "b"), (from_letters((1, 1)), from_letters((2, -1))))
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("A b\nx\n", "^generator name 'A' must start lowercase$"),
+        ("a a\nx\n", "^duplicate generator name 'a'$"),
+        ("a b\na x\nc\n", "^unknown generator 'x' in word$"),
+        ("a b\nc\na x\n", "^unknown generator 'c' in word$"),
+    ],
+    ids=["name", "duplicate", "first-relator", "first-bad-line"],
+)
+def test_parse_presentation_reports_names_before_relators(text, match):
+    # A bad name is reported before a bad relator, and relators in line order.
+    with pytest.raises(ValueError, match=match):
+        parse_presentation(text)
 
 
 def test_free_product_basic():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import deque
 
 import pytest
@@ -24,6 +25,7 @@ from simpleloop.words import (
     is_trivial,
     letter_index,
     separating_word,
+    spell_words,
     substitute,
     surface_relator,
     word_from_str,
@@ -36,6 +38,7 @@ from oracles import (
     naive_canonical_class,
     random_letters,
     random_reduced_word,
+    substitute_per_letter,
     to_letters,
     tuple_cyclic_reduce,
     tuple_dehn_normal_form,
@@ -276,6 +279,88 @@ def test_canonical_images_match_canonical_class_per_word():
     with pytest.raises(ValueError, match="trivial"):
         _canonical_images({2: ""}, batch, 2)
     assert _canonical_images({}, [], 2) == []
+
+
+def _least_generator_words(rng, genus):
+    """Words for the least-letter search of canonical_class, as tuples."""
+    words = []
+    for _ in range(60):
+        u = random_letters(rng, genus, rng.randrange(1, 30))
+        least = min(abs(x) for x in u)
+        # The least generator only inverted, only positive, or both.
+        words.append(tuple(-abs(x) if abs(x) == least else x for x in u))
+        words.append(tuple(abs(x) if abs(x) == least else x for x in u))
+        words.append(u + (least, 2 * genus, -least, 2 * genus))
+        # A proper power, and a conjugate that keeps a seam to trim.
+        words.append(u * rng.randrange(2, 5))
+        c = random_letters(rng, genus, rng.randrange(1, 6))
+        words.append(c + u + tuple_inverse(c))
+    if genus == 4:
+        # Neither a1 nor b1, so the search passes a1, A1, b1 and B1.
+        for _ in range(100):
+            u = random_letters(rng, 3, rng.randrange(1, 30))
+            words.append(tuple(x + (2 if x > 0 else -2) for x in u))
+    return words
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_canonical_class_least_letter_matches_oracle(genus):
+    # canonical_class finds the least letter by testing generators from a1
+    # upward; the oracle compares every rotation of the word and its inverse.
+    rng = random.Random(100 + genus)
+    tried = 0
+    for u in _least_generator_words(rng, genus):
+        w = from_letters(u)
+        if not cyclic_reduce(w):
+            continue
+        assert canonical_class(w) == naive_canonical_class(w), u
+        tried += 1
+    assert tried > 250
+
+
+def test_canonical_images_substitute_every_generator():
+    # At genus 4 a substitution can move all 16 letters, each to an image
+    # that holds moved letters; every letter then becomes a mark first.
+    rng = random.Random(29)
+    for _ in range(20):
+        images = {
+            k: random_reduced_word(rng, 4, rng.randrange(1, 6)) for k in range(1, 9)
+        }
+        batch = []
+        for _ in range(40):
+            w = cyclic_reduce(random_reduced_word(rng, 4, rng.randrange(1, 25)))
+            if w and cyclic_reduce(substitute(w, images)):
+                batch.append(w)
+        got = _canonical_images(images, batch, 4)
+        assert got == [canonical_class(substitute(w, images)) for w in batch]
+    # Past the marks: 68 letters move at genus 17, and the last few are
+    # replaced by their images directly.
+    genus = 17
+    shift = {k: from_letters((2 * genus + 1 - k,)) for k in range(1, 2 * genus + 1)}
+    batch = [random_reduced_word(rng, genus, rng.randrange(1, 40)) for _ in range(30)]
+    batch = [w for w in map(cyclic_reduce, batch) if w]
+    got = _canonical_images(shift, batch, genus)
+    assert got == [naive_canonical_class(substitute_per_letter(w, shift)) for w in batch]
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_spell_words_matches_word_to_str(genus):
+    rng = random.Random(genus)
+    ws = [random_reduced_word(rng, genus, rng.randrange(0, 30)) for _ in range(300)]
+    ws += ["", "", from_letters(range(1, 2 * genus + 1))]
+    assert spell_words(ws) == [word_to_str(w) for w in ws]
+    assert spell_words([]) == []
+    assert spell_words([""]) == [""]
+
+
+@pytest.mark.parametrize("bad", ["\n", "?", ","])
+def test_spell_words_rejects_non_letters_like_word_to_str(bad):
+    # "\n" separates the words of the pass, but inside a word it is no letter.
+    ws = [from_letters((1, 2)), from_letters((3,)) + bad]
+    with pytest.raises(ValueError) as want:
+        word_to_str(ws[1])
+    with pytest.raises(ValueError, match="^%s$" % re.escape(str(want.value))):
+        spell_words(ws)
 
 
 def test_word_to_str_matches_per_letter_names():

@@ -41,23 +41,18 @@ _EXPORTS = {
         "GroupContext",
         "image_rank",
         "in_kernel",
-        "inv",
-        "mul",
-        "representative",
         "rho",
         "search_kernel_elements",
     ),
     "realize": (
         "ManifoldRecipe",
         "Presentation",
-        "free_product",
         "parse_presentation",
         "realize",
         "recipe_for_G",
     ),
     "words": (
         "Word",
-        "abelianization_mod2",
         "canonical_class",
         "commutator",
         "concat",

@@ -13,7 +13,7 @@ lemma read the complex through it. Words are strings of letters, as in
 simpleloop.words, and the edge table is keyed by letter.
 """
 
-from .words import Word, check_min_genus, from_letters, inverse, letter_index
+from .words import Word, check_letters, check_min_genus, from_letters, inverse, letter_index
 
 # The build alone would fit genus 5 (0.045 s, 25 MB in process on a 2-vCPU
 # VM) and genus 6 (0.46 s, 160 MB). The cap stays at 4 until the twist depth
@@ -115,15 +115,19 @@ class CoverCW:
         Returns:
             (h, end): H1 class of the lift closed up through the spanning
             tree (tree edges add 0), and the vertex where the lift ends.
-            A letter outside the genus raises KeyError.
+            A letter outside the genus raises check_letters' ValueError.
         """
         classes = self._letter_classes
         flips = self._letter_flips
         h = 0
         v = start
-        for x in word:
-            h ^= classes[x][v]
-            v ^= flips[x]
+        try:
+            for x in word:
+                h ^= classes[x][v]
+                v ^= flips[x]
+        except KeyError:
+            check_letters(word, self.genus)
+            raise
         return h, v
 
     def schreier_word(self, e: int) -> Word:

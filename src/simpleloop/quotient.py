@@ -6,8 +6,7 @@ lift closed up through the spanning tree. Words act trivially exactly when
 their lifts close up and bound mod 2, so the kernel of rho consists of loops
 that stay invisible in the cover's first homology. The group is
 pi_1(S) / ker rho, of order 2^(2g + 2g'), and is never materialized: the
-product of two elements is the image of the product of representative
-words.
+verifier needs rho and its kernel only, never a product in the group.
 """
 
 from typing import NamedTuple
@@ -17,7 +16,6 @@ from .words import (
     Word,
     canonical_class,
     check_length_bound,
-    check_letters,
     from_letters,
     inverse,
     is_trivial,
@@ -36,7 +34,7 @@ class GElement(NamedTuple):
 
 
 class GroupContext:
-    """Arithmetic context for the quotient group of a surface group.
+    """Context for rho onto the quotient group of a surface group.
 
     Holds the cover, its genus and the identity; immutable after construction.
     """
@@ -51,37 +49,11 @@ def rho(ctx: GroupContext, w: Word) -> GElement:
     """Image of a word, read from one walk of its lift from vertex 0.
 
     v is the vertex the lift ends at (the mod-2 abelianization) and h the
-    lift's class closed up through the tree. Raises ValueError on a letter
-    outside the genus.
+    lift's class closed up through the tree. A letter outside the genus
+    raises the walk's ValueError.
     """
-    try:
-        h, v = ctx.cover.walk(w, 0)
-    except KeyError:
-        check_letters(w, ctx.genus)
-        raise
+    h, v = ctx.cover.walk(w, 0)
     return GElement(v, h)
-
-
-def representative(ctx: GroupContext, x: GElement) -> Word:
-    """A word w with rho(ctx, w) == x.
-
-    It spells the unit cycle word of each set bit of x.h, ascending, then
-    tree_words[x.v]: unit cycle word j is a loop at vertex 0 of class
-    1 << j, and tree edges add 0 to h.
-    """
-    units = ctx.cover.unit_cycle_words
-    word = "".join(units[j] for j in range(x.h.bit_length()) if x.h >> j & 1)
-    return word + ctx.cover.tree_words[x.v]
-
-
-def mul(ctx: GroupContext, x: GElement, y: GElement) -> GElement:
-    """Product in the quotient group: rho of the representatives' product."""
-    return rho(ctx, representative(ctx, x) + representative(ctx, y))
-
-
-def inv(ctx: GroupContext, x: GElement) -> GElement:
-    """Inverse in the quotient group: rho of the inverse representative."""
-    return rho(ctx, inverse(representative(ctx, x)))
 
 
 def in_kernel(ctx: GroupContext, w: Word) -> bool:

@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from typing import NamedTuple
 
 from .cover import check_genus, cover_genus, group_order_log2
-from .words import Word, free_reduce, from_letters, letter_index, substitute
+from .words import Word, free_reduce, from_letters, letter_index
 
 DIMENSION_NOTE = "surgery loops embed disjointly and unknot in dimension >= 4"
 
@@ -101,27 +101,6 @@ def parse_presentation(text: str) -> Presentation:
     # Presentation reads the relators after its name checks, so a bad name
     # is reported before a bad relator line.
     return Presentation(generators, (_parse_word(generators, line) for line in lines[1:]))
-
-
-def free_product(p1: Presentation, p2: Presentation) -> Presentation:
-    """Free product; second factor's colliding names are renamed."""
-    used = set(p1.generators)
-    renamed = []
-    for name in p2.generators:
-        fresh = name
-        suffix = 2
-        while fresh in used:
-            fresh = "%s%d" % (name, suffix)
-            suffix += 1
-        used.add(fresh)
-        renamed.append(fresh)
-    # Generator k of the second factor becomes generator k + shift.
-    shift = len(p1.generators)
-    images = {k: from_letters((k + shift,)) for k in range(1, len(renamed) + 1)}
-    return Presentation(
-        generators=p1.generators + tuple(renamed),
-        relators=p1.relators + tuple(substitute(r, images) for r in p2.relators),
-    )
 
 
 class ManifoldRecipe(NamedTuple):

@@ -46,7 +46,6 @@ __all__ = [
     "separating_word",
     "substitute",
     "check_letters",
-    "abelianization_mod2",
     "dehn_normal_form",
     "is_trivial",
     "canonical_class",
@@ -246,15 +245,6 @@ def check_letters(w: Word, genus: int) -> None:
         raise ValueError("letter %s outside genus %d" % (word_to_str(c), genus))
 
 
-def abelianization_mod2(w: Word, genus: int) -> int:
-    """Class in H_1(S; Z/2) = (Z/2)^{2g} as a bitmask, bit k-1 for generator k."""
-    check_letters(w, genus)
-    v = 0
-    for code in map(ord, w):
-        v ^= 1 << ((code - _BASE) >> 1)
-    return v
-
-
 @functools.lru_cache(maxsize=None)
 def _dehn_table(genus: int) -> dict[Word, Word]:
     """Subwords of rotations of r and r^-1 longer than half, with replacements."""
@@ -341,10 +331,10 @@ def _canonical_images(images: dict[int, Word], keys: list[Word], genus: int) -> 
     One translation of the joined batch replaces each moved letter by a
     mark, and one str.replace per mark puts in its image: str.translate
     keeps to its fast path only while it writes one character per
-    character. Inverse pairs are then removed until a pass removes none:
-    each removal is a free cancellation and free reduction is confluent, so
-    each word ends freely reduced. The inverses are read off the reversed
-    batch.
+    character. Inverse pairs are then removed, cycling through the 4g
+    pairs until each has been looked for since the last removal: each
+    removal is a free cancellation and free reduction is confluent, so each
+    word ends freely reduced. The inverses are read off the reversed batch.
     """
     if not keys:
         return []
@@ -356,11 +346,13 @@ def _canonical_images(images: dict[int, Word], keys: list[Word], genus: int) -> 
     for code, mark in marks.items():
         batch = batch.replace(mark, table[code])
     pairs = [c + inverse(c) for c in map(chr, range(_BASE, _BASE + 4 * genus))]
-    size = None
-    while size != len(batch):
+    # stale counts the pairs looked for in vain since the last removal.
+    i = stale = 0
+    while stale < len(pairs):
         size = len(batch)
-        for pair in pairs:
-            batch = batch.replace(pair, "")
+        batch = batch.replace(pairs[i], "")
+        stale = stale + 1 if len(batch) == size else 0
+        i = (i + 1) % len(pairs)
     inverses = inverse(batch).split(",")
     return list(map(_canonical_key, batch.split(","), reversed(inverses)))
 

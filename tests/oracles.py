@@ -6,14 +6,16 @@ with no elimination. These helpers compute the same classes the long way,
 by Gaussian elimination over full-width edge chains and by the group law,
 so the tests can check the table, the walk and the deck-symmetry argument
 of the lift lemma in ``verify_non_geometric`` against an independent path.
+``abelianization_mod2`` reads a word's mod-2 class off its letters, the
+reference for the vertex a walk ends at.
 The package keeps no boundary matrices either: ``incidence`` and
 ``face_chains`` (the relator lifted from each vertex) state the cover's
 chain complex in full, so the tests can check that it is one.
 
-The package multiplies in G through representative words. The reference
-law here states G as an extension of the deck group by H1 instead: the
-deck action on H1 comes from translating full-width basis cycles, and the
-h parts of a product are twisted by it and by a spanning-tree cocycle.
+The package never multiplies in G; it needs only rho and its kernel. The
+group law here states G as an extension of the deck group by H1: the deck
+action on H1 comes from translating full-width basis cycles, and the h
+parts of a product are twisted by it and by a spanning-tree cocycle.
 
 ``random_reduced_word`` draws the random words of the property tests.
 
@@ -37,9 +39,9 @@ import random
 
 from simpleloop.curves import SimpleClass, root_word, standard_curves, twist_table
 from simpleloop.gf2 import Echelon, GF2Matrix, QuotientMap
-from simpleloop.quotient import GElement, inv, mul, rho
+from simpleloop.quotient import GElement, rho
 from simpleloop.words import (
-    abelianization_mod2,
+    check_letters,
     from_letters,
     surface_relator,
     word_to_str,
@@ -56,6 +58,15 @@ def to_letters(w: str) -> tuple[int, ...]:
             raise ValueError("%r is not a letter" % c)
         out.append(-(code // 2 + 1) if code % 2 else code // 2 + 1)
     return tuple(out)
+
+
+def abelianization_mod2(w: str, genus: int) -> int:
+    """Class in H_1(S; Z/2) = (Z/2)^{2g} as a bitmask, bit k-1 for generator k."""
+    check_letters(w, genus)
+    v = 0
+    for x in to_letters(w):
+        v ^= 1 << (abs(x) - 1)
+    return v
 
 
 def letter_order_key(x: int) -> int:
@@ -216,7 +227,8 @@ def image_rank_by_group_law(ctx, n_samples: int = 500, seed: int = 0) -> dict:
 
     Reports the rank of the v parts of the images of random words and the
     rank of the h parts of their squares and commutators, whose v parts are
-    zero, multiplied by mul/inv rather than taken from Schreier words.
+    zero, formed by the deck-action law (``mul_by_deck_action``,
+    ``inv_by_deck_action``) rather than taken from Schreier words.
     """
     rng = random.Random(seed)
     v_span = Echelon()
@@ -227,11 +239,12 @@ def image_rank_by_group_law(ctx, n_samples: int = 500, seed: int = 0) -> dict:
         el = rho(ctx, w)
         elements.append(el)
         v_span.insert(el.v, 0)
+    mul = functools.partial(mul_by_deck_action, ctx.cover)
     for _ in range(n_samples):
         x = elements[rng.randrange(len(elements))]
         y = elements[rng.randrange(len(elements))]
-        square = mul(ctx, x, x)
-        comm = mul(ctx, mul(ctx, x, y), inv(ctx, mul(ctx, y, x)))
+        square = mul(x, x)
+        comm = mul(mul(x, y), inv_by_deck_action(ctx.cover, mul(y, x)))
         for el in (square, comm):
             if el.v == 0:
                 h_span.insert(el.h, 0)

@@ -16,7 +16,6 @@ from simpleloop.gf2 import GF2Matrix, kernel_basis, rank
 from simpleloop.quotient import GroupContext, search_kernel_elements
 from simpleloop.realize import recipe_for_G
 from simpleloop.words import (
-    abelianization_mod2,
     commutator,
     from_letters,
     separating_word,
@@ -24,6 +23,7 @@ from simpleloop.words import (
 )
 
 from oracles import (
+    abelianization_mod2,
     coords,
     cycle_basis,
     deck_action,

@@ -28,7 +28,6 @@ from simpleloop.curves import (
 )
 from simpleloop.quotient import GroupContext
 from simpleloop.words import (
-    abelianization_mod2,
     canonical_class,
     check_min_genus,
     dehn_normal_form,
@@ -41,6 +40,7 @@ from simpleloop.words import (
 
 
 from oracles import (
+    abelianization_mod2,
     lemma_check_all_vertices,
     random_reduced_word,
     substitute_per_letter,
@@ -77,7 +77,7 @@ def test_genus_below_two_rejected_by_one_rule(genus, monkeypatch):
 
 
 def test_verify_rejects_letters_outside_the_genus():
-    # The pass reads the walk directly and raises rho's error on a bad letter.
+    # The pass reads the walk directly and raises its error on a bad letter.
     liar = SimpleClass(from_letters((1, 5)), "a1", (), False)
     with pytest.raises(ValueError, match="^letter a3 outside genus 2$"):
         verify_non_geometric(CTX, standard_curves(2) + [liar])

@@ -1,7 +1,8 @@
 """Every name a module exports resolves and is listed once, every layer
 and class the benchmark tracer looks up by name exists, the README's
-library example prints what its comments say, and the package and the
-command load each module only when it is used."""
+library example prints what its comments say, the package and the
+command load each module only when it is used, and removed names stay
+gone."""
 
 import contextlib
 import importlib
@@ -135,6 +136,27 @@ def test_lazy_exports_resolve_in_a_fresh_process():
     assert out.splitlines() == [
         "[] [] simpleloop.gf2 True",
         "module 'simpleloop' has no attribute 'no_such_name'",
+    ]
+
+
+# Names removed from the package: the group law, the free product and the
+# mod-2 abelianization, which no command called.
+REMOVED = ("representative", "mul", "inv", "free_product", "abelianization_mod2")
+
+
+def test_removed_names_are_gone_in_a_fresh_process():
+    out = _run_fresh(
+        "import simpleloop\n"
+        "listed = set(simpleloop.__all__) | set(dir(simpleloop))\n"
+        "print(*[n for n in %r if n in listed])\n"
+        "for name in %r:\n"
+        "    try:\n"
+        "        getattr(simpleloop, name)\n"
+        "    except AttributeError as exc:\n"
+        "        print(exc)\n" % (REMOVED, REMOVED)
+    )
+    assert out.splitlines() == [""] + [
+        "module 'simpleloop' has no attribute %r" % name for name in REMOVED
     ]
 
 

@@ -1,4 +1,4 @@
-"""Tests for the quotient group arithmetic and kernel search."""
+"""Tests for rho, the group law it respects, and the kernel search."""
 
 import itertools
 import random
@@ -7,7 +7,7 @@ import pytest
 
 from simpleloop import quotient
 from simpleloop.cover import ResourceLimitError, build_mod2_cover
-from simpleloop.curves import twist_table
+from simpleloop.curves import SimpleClass, twist_table, verify_non_geometric
 from simpleloop.quotient import (
     MAX_HALF_WORDS,
     GElement,
@@ -15,17 +15,14 @@ from simpleloop.quotient import (
     check_search_budget,
     image_rank,
     in_kernel,
-    inv,
-    mul,
-    representative,
     rho,
     search_kernel_elements,
 )
 from simpleloop.words import (
     Word,
-    abelianization_mod2,
     canonical_class,
     check_length_bound,
+    check_letters,
     commutator,
     concat,
     dehn_normal_form,
@@ -40,6 +37,7 @@ from simpleloop.words import (
 )
 
 from oracles import (
+    abelianization_mod2,
     cocycle,
     deck_action,
     deck_apply,
@@ -55,6 +53,15 @@ from oracles import (
 
 def make_ctx(genus=2):
     return GroupContext(build_mod2_cover(genus))
+
+
+# The group law of G, from the deck action on H1 (tests/oracles.py).
+def mul(ctx, x, y):
+    return mul_by_deck_action(ctx.cover, x, y)
+
+
+def inv(ctx, x):
+    return inv_by_deck_action(ctx.cover, x)
 
 
 CTX = make_ctx()
@@ -155,10 +162,11 @@ def test_inverses():
 
 def test_homomorphism_law_random_pairs():
     rng = random.Random(3)
-    for _ in range(1000):
-        w1 = random_reduced_word(rng, 2, rng.randrange(0, 10))
-        w2 = random_reduced_word(rng, 2, rng.randrange(0, 10))
-        assert mul(CTX, rho(CTX, w1), rho(CTX, w2)) == rho(CTX, concat(w1, w2))
+    for ctx, n_pairs in ((CTX, 1000), (CTX3, 200)):
+        for _ in range(n_pairs):
+            w1 = random_reduced_word(rng, ctx.genus, rng.randrange(0, 10))
+            w2 = random_reduced_word(rng, ctx.genus, rng.randrange(0, 10))
+            assert mul(ctx, rho(ctx, w1), rho(ctx, w2)) == rho(ctx, concat(w1, w2))
 
 
 def test_associativity_random_triples():
@@ -185,43 +193,6 @@ def test_cocycle_identity_all_triples():
                     cover, v1, v2 ^ v3
                 )
                 assert left == right
-
-
-def random_element(rng, ctx):
-    return GElement(rng.randrange(ctx.cover.n_vertices), rng.getrandbits(ctx.cover.h1_dim))
-
-
-@pytest.mark.parametrize("ctx", [CTX, CTX3, CTX4], ids=["g2", "g3", "g4"])
-def test_representative_maps_to_its_element(ctx):
-    rng = random.Random(61 + ctx.genus)
-    elements = [ctx.identity, GElement(ctx.cover.n_vertices - 1, (1 << ctx.cover.h1_dim) - 1)]
-    elements += [random_element(rng, ctx) for _ in range(50)]
-    for x in elements:
-        assert rho(ctx, representative(ctx, x)) == x
-
-
-@pytest.mark.parametrize("ctx", [CTX, CTX3], ids=["g2", "g3"])
-def test_mul_and_inv_match_deck_action_law(ctx):
-    rng = random.Random(67 + ctx.genus)
-    for _ in range(200):
-        x = random_element(rng, ctx)
-        y = random_element(rng, ctx)
-        assert mul(ctx, x, y) == mul_by_deck_action(ctx.cover, x, y)
-        assert inv(ctx, x) == inv_by_deck_action(ctx.cover, x)
-
-
-def test_arithmetic_leaves_context_and_cover_unchanged():
-    ctx = make_ctx(2)
-    ctx_keys = set(vars(ctx))
-    cover_keys = set(vars(ctx.cover))
-    rng = random.Random(71)
-    for _ in range(50):
-        x = random_element(rng, ctx)
-        y = random_element(rng, ctx)
-        mul(ctx, x, y)
-        inv(ctx, x)
-    assert set(vars(ctx)) == ctx_keys
-    assert set(vars(ctx.cover)) == cover_keys
 
 
 def test_rho_invariant_under_relator_splices():
@@ -481,11 +452,37 @@ def test_gelement_equality_is_structural():
 
 
 def test_rho_and_in_kernel_reject_letters_outside_genus():
-    # words.check_letters states the rule; rho runs it only when the walk fails.
+    # words.check_letters states the rule; the walk runs it only when a
+    # letter has no edge.
     for letters, name in (((5,), "a3"), ((1, -5, 5), "A3"), ((-6, 6), "B3")):
         for fn in (rho, in_kernel):
             with pytest.raises(ValueError, match="^letter %s outside genus 2$" % name):
                 fn(CTX, from_letters(letters))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: CTX.cover.walk(w, 5),
+        lambda w: rho(CTX, w),
+        lambda w: verify_non_geometric(CTX, [SimpleClass(w, "a1", (), False)]),
+    ],
+    ids=["walk", "rho", "verify_non_geometric"],
+)
+def test_walks_raise_the_letter_check_error(call):
+    # Each caller of the walk raises check_letters' own error, unchanged.
+    cases = [
+        (from_letters((5,)), "letter a3 outside genus 2"),
+        (from_letters((1, -6, 6)), "letter B3 outside genus 2"),
+        ("@?", "'?' is not a letter"),
+    ]
+    for w, message in cases:
+        with pytest.raises(ValueError) as expected:
+            check_letters(w, 2)
+        assert str(expected.value) == message
+        with pytest.raises(ValueError) as raised:
+            call(w)
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("ctx", [CTX, CTX3, CTX4], ids=["g2", "g3", "g4"])

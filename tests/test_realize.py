@@ -1,4 +1,4 @@
-"""Tests for presentations, free products, and manifold recipes."""
+"""Tests for presentations and manifold recipes."""
 
 import importlib
 import random
@@ -11,7 +11,6 @@ from simpleloop.realize import (
     DIMENSION_NOTE,
     ManifoldRecipe,
     Presentation,
-    free_product,
     parse_presentation,
     realize,
     recipe_for_G,
@@ -145,57 +144,6 @@ def test_parse_presentation_reports_names_before_relators(text, match):
     # A bad name is reported before a bad relator, and relators in line order.
     with pytest.raises(ValueError, match=match):
         parse_presentation(text)
-
-
-def test_free_product_basic():
-    za = Presentation(generators=("a",), relators=())
-    zb = Presentation(generators=("b",), relators=())
-    assert free_product(za, zb) == Presentation(generators=("a", "b"), relators=())
-
-
-def test_free_product_identity():
-    trivial = Presentation(generators=(), relators=())
-    p = Presentation(generators=("a", "b"), relators=(from_letters((1, 1)),))
-    assert free_product(trivial, p) == p
-    assert free_product(p, trivial) == p
-
-
-def test_free_product_renames_collisions():
-    za = Presentation(generators=("a",), relators=(from_letters((1, 1)),))
-    zb = Presentation(generators=("a",), relators=(from_letters((1, 1, 1)),))
-    prod = free_product(za, zb)
-    assert prod.generators == ("a", "a2")
-    assert prod.relators == (from_letters((1, 1)), from_letters((2, 2, 2)))
-
-
-def test_free_product_shifts_any_generator_index():
-    # Letters are characters, so a generator index past the genus range of
-    # the surface groups shifts like any other.
-    names = tuple("g%d" % i for i in range(1, 301))
-    p1 = Presentation(generators=names, relators=(from_letters((300, 300)),))
-    p2 = Presentation(generators=("h",), relators=(from_letters((1, -1, 1, 1)),))
-    prod = free_product(p1, p2)
-    assert prod.relators == (from_letters((300, 300)), from_letters((301, 301)))
-    assert [prod.word_str(r) for r in prod.relators] == ["g300 g300", "h h"]
-    assert prod.parse_word("H g300") == from_letters((-301, 300))
-
-
-def test_free_product_associative_for_disjoint_names():
-    p1 = Presentation(generators=("a",), relators=(from_letters((1, 1)),))
-    p2 = Presentation(generators=("b",), relators=())
-    p3 = Presentation(generators=("c",), relators=(from_letters((1, 1, 1)),))
-    assert free_product(free_product(p1, p2), p3) == free_product(
-        p1, free_product(p2, p3)
-    )
-
-
-def test_k_fold_free_product_of_z():
-    parts = [Presentation(generators=("g%d" % i,), relators=()) for i in range(1, 6)]
-    total = parts[0]
-    for part in parts[1:]:
-        total = free_product(total, part)
-    assert total.generators == ("g1", "g2", "g3", "g4", "g5")
-    assert total.relators == ()
 
 
 def test_realize_smallest_example():

@@ -9,7 +9,6 @@ import pytest
 
 from simpleloop.words import (
     _canonical_images,
-    abelianization_mod2,
     canonical_class,
     check_letters,
     commutator,
@@ -33,6 +32,7 @@ from simpleloop.words import (
 )
 
 from oracles import (
+    abelianization_mod2,
     letter_order_key,
     literal_power,
     naive_canonical_class,

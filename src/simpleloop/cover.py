@@ -95,18 +95,17 @@ class CoverCW:
         Returns:
             (chain, end): GF(2) edge chain as an int bitmask, and the vertex
             where the lifted path ends (start ^ mod-2 abelianization).
+            A letter outside the genus raises check_letters' ValueError.
         """
+        check_letters(word, self.genus)
         chain = 0
         v = start
         for x in map(letter_index, word):
             k = abs(x)
-            bit = 1 << (k - 1)
-            if x > 0:
-                chain ^= 1 << self.edge_index(v, k)
-                v ^= bit
-            else:
-                v ^= bit
-                chain ^= 1 << self.edge_index(v, k)
+            # Generator k runs along edge (v, k), its inverse along (u, k).
+            u = v ^ 1 << (k - 1)
+            chain ^= 1 << self.edge_index(v if x > 0 else u, k)
+            v = u
         return chain, v
 
     def walk(self, word: Word, start: int) -> tuple[int, int]:

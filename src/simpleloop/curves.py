@@ -184,11 +184,11 @@ def replay_certificate(genus: int, root: str, twists: tuple[str, ...]) -> Word:
 # Deepest twist BFS per genus. Each level costs about 4-8 times the one
 # before (generate_simple_classes alone, measured in process at max_len 64
 # on a 2-vCPU VM, peak RSS of the process; times drift by up to 25 %):
-#   g = 2: depth 7 gives 44 490 classes in 1.3 s, 38 MB; depth 8 gives
-#          155 986 in 4-5 s, 98 MB.
-#   g = 3: depth 6 gives 48 999 classes in 0.9 s, 38 MB; depth 7 gives
-#          232 786 in 7-8 s, 138 MB.
-#   g = 4: depth 6 gives 91 004 classes in 2.1 s, 60 MB.
+#   g = 2: depth 7 gives 44 490 classes in 0.8-0.9 s, 36 MB; depth 8 gives
+#          155 986 in 4 s, 93 MB.
+#   g = 3: depth 6 gives 48 999 classes in 0.7-0.8 s, 36 MB; depth 7 gives
+#          232 786 in 4-5 s, 123 MB.
+#   g = 4: depth 6 gives 91 004 classes in 1.4-1.6 s, 56 MB.
 MAX_DEPTH = {2: 7, 3: 6, 4: 6}
 
 
@@ -217,8 +217,8 @@ def generate_simple_classes(
 ) -> list[SimpleClass]:
     """Breadth-first twist images of the standard curves, deduplicated.
 
-    Applies every table twist to each frontier class, canonicalizes, and
-    keeps new classes whose canonical representative is at most max_len
+    Level by level, applies every table twist to each class, canonicalizes,
+    and keeps new classes whose canonical representative is at most max_len
     letters long. Working with canonical representatives is sound because a
     twist maps conjugate words to conjugate words. Output order and content
     are deterministic. A new class takes its separating flag from its
@@ -232,22 +232,26 @@ def generate_simple_classes(
     - The undo twist, t's partner: _validate_table certifies that it undoes
       t on every generator, so the image is p.
     - A twist that moves no generator occurring in c: the image is c.
-    - A twist s that commutes with t (commuting_twists) when class(s(p))
+    - A twist s that commutes with t (commuting_twists) when m = class(s(p))
       was discovered before c. Classes are numbered in discovery order,
-      which is also the order in which they are expanded. While p is
-      expanded, the number of class(s(p)) is recorded for every twist s
-      whose image class is known and at most max_len; p's undo twist maps
-      to p's parent. Now class(s(c)) = class(t(s(p))), and class(s(p)) was
-      expanded before c: there t was evaluated, or skipped by one of these
-      rules, so class(t(s(p))) is already seen or over max_len. A class
-      discovered after c is expanded after it too, so without the "before
-      c" test s(c) could be skipped at c and found later under another
-      certificate.
+      which is also the order in which they are expanded. Now class(s(c)) =
+      class(t(m)), and m was expanded before c: there t was evaluated, or
+      skipped by one of these rules, so class(t(m)) is already seen or over
+      max_len. A class discovered after c is expanded after it too, so
+      without the "before c" test s(c) could be skipped at c and found
+      later under another certificate.
 
-    A level's skips read only the records of the level above, so each level
-    decides every skip first, then applies each twist to its whole batch of
-    classes at once (_canonical_images), then numbers the new classes in (class,
-    twist) order. Classes are deduplicated on their canonical words.
+    The record of an expanded class lists, per twist, the number of its
+    image class, or inf when that is over max_len. A skip of the third kind
+    defers c's entry for s: it is m's entry for t, copied when c's images
+    are numbered. m's record is final by then, as m is at an earlier level
+    or its images were numbered earlier in the same class order.
+
+    Each level decides every skip first, then applies each twist to its
+    whole batch of classes at once (_canonical_images), then numbers the new
+    classes in (class, twist) order. Every twist's partner is in the table,
+    so an image of a class at level k lies at level k - 1, k or k + 1: the
+    skips at level k read only the records of levels k - 2 to k.
     """
     check_depth(depth, genus)
     check_length_bound(max_len, "max_len")
@@ -262,62 +266,57 @@ def generate_simple_classes(
     ]
     position: dict[str, int] = {}
     order: list[SimpleClass] = []
-    # Frontier entries: (class number, canonical word, parent's number, index
-    # of the last twist, parent's record). The record of a class p lists, per
-    # twist j, the number of class(j(p)), or inf while that is not known.
-    frontier = []
     for sc in standard_curves(genus):
         if sc.cls not in position:
             position[sc.cls] = len(order)
-            frontier.append((len(order), sc.cls, None, None, None))
             order.append(sc)
+    # Per class number: its parent's and its last twist's. In the records of
+    # the level being expanded, None marks a twist to apply, inf a deferral.
+    parent = [None] * len(order)
+    last = [None] * len(order)
+    records: dict[int, list] = {}
     unknown = float("inf")
-    for level in range(depth):
-        # Classes found at the last level are not expanded, so they get no
-        # frontier entry, and the records made for their parents are freed
-        # at once.
-        expand_next = level + 1 < depth
+    older, old, level = range(0), range(0), range(len(order))
+    for _ in range(depth):
         batches = [[] for _ in twists]
-        expansions = []
-        for n, cls, parent, last, above in frontier:
+        for n in level:
+            cls, t = order[n].cls, last[n]
             letters = set(cls)
-            record = [unknown] * len(twists)
+            record = records[n] = [None] * len(twists)
             undone, commuting = None, frozenset()
-            if last is not None:
-                undone, commuting = undo[last], commutes[last]
-                record[undone] = parent
-            applied = []
+            if t is not None:
+                undone, commuting, above = undo[t], commutes[t], records[parent[n]]
+                record[undone] = parent[n]
             for j, moved in enumerate(moves):
                 if j == undone:
                     continue
                 if moved.isdisjoint(letters):
                     record[j] = n
-                    continue
-                if j in commuting and above[j] < n:
-                    continue
-                batches[j].append(cls)
-                applied.append(j)
-            expansions.append((n, record, applied))
+                elif j in commuting and above[j] < n:
+                    record[j] = unknown
+                else:
+                    batches[j].append(cls)
         next_image = [
             iter(_canonical_images(*tb, genus)).__next__ for tb in zip(twists, batches)
         ]
-        next_frontier = []
-        for n, record, applied in expansions:
-            sc = order[n]
-            for j in applied:
-                cls = next_image[j]()
-                if len(cls) > max_len:
+        for n in level:
+            sc, record = order[n], records[n]
+            for j, m in enumerate(record):
+                if m is unknown:
+                    record[j] = records[records[parent[n]][j]][last[n]]
+                if m is not None:
                     continue
-                m = position.get(cls)
+                cls = next_image[j]()
+                m = position.get(cls) if len(cls) <= max_len else unknown
                 if m is None:
                     m = position[cls] = len(order)
-                    order.append(
-                        SimpleClass(cls, sc.root, sc.twists + (names[j],), sc.separating)
-                    )
-                    if expand_next:
-                        next_frontier.append((m, cls, n, j, record))
+                    order.append(sc._replace(cls=cls, twists=sc.twists + (names[j],)))
+                    parent.append(n)
+                    last.append(j)
                 record[j] = m
-        frontier = next_frontier
+        for n in older:
+            del records[n]
+        older, old, level = old, level, range(level.stop, len(order))
     return order
 
 
@@ -384,11 +383,13 @@ def verify_non_geometric(
     """
     n_vertices, walk = ctx.cover.n_vertices, ctx.cover.walk
     flags = bytearray()
+    hits, failures = [], []
+    n_sep = 0
     for sc in classes:
         h, v = walk(sc.cls, 0)
-        flags.append((v != 0) | (h != 0) << 1)
-    hits, failures = [], []
-    for sc, flag in zip(classes, flags):
+        flag = (v != 0) | (h != 0) << 1
+        flags.append(flag)
+        n_sep += sc.separating
         if not flag:
             hits.append(_class_record(sc, flag))
         if sc.separating and flag & 1:
@@ -401,7 +402,6 @@ def verify_non_geometric(
             continue
         word = word_to_str(sc.cls)
         failures.extend({"word": word, "reason": r} for r in reasons)
-    n_sep = sum(1 for sc in classes if sc.separating)
     return VerificationReport(
         total=len(classes),
         n_separating=n_sep,

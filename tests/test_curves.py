@@ -294,6 +294,9 @@ def test_max_len_prunes():
         (4, 2, 16),
         (3, 4, 10),
         (4, 3, 64),
+        (5, 2, 64),
+        (5, 3, 64),
+        (3, 4, 12),
     ],
 )
 def test_generation_matches_reference_bfs(genus, depth, max_len):
@@ -341,7 +344,13 @@ def test_generation_skips_decided_twist_images(monkeypatch):
     monkeypatch.setattr(curves, "_canonical_images", counting_canonical_images)
     assert len(generate_simple_classes(2, 6, 64)) == 11831
     # Skipping only the undo twist reads 27 374 images.
-    assert sum(images) == 18981
+    assert sum(images) == 15314
+    # Genus 5 is over the cover's budget, but the twist BFS builds no cover.
+    # Without the entries a commuting skip defers, the two runs read 18 981
+    # and 7 399 images.
+    images.clear()
+    assert len(generate_simple_classes(5, 4, 64)) == 4739
+    assert sum(images) == 5867
 
 
 def test_substitute_matches_per_letter_reference():

@@ -464,13 +464,15 @@ def test_rho_and_in_kernel_reject_letters_outside_genus():
     "call",
     [
         lambda w: CTX.cover.walk(w, 5),
+        lambda w: CTX.cover.lift(w, 0),
         lambda w: rho(CTX, w),
         lambda w: verify_non_geometric(CTX, [SimpleClass(w, "a1", (), False)]),
     ],
-    ids=["walk", "rho", "verify_non_geometric"],
+    ids=["walk", "lift", "rho", "verify_non_geometric"],
 )
 def test_walks_raise_the_letter_check_error(call):
-    # Each caller of the walk raises check_letters' own error, unchanged.
+    # Each walk, and each caller of one, raises check_letters' own error,
+    # unchanged.
     cases = [
         (from_letters((5,)), "letter a3 outside genus 2"),
         (from_letters((1, -6, 6)), "letter B3 outside genus 2"),

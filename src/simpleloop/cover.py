@@ -10,14 +10,14 @@ class of any lifted loop, closed up through the tree, is then the XOR of
 these entries along the lift. CoverCW.walk computes it and is the one way
 from a lifted word to an H1 class: the finite quotient group and the lift
 lemma read the complex through it. Words are strings of letters, as in
-simpleloop.words, and the edge table is keyed by letter.
+simpleloop.words, and walk and lift read one step table keyed by letter.
 """
 
-from .words import Word, check_letters, check_min_genus, from_letters, inverse, letter_index
+from .words import Word, check_letters, check_min_genus, from_letters, inverse
 
-# The build alone would fit genus 5 (0.045 s, 25 MB in process on a 2-vCPU
-# VM) and genus 6 (0.46 s, 160 MB). The cap stays at 4 until the twist depth
-# and the kernel search have budgets for genus 5 and 6.
+# The build alone would fit genus 5 (0.03 s, 23 MB peak RSS in process on a
+# 2-vCPU VM) and genus 6 (0.24 s, 160 MB). The cap stays at 4 until the twist
+# depth and the kernel search have budgets for genus 5 and 6.
 MAX_GENUS = 4
 
 
@@ -54,8 +54,9 @@ class CoverCW:
 
     The cells are not stored: edge_index and edge_endpoints name the edges,
     and face v is the lift of the surface relator from vertex v. The complex
-    is read through lifts of words: lift gives a word's edge chain, walk its
-    H1 class.
+    is read through lifts of words, which follow each letter through one
+    step table, keyed by letter, of (edge, end vertex) per start vertex:
+    lift gives a word's edge chain, walk its H1 class.
 
     Attributes:
         genus: genus of the base surface.
@@ -97,15 +98,16 @@ class CoverCW:
             where the lifted path ends (start ^ mod-2 abelianization).
             A letter outside the genus raises check_letters' ValueError.
         """
-        check_letters(word, self.genus)
+        steps = self._steps
         chain = 0
         v = start
-        for x in map(letter_index, word):
-            k = abs(x)
-            # Generator k runs along edge (v, k), its inverse along (u, k).
-            u = v ^ 1 << (k - 1)
-            chain ^= 1 << self.edge_index(v if x > 0 else u, k)
-            v = u
+        try:
+            for x in word:
+                e, v = steps[x][v]
+                chain ^= 1 << e
+        except KeyError:
+            check_letters(word, self.genus)
+            raise
         return chain, v
 
     def walk(self, word: Word, start: int) -> tuple[int, int]:
@@ -116,14 +118,13 @@ class CoverCW:
             tree (tree edges add 0), and the vertex where the lift ends.
             A letter outside the genus raises check_letters' ValueError.
         """
-        classes = self._letter_classes
-        flips = self._letter_flips
+        steps, classes = self._steps, self.edge_classes
         h = 0
         v = start
         try:
             for x in word:
-                h ^= classes[x][v]
-                v ^= flips[x]
+                e, v = steps[x][v]
+                h ^= classes[e]
         except KeyError:
             check_letters(word, self.genus)
             raise
@@ -151,9 +152,17 @@ class CoverCW:
         for letter in from_letters(range(1, n + 1)):
             tree_words += [w + letter for w in tree_words]
         self.tree_words = tuple(tree_words)
-        self.nontree_edges = tuple(
-            e for e in range(self.n_edges) if (e // n) >> (e % n)
-        )
+        self.nontree_edges = tuple(e for e in range(self.n_edges) if (e // n) >> (e % n))
+        # Step table by (letter, start vertex): generator k from v runs along
+        # edge (v, k) = v * n + k - 1 to v ^ bit; its inverse from v runs
+        # generator k's edge from v ^ bit backwards, also to v ^ bit.
+        self._steps = {}
+        vertices = range(self.n_vertices)
+        for k in range(1, n + 1):
+            bit = 1 << (k - 1)
+            letter = tree_words[bit]
+            forward = self._steps[letter] = tuple((v * n + k - 1, v ^ bit) for v in vertices)
+            self._steps[inverse(letter)] = tuple((forward[v ^ bit][0], v ^ bit) for v in vertices)
 
     def _face_edges(self, f: int):
         """Yield face f's 4g edges in relator order, each with the face across it."""
@@ -194,18 +203,6 @@ class CoverCW:
                 raise AssertionError("face 0 relation does not hold")
         self.edge_classes = tuple(classes)
         self.unit_cycle_words = tuple(self.schreier_word(e) for e in basis)
-        # The edge table by (letter, start vertex): generator k from v runs
-        # along edge (v, k), its inverse along edge (v ^ bit, k) backwards.
-        self._letter_classes = {}
-        self._letter_flips = {}
-        for k in range(1, 2 * self.genus + 1):
-            bit = 1 << (k - 1)
-            letter = self.tree_words[bit]
-            back = inverse(letter)
-            forward = tuple(classes[self.edge_index(v, k)] for v in range(self.n_vertices))
-            self._letter_classes[letter] = forward
-            self._letter_classes[back] = tuple(forward[v ^ bit] for v in range(self.n_vertices))
-            self._letter_flips[letter] = self._letter_flips[back] = bit
 
 
 def build_mod2_cover(genus: int) -> CoverCW:

@@ -173,10 +173,13 @@ def root_word(genus: int, root: str) -> Word:
 
 
 def replay_certificate(genus: int, root: str, twists: tuple[str, ...]) -> Word:
-    """Recompute the class a certificate describes (canonical form)."""
+    """Recompute the class a certificate describes (canonical form); a twist
+    name that is not in the genus's twist_table raises ValueError."""
     table = twist_table(genus)
     w = canonical_class(root_word(genus, root))
     for name in twists:
+        if name not in table:
+            raise ValueError("unknown twist %r" % name)
         w = canonical_class(substitute(w, table[name]))
     return w
 
@@ -310,7 +313,7 @@ def generate_simple_classes(
                 m = position.get(cls) if len(cls) <= max_len else unknown
                 if m is None:
                     m = position[cls] = len(order)
-                    order.append(sc._replace(cls=cls, twists=sc.twists + (names[j],)))
+                    order.append(SimpleClass(cls, sc.root, sc.twists + (names[j],), sc.separating))
                     parent.append(n)
                     last.append(j)
                 record[j] = m

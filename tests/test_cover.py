@@ -271,22 +271,37 @@ def test_walk_reads_key_strings_as_words(genus):
     for _ in range(300):
         letters = random_letters(rng, genus, rng.randrange(0, 20))
         start = v = rng.randrange(cover.n_vertices)
-        h = 0
+        h = chain = 0
         for x in letters:
             k = abs(x)
             if x < 0:
                 v ^= 1 << (k - 1)
-            h ^= cover.edge_classes[cover.edge_index(v, k)]
+            e = cover.edge_index(v, k)
+            h ^= cover.edge_classes[e]
+            chain ^= 1 << e
             if x > 0:
                 v ^= 1 << (k - 1)
-        assert cover.walk(from_letters(letters), start) == (h, v)
+        word = from_letters(letters)
+        assert cover.walk(word, start) == (h, v)
+        assert cover.lift(word, start) == (chain, v)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4])
-def test_edge_table_is_keyed_once_by_letter(genus):
+def test_step_table_is_the_closed_form(genus):
+    # Generator k from v: edge (v, k), ending at v ^ bit; its inverse from v:
+    # the same edge from v ^ bit, run backwards to v ^ bit.
     cover = build_mod2_cover(genus)
-    letters = set(from_letters(x for k in range(1, 2 * genus + 1) for x in (k, -k)))
-    assert set(cover._letter_classes) == set(cover._letter_flips) == letters
+    letters = from_letters(x for k in range(1, 2 * genus + 1) for x in (k, -k))
+    assert sorted(cover._steps) == sorted(letters)
+    for k in range(1, 2 * genus + 1):
+        bit = 1 << (k - 1)
+        forward, back = (cover._steps[x] for x in from_letters((k, -k)))
+        assert forward == tuple(
+            (cover.edge_index(v, k), v ^ bit) for v in range(cover.n_vertices)
+        )
+        assert back == tuple(
+            (cover.edge_index(v ^ bit, k), v ^ bit) for v in range(cover.n_vertices)
+        )
 
 
 def test_deck_action_identity():

@@ -272,6 +272,19 @@ def test_certificate_replay():
         assert replay_certificate(2, sc.root, sc.twists) == sc.cls
 
 
+# A name outside the genus-2 table, and names near a real one. A bare string
+# is read name by name, so "ta1" fails on "t".
+@pytest.mark.parametrize(
+    "twists, name",
+    [(("ta3",), "ta3"), (("t",), "t"), (("",), ""), (("TA1",), "TA1"), (("ta1 ",), "ta1 "),
+     (("ta1", "tb3_inv"), "tb3_inv"), ("ta1", "t")],
+    ids=["ta3", "t", "empty", "TA1", "trailing_space", "second", "bare_string"],
+)
+def test_bad_twist_names_rejected(twists, name):
+    with pytest.raises(ValueError, match="^unknown twist %s$" % re.escape(repr(name))):
+        replay_certificate(2, "a1", twists)
+
+
 def test_max_len_prunes():
     short = generate_simple_classes(2, 2, 8)
     assert all(len(sc.cls) <= 8 for sc in short)

@@ -421,10 +421,11 @@ def test_image_rank_checks_each_unit_cycle_word():
 
 
 def test_image_rank_checks_each_generator():
-    # A fresh cover whose letter a1 flips the wrong deck bit: a1 no longer
-    # maps to deck bit 0.
+    # A fresh cover whose letter a1 steps to the wrong end vertex, v ^ 2 in
+    # place of v ^ 1: a1 no longer maps to deck bit 0.
     cover = build_mod2_cover(2)
-    cover._letter_flips[from_letters((1,))] = 2
+    a1 = from_letters((1,))
+    cover._steps[a1] = tuple((e, v ^ 3) for e, v in cover._steps[a1])
     with pytest.raises(AssertionError, match="generator 1 does not map to deck bit 0"):
         image_rank(GroupContext(cover))
 

@@ -96,11 +96,12 @@ class CoverCW:
         Returns:
             (chain, end): GF(2) edge chain as an int bitmask, and the vertex
             where the lifted path ends (start ^ mod-2 abelianization).
-            A letter outside the genus raises check_letters' ValueError.
+            A letter outside the genus raises check_letters' ValueError,
+            a start outside range(n_vertices) one naming the vertex.
         """
-        steps = self._steps
-        chain = 0
-        v = start
+        if not 0 <= start < self.n_vertices:
+            self._bad_start(start)
+        steps, chain, v = self._steps, 0, start
         try:
             for x in word:
                 e, v = steps[x][v]
@@ -116,11 +117,11 @@ class CoverCW:
         Returns:
             (h, end): H1 class of the lift closed up through the spanning
             tree (tree edges add 0), and the vertex where the lift ends.
-            A letter outside the genus raises check_letters' ValueError.
+            Letters and start are checked as in lift.
         """
-        steps, classes = self._steps, self.edge_classes
-        h = 0
-        v = start
+        if not 0 <= start < self.n_vertices:
+            self._bad_start(start)
+        steps, classes, h, v = self._steps, self.edge_classes, 0, start
         try:
             for x in word:
                 e, v = steps[x][v]
@@ -129,6 +130,9 @@ class CoverCW:
             check_letters(word, self.genus)
             raise
         return h, v
+
+    def _bad_start(self, start: int):
+        raise ValueError("vertex %d outside genus %d" % (start, self.genus))
 
     def schreier_word(self, e: int) -> Word:
         """Loop at vertex 0 that runs the tree to edge e, along it, and back.

@@ -187,11 +187,11 @@ def replay_certificate(genus: int, root: str, twists: tuple[str, ...]) -> Word:
 # Deepest twist BFS per genus. Each level costs about 4-8 times the one
 # before (generate_simple_classes alone, measured in process at max_len 64
 # on a 2-vCPU VM, peak RSS of the process; times drift by up to 25 %):
-#   g = 2: depth 7 gives 44 490 classes in 0.8-0.9 s, 36 MB; depth 8 gives
-#          155 986 in 4 s, 93 MB.
-#   g = 3: depth 6 gives 48 999 classes in 0.7-0.8 s, 36 MB; depth 7 gives
-#          232 786 in 4-5 s, 123 MB.
-#   g = 4: depth 6 gives 91 004 classes in 1.4-1.6 s, 56 MB.
+#   g = 2: depth 7 gives 44 490 classes in 0.43-0.49 s, 35 MB; depth 8
+#          gives 155 986 in 2.1 s, 90 MB.
+#   g = 3: depth 6 gives 48 999 classes in 0.40-0.54 s, 36 MB; depth 7
+#          gives 232 786 in 2.5-2.7 s, 121 MB.
+#   g = 4: depth 6 gives 91 004 classes in 0.80-0.95 s, 56 MB.
 MAX_DEPTH = {2: 7, 3: 6, 4: 6}
 
 
@@ -252,9 +252,7 @@ def generate_simple_classes(
 
     Each level decides every skip first, then applies each twist to its
     whole batch of classes at once (_canonical_images), then numbers the new
-    classes in (class, twist) order. Every twist's partner is in the table,
-    so an image of a class at level k lies at level k - 1, k or k + 1: the
-    skips at level k read only the records of levels k - 2 to k.
+    classes in (class, twist) order.
     """
     check_depth(depth, genus)
     check_length_bound(max_len, "max_len")
@@ -267,25 +265,23 @@ def generate_simple_classes(
     commutes = [
         frozenset(j for j, s in enumerate(names) if (s, t) in pairs) for t in names
     ]
-    position: dict[str, int] = {}
-    order: list[SimpleClass] = []
-    for sc in standard_curves(genus):
-        if sc.cls not in position:
-            position[sc.cls] = len(order)
-            order.append(sc)
-    # Per class number: its parent's and its last twist's. In the records of
-    # the level being expanded, None marks a twist to apply, inf a deferral.
+    order = standard_curves(genus)
+    position = {sc.cls: n for n, sc in enumerate(order)}
+    # Per class number: its parent's and its last twist's, and its record
+    # once expanded (levels are expanded in class order). In the level being
+    # expanded, None marks a twist to apply, inf a deferral.
     parent = [None] * len(order)
     last = [None] * len(order)
-    records: dict[int, list] = {}
+    records = []
     unknown = float("inf")
-    older, old, level = range(0), range(0), range(len(order))
+    level = range(len(order))
     for _ in range(depth):
         batches = [[] for _ in twists]
         for n in level:
             cls, t = order[n].cls, last[n]
             letters = set(cls)
-            record = records[n] = [None] * len(twists)
+            record = [None] * len(twists)
+            records.append(record)
             undone, commuting = None, frozenset()
             if t is not None:
                 undone, commuting, above = undo[t], commutes[t], records[parent[n]]
@@ -317,9 +313,7 @@ def generate_simple_classes(
                     parent.append(n)
                     last.append(j)
                 record[j] = m
-        for n in older:
-            del records[n]
-        older, old, level = old, level, range(level.stop, len(order))
+        level = range(level.stop, len(order))
     return order
 
 

@@ -262,6 +262,24 @@ def test_walk_accepts_open_words():
         cover.walk(from_letters((2, -3)), v)
 
 
+@pytest.mark.parametrize("method", ["walk", "lift"])
+@pytest.mark.parametrize(
+    "word, start", [(A1, -1), (A1, 16), ("", -1)], ids=["a1-minus1", "a1-16", "empty-minus1"]
+)
+def test_start_outside_the_cover_rejected(method, word, start):
+    # A negative start would otherwise index the step table from its end.
+    cover = build_mod2_cover(2)
+    with pytest.raises(ValueError, match="^vertex %d outside genus 2$" % start):
+        getattr(cover, method)(word, start)
+
+
+@pytest.mark.parametrize("method", ["walk", "lift"])
+def test_start_at_the_last_vertex_accepted(method):
+    cover = build_mod2_cover(2)
+    assert getattr(cover, method)(A1, 15)[1] == 14
+    assert getattr(cover, method)("", 15) == (0, 15)
+
+
 @pytest.mark.parametrize("genus", [2, 3, 4])
 def test_walk_reads_key_strings_as_words(genus):
     # Reference: the edge classes XORed along the lift of the word's tuple

@@ -346,24 +346,33 @@ def test_commuting_twists_match_brute_force(genus, count):
     assert ("tb1", "tc1") not in got and ("tc1", "tb1") not in got
 
 
-def test_generation_skips_decided_twist_images(monkeypatch):
-    images = []
+@pytest.mark.parametrize(
+    "genus, depth, classes, images",
+    [
+        (2, 6, 11831, 15314),
+        # Genus 5 is over the cover's budget, but the twist BFS builds no cover.
+        (5, 4, 4739, 5867),
+        # The MAX_DEPTH budgets, the deepest runs a command allows.
+        (2, 7, 44490, 59868),
+        (3, 6, 48999, 60572),
+        (4, 6, 91004, 111251),
+    ],
+    ids=["g2-d6", "g5-d4", "g2-d7", "g3-d6", "g4-d6"],
+)
+def test_generation_skips_decided_twist_images(monkeypatch, genus, depth, classes, images):
+    # Skipping only the undo twist reads 27 374 images at (2, 6). Without
+    # the entries a commuting skip defers, (2, 6) and (5, 4) read 18 981 and
+    # 7 399.
+    counts = []
     real = curves._canonical_images
 
     def counting_canonical_images(twist, words, genus):
-        images.append(len(words))
+        counts.append(len(words))
         return real(twist, words, genus)
 
     monkeypatch.setattr(curves, "_canonical_images", counting_canonical_images)
-    assert len(generate_simple_classes(2, 6, 64)) == 11831
-    # Skipping only the undo twist reads 27 374 images.
-    assert sum(images) == 15314
-    # Genus 5 is over the cover's budget, but the twist BFS builds no cover.
-    # Without the entries a commuting skip defers, the two runs read 18 981
-    # and 7 399 images.
-    images.clear()
-    assert len(generate_simple_classes(5, 4, 64)) == 4739
-    assert sum(images) == 5867
+    assert len(generate_simple_classes(genus, depth, 64)) == classes
+    assert sum(counts) == images
 
 
 def test_substitute_matches_per_letter_reference():

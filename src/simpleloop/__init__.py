@@ -7,13 +7,11 @@ meets no certified simple closed curve class, alongside the classical torus
 demonstration and symbolic manifold-construction recipes.
 
 Importing the package imports none of its modules: each name below, and each
-module, is imported on first attribute access (PEP 562), so a command loads
-only the modules it uses.
+module that exports one, is imported on first attribute access (PEP 562), so
+a command loads only the modules it uses.
 """
 
 import importlib
-import sys
-import types
 
 # The names each module exports at the package level.
 _EXPORTS = {
@@ -35,7 +33,6 @@ _EXPORTS = {
         "is_simple_torus",
         "torus_kernel_scan",
     ),
-    "gf2": ("GF2Matrix", "QuotientMap", "kernel_basis", "rank", "rref"),
     "quotient": (
         "GElement",
         "GroupContext",
@@ -48,8 +45,8 @@ _EXPORTS = {
         "ManifoldRecipe",
         "Presentation",
         "parse_presentation",
-        "realize",
         "recipe_for_G",
+        "recipe_for_presentation",
     ),
     "words": (
         "Word",
@@ -87,17 +84,3 @@ def __getattr__(name):
 
 def __dir__():
     return sorted(set(globals()) | set(__all__) | set(_EXPORTS))
-
-
-class _Package(types.ModuleType):
-    """The package's module type: the import system binds each submodule on
-    the package once it is loaded, but an exported name that a submodule
-    shares (realize) keeps naming the export."""
-
-    def __setattr__(self, name, value):
-        if name in _MODULE_OF and isinstance(value, types.ModuleType):
-            return
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -30,8 +30,9 @@ from .cover import (
     cover_genus,
     group_order_log2,
 )
-from .curves import check_depth, generate_simple_classes, verify_non_geometric
+from .curves import MAX_DEPTH, check_depth, generate_simple_classes, verify_non_geometric
 from .quotient import (
+    MAX_HALF_WORDS,
     GroupContext,
     check_search_budget,
     image_rank,
@@ -358,12 +359,12 @@ def cmd_torus_demo(args):
 
 
 def cmd_realize(args):
-    from .realize import parse_presentation, realize, recipe_for_G
+    from .realize import parse_presentation, recipe_for_G, recipe_for_presentation
 
     if args.presentation:
         with open(args.presentation, encoding="utf-8") as handle:
             pres = parse_presentation(handle.read())
-        recipe = realize(pres, args.dimension)
+        recipe = recipe_for_presentation(pres, args.dimension)
         group = recipe.resulting_group
         record = {
             "kind": "recipe",
@@ -409,13 +410,27 @@ def build_parser():
     common.add_argument(
         "--genus", type=int, default=2, help="surface genus (2..%d)" % MAX_GENUS
     )
-    common.add_argument("--format", choices=("json", "text"), default="json")
+    common.add_argument(
+        "--format", choices=("json", "text"), default="json", help="JSON lines or plain text"
+    )
     common.add_argument("--out", default=None, help="write report to this path")
     sweep = argparse.ArgumentParser(add_help=False)
-    sweep.add_argument("--depth", type=int, default=6, help="twist depth")
-    sweep.add_argument("--max-len", type=int, default=64, dest="max_len")
+    depth_budget = ", ".join("%d at genus %d" % (d, g) for g, d in MAX_DEPTH.items())
+    sweep.add_argument(
+        "--depth", type=int, default=6,
+        help="twists applied to a standard curve, at most " + depth_budget,
+    )
+    sweep.add_argument(
+        "--max-len", type=int, default=64, dest="max_len",
+        help="longest class the twist BFS keeps; the 3g - 1 standard curves are kept at any length",
+    )
     kernel = argparse.ArgumentParser(add_help=False)
-    kernel.add_argument("--kernel-len", type=int, default=8, dest="kernel_len")
+    kernel.add_argument(
+        "--kernel-len", type=int, default=8, dest="kernel_len",
+        help="longest kernel word searched, at most 12 at genus 2, 10 at genus 3, 8 at "
+        "genus 4: its half-words, up to half its length, fill at most %d table entries"
+        % MAX_HALF_WORDS,
+    )
 
     def add_command(name, func, help_text, *parents):
         p = sub.add_parser(name, help=help_text, parents=[common, *parents])
@@ -446,7 +461,7 @@ def build_parser():
         default=None,
         help="presentation file; omitted: template recipe for the quotient group",
     )
-    p_realize.add_argument("--dimension", type=int, default=4)
+    p_realize.add_argument("--dimension", type=int, default=4, help="ambient dimension, at least 4")
     return parser
 
 

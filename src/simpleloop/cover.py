@@ -82,11 +82,17 @@ class CoverCW:
         self._build_h1()
 
     def edge_index(self, v: int, k: int) -> int:
-        """Index of the lift of loop k (1-based) starting at vertex v."""
+        """Index of the lift of loop k (1-based) from vertex v; ValueError outside the genus."""
+        if not 0 <= v < self.n_vertices:
+            self._outside("vertex", v)
+        if not 1 <= k <= 2 * self.genus:
+            self._outside("generator", k)
         return v * (2 * self.genus) + (k - 1)
 
     def edge_endpoints(self, e: int) -> tuple[int, int]:
-        """Start and end vertex of edge e."""
+        """Start and end vertex of edge e; an edge outside the genus raises ValueError."""
+        if not 0 <= e < self.n_edges:
+            self._outside("edge", e)
         v, j = divmod(e, 2 * self.genus)
         return v, v ^ (1 << j)
 
@@ -100,7 +106,7 @@ class CoverCW:
             a start outside range(n_vertices) one naming the vertex.
         """
         if not 0 <= start < self.n_vertices:
-            self._bad_start(start)
+            self._outside("vertex", start)
         steps, chain, v = self._steps, 0, start
         try:
             for x in word:
@@ -120,7 +126,7 @@ class CoverCW:
             Letters and start are checked as in lift.
         """
         if not 0 <= start < self.n_vertices:
-            self._bad_start(start)
+            self._outside("vertex", start)
         steps, classes, h, v = self._steps, self.edge_classes, 0, start
         try:
             for x in word:
@@ -131,14 +137,15 @@ class CoverCW:
             raise
         return h, v
 
-    def _bad_start(self, start: int):
-        raise ValueError("vertex %d outside genus %d" % (start, self.genus))
+    def _outside(self, kind: str, value: int):
+        raise ValueError("%s %d outside genus %d" % (kind, value, self.genus))
 
     def schreier_word(self, e: int) -> Word:
         """Loop at vertex 0 that runs the tree to edge e, along it, and back.
 
         Its lift from 0 is the fundamental cycle of e, so for a non-tree
-        edge walk(schreier_word(e), 0) is (edge_classes[e], 0).
+        edge walk(schreier_word(e), 0) is (edge_classes[e], 0). Edges are
+        checked as in edge_endpoints.
         """
         v, w = self.edge_endpoints(e)
         # The tree path to the one-bit vertex 1 << j is generator j + 1.

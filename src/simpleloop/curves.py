@@ -222,10 +222,12 @@ def generate_simple_classes(
 
     Level by level, applies every table twist to each class, canonicalizes,
     and keeps new classes whose canonical representative is at most max_len
-    letters long. Working with canonical representatives is sound because a
-    twist maps conjugate words to conjugate words. Output order and content
-    are deterministic. A new class takes its separating flag from its
-    parent, since twists are homeomorphisms.
+    letters long. The 3g - 1 standard curves are kept whatever max_len is:
+    at genus 2, max_len 1 gives all five, s1 with 4 letters. Working with
+    canonical representatives is sound because a twist maps conjugate words
+    to conjugate words. Output order and content are deterministic. A new
+    class takes its separating flag from its parent, since twists are
+    homeomorphisms.
 
     Three kinds of twist are skipped at a class c = class(t(p)), found by
     applying twist t to its parent p. Each would only give an image that is

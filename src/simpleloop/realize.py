@@ -113,7 +113,7 @@ class ManifoldRecipe(NamedTuple):
     notes: tuple = ()
 
 
-def realize(p: Presentation, n: int) -> ManifoldRecipe:
+def recipe_for_presentation(p: Presentation, n: int) -> ManifoldRecipe:
     """Recipe for an n-manifold with fundamental group presented by p."""
     check_dimension(n)
     k = len(p.generators)

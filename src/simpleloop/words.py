@@ -102,48 +102,48 @@ def word_from_str(text: str, genus: int) -> Word:
 
 
 class _LetterMemo(dict):
-    """str.translate table whose entry for a code is computed on first use."""
+    """Lookup table whose entry for a key is computed on first use."""
 
     def __init__(self, fn):
         super().__init__()
         self.fn = fn
 
-    def __missing__(self, code: int):
-        value = self[code] = self.fn(code)
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
         return value
 
 
-def _token(code: int) -> str:
-    x = letter_index(chr(code))
+def _token(c: str) -> str:
+    x = letter_index(c)
     name = gen_name(abs(x))
     return (name if x > 0 else name.capitalize()) + " "
 
 
-# Each letter's token and a space, so a word's text is w.translate(_TOKENS)[:-1].
+# Each letter's token and a space, keyed by the letter; "\n", spell_words'
+# separator, stays as it is.
 _TOKENS = _LetterMemo(_token)
-# Each letter's inverse; characters below "@", such as the "," between the
-# words of a batch, stay as they are.
+_TOKENS["\n"] = "\n"
+# str.translate table of each letter's inverse; characters below "@", such
+# as the "," between the words of a batch, stay as they are.
 _INVERT = _LetterMemo(lambda code: code ^ 1 if code >= _BASE else code)
 
 
 def word_to_str(w: Word) -> str:
-    return w.translate(_TOKENS)[:-1]
-
-
-# _TOKENS keyed by the letter, with "\n", spell_words' separator, kept as it is.
-_LINE_TOKENS = _LetterMemo(lambda c: c if c == "\n" else _TOKENS[ord(c)])
+    return spell_words([w])[0]
 
 
 def spell_words(ws: list[Word]) -> list[str]:
-    """word_to_str of each word, from one pass over the joined words.
+    """The literal syntax of each word, from one pass over the joined words.
 
     The pass looks each character up with one dict call, which is faster
-    than str.translate writing several characters per character.
+    than str.translate writing several characters per character. A
+    character below "@" raises letter_index's ValueError, "\n" included.
     """
-    texts = "".join(map(_LINE_TOKENS.__getitem__, "\n".join(ws))).split("\n")
+    if not ws:
+        return []
+    texts = "".join(map(_TOKENS.__getitem__, "\n".join(ws))).split("\n")
     if len(texts) != len(ws):
-        # No words, or a word holds "\n", which word_to_str rejects.
-        return list(map(word_to_str, ws))
+        letter_index("\n")  # a word holds the separator
     return [text[:-1] for text in texts]
 
 

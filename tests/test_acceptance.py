@@ -28,7 +28,7 @@ from simpleloop.quotient import (
     rho,
     search_kernel_elements,
 )
-from simpleloop.realize import Presentation, realize
+from simpleloop.realize import Presentation, recipe_for_presentation
 from simpleloop.words import (
     canonical_class,
     commutator,
@@ -270,10 +270,10 @@ def test_criterion_10_realization_round_trip():
                     relators.append(reduced)
                     break
         p = Presentation(generators=names[:k], relators=tuple(relators))
-        recipe = realize(p, 4)
+        recipe = recipe_for_presentation(p, 4)
         assert recipe.resulting_group == p
         assert len(recipe.steps) == len(p.relators)
         assert recipe.dimension == 4
         with pytest.raises(ValueError):
-            realize(p, 3)
+            recipe_for_presentation(p, 3)
     _report(10, "50 random presentations realize at dimension 4; 3 rejected")

@@ -13,14 +13,15 @@ import pytest
 
 from simpleloop import cli, demos
 from simpleloop.cli import main
-from simpleloop.cover import MAX_GENUS, CoverCW, build_mod2_cover
+from simpleloop.cover import MAX_GENUS, CoverCW, ResourceLimitError, build_mod2_cover
 from simpleloop.curves import (
+    MAX_DEPTH,
     generate_simple_classes,
     standard_curves,
     twist_table,
     verify_non_geometric,
 )
-from simpleloop.quotient import GroupContext, in_kernel
+from simpleloop.quotient import GroupContext, check_search_budget, in_kernel
 from simpleloop.words import from_letters, is_trivial, word_from_str, word_to_str
 
 
@@ -90,6 +91,36 @@ def test_genus_help_shows_the_cap(capsys):
         main(["info", "--help"])
     assert exc.value.code == 0
     assert "surface genus (2..%d)" % MAX_GENUS in capsys.readouterr().out
+
+
+def help_text(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize(
+    "command", ["info", "verify", "search-kernel", "lemma-check", "torus-demo", "realize"]
+)
+def test_every_option_has_help(capsys, command):
+    # argparse %-formats each help string only when it prints the help.
+    help_text(capsys, command)
+    (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    for action in commands.choices[command]._actions:
+        assert action.help, (command, action.option_strings or action.dest)
+
+
+def test_sweep_help_states_the_budgets(capsys):
+    text = help_text(capsys, "verify")
+    depth = ", ".join("%d at genus %d" % (MAX_DEPTH[g], g) for g in (2, 3, 4))
+    assert "standard curve, at most %s" % depth in text
+    assert "the 3g - 1 standard curves are kept at any length" in text
+    stated = re.search(r"at most (\d+) at genus 2, (\d+) at genus 3, (\d+) at genus 4:", text)
+    for genus, longest in zip((2, 3, 4), map(int, stated.groups())):
+        check_search_budget(genus, longest)
+        with pytest.raises(ResourceLimitError):
+            check_search_budget(genus, longest + 1)
 
 
 def test_verify_depth0_ok(capsys):

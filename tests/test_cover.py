@@ -273,6 +273,46 @@ def test_start_outside_the_cover_rejected(method, word, start):
         getattr(cover, method)(word, start)
 
 
+# Edges and their ends: a vertex or generator out of range would otherwise
+# name another edge, and an edge out of range another edge's ends and word.
+@pytest.mark.parametrize(
+    "method, args, message",
+    [
+        ("edge_index", (0, 5), "generator 5"),
+        ("edge_index", (0, 0), "generator 0"),
+        ("edge_index", (16, 1), "vertex 16"),
+        ("edge_index", (-1, 1), "vertex -1"),
+        ("edge_endpoints", (-1,), "edge -1"),
+        ("edge_endpoints", (64,), "edge 64"),
+        ("schreier_word", (-1,), "edge -1"),
+        ("schreier_word", (64,), "edge 64"),
+    ],
+    ids=[
+        "index-generator5",
+        "index-generator0",
+        "index-vertex16",
+        "index-vertex-minus1",
+        "endpoints-minus1",
+        "endpoints-64",
+        "schreier-minus1",
+        "schreier-64",
+    ],
+)
+def test_edge_outside_the_cover_rejected(method, args, message):
+    cover = build_mod2_cover(2)
+    with pytest.raises(ValueError, match="^%s outside genus 2$" % message):
+        getattr(cover, method)(*args)
+
+
+def test_edges_at_the_ends_of_their_ranges_accepted():
+    cover = build_mod2_cover(2)
+    assert cover.edge_index(0, 1) == 0
+    assert cover.edge_index(15, 4) == 63
+    assert cover.edge_endpoints(0) == (0, 1)
+    assert cover.edge_endpoints(63) == (15, 7)
+    assert cover.walk(cover.schreier_word(63), 0) == (cover.edge_classes[63], 0)
+
+
 @pytest.mark.parametrize("method", ["walk", "lift"])
 def test_start_at_the_last_vertex_accepted(method):
     cover = build_mod2_cover(2)

@@ -248,6 +248,12 @@ def test_depth0_is_standard_curves():
     assert generate_simple_classes(2, 0, 64) == standard_curves(2)
 
 
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_standard_curves_kept_at_any_max_len(genus):
+    # s1 has 4 letters and s(g-1) 4(g-1), yet max_len 1 keeps them.
+    assert generate_simple_classes(genus, 2, 1) == standard_curves(genus)
+
+
 def test_depth1_count_pinned():
     assert len(generate_simple_classes(2, 1, 64)) == 15
 

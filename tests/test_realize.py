@@ -1,10 +1,10 @@
 """Tests for presentations and manifold recipes."""
 
-import importlib
 import random
 
 import pytest
 
+import simpleloop.realize
 from simpleloop.cover import ResourceLimitError
 from simpleloop.demos import OrientationCharacter, extend_to_dimension, z2xz_is_trivial
 from simpleloop.realize import (
@@ -12,8 +12,8 @@ from simpleloop.realize import (
     ManifoldRecipe,
     Presentation,
     parse_presentation,
-    realize,
     recipe_for_G,
+    recipe_for_presentation,
 )
 from simpleloop.words import from_letters
 
@@ -52,7 +52,7 @@ NO_INVERSE = "has no uppercase inverse spelling"
         (Presentation, (("a", "\u00df"), ()), NO_INVERSE),
         (Presentation, (("\ufb00",), ()), NO_INVERSE),
         (parse_presentation, ("\u0131\nI",), NO_INVERSE),
-        (realize, (Presentation(("a",), ()), 3), DIMENSION),
+        (recipe_for_presentation, (Presentation(("a",), ()), 3), DIMENSION),
         (recipe_for_G, (2, 3), DIMENSION),
         (recipe_for_G, (1, 3), DIMENSION),
         (extend_to_dimension, (3,), DIMENSION),
@@ -122,9 +122,7 @@ def test_parse_presentation_builds_one_presentation(monkeypatch):
         built.append(args)
         return Presentation(*args)
 
-    # simpleloop.realize names the function realize, so fetch the module.
-    module = importlib.import_module("simpleloop.realize")
-    monkeypatch.setattr(module, "Presentation", counting)
+    monkeypatch.setattr(simpleloop.realize, "Presentation", counting)
     p = parse_presentation("a b\na a\nb A\n")
     assert len(built) == 1
     assert p == Presentation(("a", "b"), (from_letters((1, 1)), from_letters((2, -1))))
@@ -148,7 +146,7 @@ def test_parse_presentation_reports_names_before_relators(text, match):
 
 def test_realize_smallest_example():
     p = Presentation(generators=("a",), relators=(from_letters((1, 1)),))
-    recipe = realize(p, 4)
+    recipe = recipe_for_presentation(p, 4)
     assert isinstance(recipe, ManifoldRecipe)
     assert recipe.dimension == 4
     assert recipe.base["summands"] == ["S^4", "S^3 x S^1"]
@@ -161,7 +159,7 @@ def test_realize_smallest_example():
 
 def test_realize_free_group_has_no_steps():
     p = Presentation(generators=("a", "b", "c"), relators=())
-    recipe = realize(p, 5)
+    recipe = recipe_for_presentation(p, 5)
     assert recipe.steps == ()
     assert recipe.base["summands"].count("S^4 x S^1") == 3
 
@@ -169,7 +167,7 @@ def test_realize_free_group_has_no_steps():
 def test_realize_rejects_low_dimension():
     p = Presentation(generators=("a",), relators=())
     with pytest.raises(ValueError):
-        realize(p, 3)
+        recipe_for_presentation(p, 3)
 
 
 def test_realize_round_trip_random_presentations():
@@ -189,7 +187,7 @@ def test_realize_round_trip_random_presentations():
                 word.append(x)
             relators.append(from_letters(word))
         p = Presentation(generators=gens, relators=tuple(relators))
-        recipe = realize(p, 4)
+        recipe = recipe_for_presentation(p, 4)
         assert recipe.resulting_group == p
         assert len(recipe.steps) == len(p.relators)
 

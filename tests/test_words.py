@@ -379,8 +379,8 @@ def test_word_to_str_matches_per_letter_names():
 
 
 def test_word_to_str_matches_tuple_spelling():
-    # word_to_str is one str.translate; the reference spells each signed
-    # index of the word's tuple.
+    # word_to_str looks each letter's token up in one table; the reference
+    # spells each signed index of the word's tuple.
     rng = random.Random(13)
     for genus in range(2, 9):
         for _ in range(50):

@@ -27,6 +27,7 @@ from .cover import (
     MAX_GENUS,
     ResourceLimitError,
     build_mod2_cover,
+    check_genus,
     cover_genus,
     group_order_log2,
 )
@@ -139,8 +140,8 @@ def _timed(timing, key, fn, *args):
 
 
 def _sweep(args, timing, stage):
-    """Refuse a depth over its budget, then build the cover, generate the
-    certified classes and verify them once.
+    """Refuse a genus or a depth over its budget, then build the cover,
+    generate the certified classes and verify them once.
 
     The caller checks the usage bounds first, so a usage error wins over the
     depth budget. The verification pass is timed as timing[stage]. Returns
@@ -148,6 +149,7 @@ def _sweep(args, timing, stage):
     record: verify nests it under "lemma", lemma-check spreads it into its
     summary.
     """
+    check_genus(args.genus)
     check_depth(args.depth, args.genus)
     ctx = GroupContext(_timed(timing, "build_s", build_mod2_cover, args.genus))
     classes = _timed(
@@ -415,7 +417,7 @@ def build_parser():
     )
     common.add_argument("--out", default=None, help="write report to this path")
     sweep = argparse.ArgumentParser(add_help=False)
-    depth_budget = ", ".join("%d at genus %d" % (d, g) for g, d in MAX_DEPTH.items())
+    depth_budget = ", ".join("%d at genus %d" % (MAX_DEPTH[g], g) for g in range(2, MAX_GENUS + 1))
     sweep.add_argument(
         "--depth", type=int, default=6,
         help="twists applied to a standard curve, at most " + depth_budget,

@@ -10,7 +10,7 @@ class of any lifted loop, closed up through the tree, is then the XOR of
 these entries along the lift. CoverCW.walk computes it and is the one way
 from a lifted word to an H1 class: the finite quotient group and the lift
 lemma read the complex through it. Words are strings of letters, as in
-simpleloop.words, and walk and lift read one step table keyed by letter.
+simpleloop.words, and walk follows each letter through one step table.
 """
 
 from .words import Word, check_letters, check_min_genus, from_letters, inverse
@@ -54,9 +54,8 @@ class CoverCW:
 
     The cells are not stored: edge_index and edge_endpoints name the edges,
     and face v is the lift of the surface relator from vertex v. The complex
-    is read through lifts of words, which follow each letter through one
-    step table, keyed by letter, of (edge, end vertex) per start vertex:
-    lift gives a word's edge chain, walk its H1 class.
+    is read through walk, which follows each letter of a word through one
+    step table, keyed by letter, of (edge, end vertex) per start vertex.
 
     Attributes:
         genus: genus of the base surface.
@@ -96,34 +95,14 @@ class CoverCW:
         v, j = divmod(e, 2 * self.genus)
         return v, v ^ (1 << j)
 
-    def lift(self, word: Word, start: int) -> tuple[int, int]:
-        """Lift a word to an edge chain from a start vertex.
-
-        Returns:
-            (chain, end): GF(2) edge chain as an int bitmask, and the vertex
-            where the lifted path ends (start ^ mod-2 abelianization).
-            A letter outside the genus raises check_letters' ValueError,
-            a start outside range(n_vertices) one naming the vertex.
-        """
-        if not 0 <= start < self.n_vertices:
-            self._outside("vertex", start)
-        steps, chain, v = self._steps, 0, start
-        try:
-            for x in word:
-                e, v = steps[x][v]
-                chain ^= 1 << e
-        except KeyError:
-            check_letters(word, self.genus)
-            raise
-        return chain, v
-
     def walk(self, word: Word, start: int) -> tuple[int, int]:
         """XOR the edge classes along a word's lift from a start vertex.
 
         Returns:
             (h, end): H1 class of the lift closed up through the spanning
             tree (tree edges add 0), and the vertex where the lift ends.
-            Letters and start are checked as in lift.
+            A letter outside the genus raises check_letters' ValueError,
+            a start outside range(n_vertices) one naming the vertex.
         """
         if not 0 <= start < self.n_vertices:
             self._outside("vertex", start)

@@ -192,17 +192,23 @@ def replay_certificate(genus: int, root: str, twists: tuple[str, ...]) -> Word:
 #   g = 3: depth 6 gives 48 999 classes in 0.40-0.54 s, 36 MB; depth 7
 #          gives 232 786 in 2.5-2.7 s, 121 MB.
 #   g = 4: depth 6 gives 91 004 classes in 0.80-0.95 s, 56 MB.
-MAX_DEPTH = {2: 7, 3: 6, 4: 6}
+#   g = 5: depth 5 gives 24 876 classes in 0.17-0.18 s, 25 MB; depth 6
+#          gives 132 726 in 1.2 s, 74 MB.
+#   g = 6: depth 5 gives 32 235 classes in 0.25-0.26 s, 28 MB; depth 6
+#          gives 173 963 in 1.6-1.7 s, 93 MB.
+MAX_DEPTH = {2: 7, 3: 6, 4: 6, 5: 5, 6: 5}
 
 
 def check_depth(depth: int, genus: int | None = None) -> None:
     """Reject a negative twist depth; given a genus, also one over MAX_DEPTH.
 
-    The second is a resource bound. A genus outside MAX_DEPTH is left to
-    check_genus, which every stage that needs the cover runs.
+    The second is a resource bound, as is a genus above MAX_DEPTH's largest.
+    A genus below 2 is left to check_min_genus.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if genus is not None and genus > max(MAX_DEPTH):
+        raise ResourceLimitError("no depth budget at genus %d" % genus)
     if genus is not None and depth > MAX_DEPTH.get(genus, depth):
         raise ResourceLimitError(
             "depth %d exceeds the budget of %d at genus %d"

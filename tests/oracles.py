@@ -10,7 +10,11 @@ of the lift lemma in ``verify_non_geometric`` against an independent path.
 reference for the vertex a walk ends at.
 The package keeps no boundary matrices either: ``incidence`` and
 ``face_chains`` (the relator lifted from each vertex) state the cover's
-chain complex in full, so the tests can check that it is one.
+chain complex in full, so the tests can check that it is one. ``lift``
+gives a word's full-width edge chain from the closed form of the edges,
+one ``edge_index`` per letter, and never reads the step table that
+``CoverCW.walk`` follows; the face chains, the cycles of ``full_quotient``
+and the chain tests of the walk all come from it.
 
 The package never multiplies in G; it needs only rho and its kernel. The
 group law here states G as an extension of the deck group by H1: the deck
@@ -201,10 +205,26 @@ def incidence(cover) -> GF2Matrix:
     return GF2Matrix(cover.n_vertices, cover.n_edges, tuple(rows))
 
 
+def lift(cover, word: str, start: int) -> tuple[int, int]:
+    """Edge chain and end vertex of a word's lift from a start vertex.
+
+    Generator k from v runs along edge (v, k) to v ^ bit, and its inverse
+    from v runs the same generator's edge from v ^ bit backwards, also to
+    v ^ bit. The chain is a bitmask over edges, each taken mod 2.
+    """
+    chain, v = 0, start
+    for x in to_letters(word):
+        k = abs(x)
+        bit = 1 << (k - 1)
+        chain ^= 1 << cover.edge_index(v if x > 0 else v ^ bit, k)
+        v ^= bit
+    return chain, v
+
+
 def face_chains(cover) -> tuple[int, ...]:
     """Per face v, the full-width edge chain of the relator lifted from v."""
     relator = surface_relator(cover.genus)
-    return tuple(cover.lift(relator, v)[0] for v in range(cover.n_faces))
+    return tuple(lift(cover, relator, v)[0] for v in range(cover.n_faces))
 
 
 def full_quotient(cover) -> QuotientMap:
@@ -216,7 +236,7 @@ def full_quotient(cover) -> QuotientMap:
     first, so cycle j gets coordinates 1 << j only if they are independent
     modulo the faces: then both sides use the same basis.
     """
-    units = [cover.lift(w, 0)[0] for w in cover.unit_cycle_words]
+    units = [lift(cover, w, 0)[0] for w in cover.unit_cycle_words]
     first = set(units)
     cycles = units + [c for c in cycle_basis(cover) if c not in first]
     return QuotientMap(cycles, face_chains(cover))

@@ -42,7 +42,7 @@ from simpleloop.words import (
     surface_relator,
 )
 
-from oracles import abelianization_mod2, loop_class, mul_by_deck_action, random_reduced_word
+from oracles import abelianization_mod2, lift, loop_class, mul_by_deck_action, random_reduced_word
 
 _CACHE = {}
 
@@ -107,7 +107,7 @@ def test_criterion_02_separating_orbit_lifts():
     for w in sorted(orbit):
         assert abelianization_mod2(w, 2) == 0
         for vertex in range(16):
-            chain, end = cover.lift(w, vertex)
+            chain, end = lift(cover, w, vertex)
             assert end == vertex
             assert loop_class(cover, chain) != 0
     elapsed = time.perf_counter() - start

@@ -1,6 +1,7 @@
 """Tests for the mod-2 homology cover CW complex."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -31,6 +32,7 @@ from oracles import (
     face_chains,
     full_quotient,
     incidence,
+    lift,
     loop_class,
     random_letters,
     random_reduced_word,
@@ -88,21 +90,21 @@ def test_relator_lift_closes_with_trivial_class():
     cover = build_mod2_cover(2)
     relator = surface_relator(2)
     for v in range(cover.n_vertices):
-        chain, end = cover.lift(relator, v)
+        chain, end = lift(cover, relator, v)
         assert end == v
         assert loop_class(cover, chain) == 0
 
 
 def test_commutator_lift_has_nonzero_class():
     cover = build_mod2_cover(2)
-    chain, end = cover.lift(commutator(A1, B1), 0)
+    chain, end = lift(cover, commutator(A1, B1), 0)
     assert end == 0
     assert loop_class(cover, chain) != 0
 
 
 def test_fourth_power_chain_cancels_mod2():
     cover = build_mod2_cover(2)
-    chain, end = cover.lift(A1 * 4, 0)
+    chain, end = lift(cover, A1 * 4, 0)
     assert end == 0
     assert chain == 0
     assert loop_class(cover, chain) == 0
@@ -111,7 +113,7 @@ def test_fourth_power_chain_cancels_mod2():
 def test_generator_squares_have_nonzero_class():
     cover = build_mod2_cover(2)
     for letter in from_letters(range(1, 5)):
-        chain, end = cover.lift(letter * 2, 0)
+        chain, end = lift(cover, letter * 2, 0)
         assert end == 0
         assert chain != 0
         assert loop_class(cover, chain) != 0
@@ -127,7 +129,7 @@ def test_spanning_tree_paths(genus):
         word = cover.tree_words[v]
         assert len(word) == bin(v).count("1")
         assert abelianization_mod2(word, genus) == v
-        chain, end = cover.lift(word, 0)
+        chain, end = lift(cover, word, 0)
         assert end == v
         assert chain == chains[v]
     # Every tree edge ends some tree path, so the paths cover the tree.
@@ -163,7 +165,7 @@ def test_face_edges_are_the_relator_lift(genus):
     cover = build_mod2_cover(genus)
     relator = surface_relator(genus)
     for f in range(cover.n_faces):
-        chain, end = cover.lift(relator, f)
+        chain, end = lift(cover, relator, f)
         assert end == f
         edges = [e for e, _ in cover._face_edges(f)]
         assert sorted(edges) == [e for e in range(cover.n_edges) if chain >> e & 1]
@@ -183,6 +185,41 @@ def test_every_edge_lies_in_exactly_two_faces(genus):
     # The face named across an edge is the other face that holds it.
     for e, faces in pairs:
         assert faces == set(faces_of[e])
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_dual_graph_is_the_doubled_cube(genus):
+    # Face f meets f ^ a_i across two edges and f ^ b_i across two edges,
+    # and no other face: the dual graph is the 2g-cube with every edge
+    # doubled. The short-word kernel criterion rests on this.
+    cover = build_mod2_cover(genus)
+    faces_of = [[] for _ in range(cover.n_edges)]
+    for f in range(cover.n_faces):
+        across = Counter()
+        for e, g in cover._face_edges(f):
+            faces_of[e].append(f)
+            across[g] += 1
+        assert across == {f ^ (1 << j): 2 for j in range(2 * genus)}
+    for f, g in faces_of:
+        assert (f ^ g).bit_count() == 1
+
+
+def test_least_face_set_boundary_genus2():
+    # Harper's edge-isoperimetric inequality on the doubled 4-cube, by brute
+    # force: every set of the 16 faces, in Gray-code order, one face toggled
+    # per step. A boundary of 8 edges is one face or its complement, one of
+    # 12 two faces or their complement; any other nonzero boundary has 16.
+    faces = face_chains(build_mod2_cover(2))
+    least = [None] * 17
+    chain = members = 0
+    for i in range(1, 1 << 16):
+        j = (i & -i).bit_length() - 1
+        chain ^= faces[j]
+        members ^= 1 << j
+        size, edges = members.bit_count(), chain.bit_count()
+        if least[size] is None or edges < least[size]:
+            least[size] = edges
+    assert least[1:] == [8, 12, 16, 16, 20, 20, 20, 16, 20, 20, 20, 16, 16, 12, 8, 0]
 
 
 def _is_cocycle(cover, edges):
@@ -206,7 +243,7 @@ def test_separating_curve_certificates(genus):
         pairs = ((0, 1), (0, a), (b1, a), (b, 1))
         zk = {cover.edge_index(v, j) for v, j in pairs}
         assert len(zk) == 4 and _is_cocycle(cover, zk)
-        chain, end = cover.lift(separating_word(genus, k), 0)
+        chain, end = lift(cover, separating_word(genus, k), 0)
         assert end == 0
         assert [e for e in zk if chain >> e & 1] == [a1_edge]
         # No edge can be dropped, and Z_k's translate by a1 is a cocycle
@@ -242,7 +279,7 @@ def test_lift_endpoint_tracks_abelianization():
     for _ in range(200):
         w = random_reduced_word(rng, 2, rng.randrange(0, 12))
         start = rng.randrange(16)
-        _, end = cover.lift(w, start)
+        _, end = lift(cover, w, start)
         assert end == start ^ abelianization_mod2(w, 2)
 
 
@@ -250,7 +287,7 @@ def test_walk_class_matches_loop_class_for_closed_words():
     cover = build_mod2_cover(2)
     word = commutator(A1, B1)
     for v in (0, 3, 10):
-        chain, end = cover.lift(word, v)
+        chain, end = lift(cover, word, v)
         assert end == v
         assert cover.walk(word, v)[0] == loop_class(cover, chain)
 
@@ -262,7 +299,7 @@ def test_walk_accepts_open_words():
         cover.walk(from_letters((2, -3)), v)
 
 
-@pytest.mark.parametrize("method", ["walk", "lift"])
+@pytest.mark.parametrize("method", ["walk"])
 @pytest.mark.parametrize(
     "word, start", [(A1, -1), (A1, 16), ("", -1)], ids=["a1-minus1", "a1-16", "empty-minus1"]
 )
@@ -313,7 +350,7 @@ def test_edges_at_the_ends_of_their_ranges_accepted():
     assert cover.walk(cover.schreier_word(63), 0) == (cover.edge_classes[63], 0)
 
 
-@pytest.mark.parametrize("method", ["walk", "lift"])
+@pytest.mark.parametrize("method", ["walk"])
 def test_start_at_the_last_vertex_accepted(method):
     cover = build_mod2_cover(2)
     assert getattr(cover, method)(A1, 15)[1] == 14
@@ -322,26 +359,19 @@ def test_start_at_the_last_vertex_accepted(method):
 
 @pytest.mark.parametrize("genus", [2, 3, 4])
 def test_walk_reads_key_strings_as_words(genus):
-    # Reference: the edge classes XORed along the lift of the word's tuple
-    # of signed generator indices, edge by edge.
+    # Reference: the edge classes XORed over the chain of the oracle's lift,
+    # which reads the word back as signed generator indices.
     cover = build_mod2_cover(genus)
     rng = random.Random(genus)
     for _ in range(300):
-        letters = random_letters(rng, genus, rng.randrange(0, 20))
-        start = v = rng.randrange(cover.n_vertices)
-        h = chain = 0
-        for x in letters:
-            k = abs(x)
-            if x < 0:
-                v ^= 1 << (k - 1)
-            e = cover.edge_index(v, k)
-            h ^= cover.edge_classes[e]
-            chain ^= 1 << e
-            if x > 0:
-                v ^= 1 << (k - 1)
-        word = from_letters(letters)
+        word = from_letters(random_letters(rng, genus, rng.randrange(0, 20)))
+        start = rng.randrange(cover.n_vertices)
+        chain, v = lift(cover, word, start)
+        h = 0
+        for e in range(cover.n_edges):
+            if chain >> e & 1:
+                h ^= cover.edge_classes[e]
         assert cover.walk(word, start) == (h, v)
-        assert cover.lift(word, start) == (chain, v)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4])
@@ -384,9 +414,9 @@ def test_deck_action_is_involutive_homomorphism():
 def test_translate_chain_moves_face_boundaries():
     cover = build_mod2_cover(2)
     relator = surface_relator(2)
-    base_chain, _ = cover.lift(relator, 0)
+    base_chain, _ = lift(cover, relator, 0)
     for u in (1, 6, 15):
-        chain_u, _ = cover.lift(relator, u)
+        chain_u, _ = lift(cover, relator, u)
         assert translate_chain(cover, base_chain, u) == chain_u
 
 
@@ -435,7 +465,7 @@ def test_schreier_word_lifts_to_the_fundamental_cycle(genus):
     cover = build_mod2_cover(genus)
     for e, cycle in zip(cover.nontree_edges, cycle_basis(cover)):
         word = cover.schreier_word(e)
-        assert cover.lift(word, 0) == (cycle, 0)
+        assert lift(cover, word, 0) == (cycle, 0)
         assert cover.walk(word, 0) == (cover.edge_classes[e], 0)
 
 
@@ -448,7 +478,7 @@ def test_table_classes_match_quotient_coords_on_closed_lifts(genus):
     for _ in range(200):
         w = random_reduced_word(rng, genus, rng.randrange(0, 16))
         start = rng.randrange(cover.n_vertices)
-        chain, end = cover.lift(w, start)
+        chain, end = lift(cover, w, start)
         closed = chain ^ chains[start] ^ chains[end]
         h, walk_end = cover.walk(w, start)
         assert walk_end == end
@@ -501,7 +531,7 @@ def test_deck_action_matches_translated_basis_cycles():
 
 def test_loop_class_rejects_open_chain():
     cover = build_mod2_cover(2)
-    chain, end = cover.lift(A1, 0)
+    chain, end = lift(cover, A1, 0)
     assert end != 0
     with pytest.raises(ValueError):
         loop_class(cover, chain)

@@ -407,9 +407,17 @@ def test_generation_rejects_negative_depth():
 
 def test_depth_budget_covers_every_genus():
     # The default depth, and the depths the benchmark runs, stay allowed.
-    assert sorted(MAX_DEPTH) == list(range(2, MAX_GENUS + 1))
-    for genus in MAX_DEPTH:
+    for genus in range(2, MAX_GENUS + 1):
+        assert genus in MAX_DEPTH
         check_depth(6, genus)
+
+
+def test_no_depth_budget_above_the_table():
+    # A BFS at a genus the table does not list would run unbounded; a genus
+    # below 2 is check_min_genus's to refuse.
+    with pytest.raises(ResourceLimitError, match="^no depth budget at genus 7$"):
+        check_depth(1, 7)
+    check_depth(1, 1)
 
 
 @pytest.mark.parametrize("genus", sorted(MAX_DEPTH))

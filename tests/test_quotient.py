@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -41,9 +42,11 @@ from oracles import (
     cocycle,
     deck_action,
     deck_apply,
+    face_chains,
     image_rank_by_group_law,
     inv_by_deck_action,
     letter_order_key,
+    lift,
     literal_power,
     mul_by_deck_action,
     random_reduced_word,
@@ -465,11 +468,10 @@ def test_rho_and_in_kernel_reject_letters_outside_genus():
     "call",
     [
         lambda w: CTX.cover.walk(w, 5),
-        lambda w: CTX.cover.lift(w, 0),
         lambda w: rho(CTX, w),
         lambda w: verify_non_geometric(CTX, [SimpleClass(w, "a1", (), False)]),
     ],
-    ids=["walk", "lift", "rho", "verify_non_geometric"],
+    ids=["walk", "rho", "verify_non_geometric"],
 )
 def test_walks_raise_the_letter_check_error(call):
     # Each walk, and each caller of one, raises check_letters' own error,
@@ -500,3 +502,35 @@ def test_orbit_facts(ctx):
     assert len(witness) == 8
     assert in_kernel(ctx, witness)
     assert dehn_normal_form(witness, ctx.genus) == witness
+
+
+@pytest.mark.parametrize(
+    "ctx, kernel_len, single_face",
+    [(CTX, 11, {8: 1, 10: 32}), (CTX3, 10, {}), (CTX4, 8, {})],
+    ids=["g2", "g3", "g4"],
+)
+def test_short_kernel_words_bound_at_most_one_face(ctx, kernel_len, single_face):
+    # A word is in the kernel iff its lift from 0 closes and its edge chain
+    # bounds a face set. On the doubled 2g-cube, a nonzero boundary has at
+    # least 4g edges (one face or its complement) and any other at least
+    # 8g - 4, while the chain of a word has at most |w| edges.
+    genus, cover = ctx.genus, ctx.cover
+    faces = set(face_chains(cover))
+
+    def criterion(w):
+        chain, end = lift(cover, w, 0)
+        if len(w) < 4 * genus:
+            assert in_kernel(ctx, w) == (chain == 0)
+        assert in_kernel(ctx, w) == (end == 0 and (chain == 0 or chain in faces))
+        return chain
+
+    rng = random.Random(67 + genus)
+    for _ in range(3000):
+        criterion(random_reduced_word(rng, genus, rng.randrange(0, 8 * genus - 4)))
+    witnesses = search_kernel_elements(ctx, kernel_len)
+    assert kernel_len < 8 * genus - 4
+    on_one_face = Counter(len(w) for w in witnesses if criterion(w))
+    assert on_one_face == single_face
+    # Up to length 8, 8g(3g - 1) witnesses have chain 0 at every genus here.
+    up_to_8 = sum(len(w) <= 8 for w in witnesses)
+    assert up_to_8 == 8 * genus * (3 * genus - 1) + single_face.get(8, 0)

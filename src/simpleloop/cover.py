@@ -4,13 +4,13 @@ The base surface of genus g has one vertex, 2g loop edges and one face. Its
 mod-2 homology cover has deck group Z2^(2g): vertices are bitmasks v in
 [0, 2^(2g)), the lift of loop k starting at v is an edge from v to
 v ^ (1 << (k - 1)), and one face per vertex carries the lifted relator.
-Every edge carries its H1 class, from one tree-cotree pass over the faces:
-0 on the spanning tree, the class of its fundamental cycle otherwise. The
-class of any lifted loop, closed up through the tree, is then the XOR of
-these entries along the lift. CoverCW.walk computes it and is the one way
-from a lifted word to an H1 class: the finite quotient group and the lift
-lemma read the complex through it. Words are strings of letters, as in
-simpleloop.words, and walk follows each letter through one step table.
+One tree-cotree pass over the faces gives every edge its H1 class: 0 on the
+spanning tree, the class of its fundamental cycle otherwise. The class of
+any lifted loop, closed up through the tree, is then the XOR of these
+classes along the lift. CoverCW.walk computes it and is the one way from a
+lifted word to an H1 class: the finite quotient group and the lift lemma
+read the complex through it. Words are strings of letters, as in
+simpleloop.words, and walk reads one (class, end vertex) step per letter.
 """
 
 from .words import Word, check_letters, check_min_genus, from_letters, inverse
@@ -55,7 +55,7 @@ class CoverCW:
     The cells are not stored: edge_index and edge_endpoints name the edges,
     and face v is the lift of the surface relator from vertex v. The complex
     is read through walk, which follows each letter of a word through one
-    step table, keyed by letter, of (edge, end vertex) per start vertex.
+    step table, keyed by letter, of (H1 class, end vertex) per start vertex.
 
     Attributes:
         genus: genus of the base surface.
@@ -65,8 +65,6 @@ class CoverCW:
         nontree_edges: edges outside the spanning tree, ascending.
         h1_dim: dimension of H1 of the cover over GF(2), checked against
             2 * cover_genus(genus).
-        edge_classes: per edge, its H1 coordinates: 0 for a tree edge, the
-            class of its fundamental cycle for a non-tree edge.
         unit_cycle_words: per H1 coordinate j, a loop at vertex 0 of class
             1 << j: the Schreier word of basis edge j (non-tree, non-cotree).
     """
@@ -106,11 +104,11 @@ class CoverCW:
         """
         if not 0 <= start < self.n_vertices:
             self._outside("vertex", start)
-        steps, classes, h, v = self._steps, self.edge_classes, 0, start
+        steps, h, v = self._steps, 0, start
         try:
             for x in word:
-                e, v = steps[x][v]
-                h ^= classes[e]
+                c, v = steps[x][v]
+                h ^= c
         except KeyError:
             check_letters(word, self.genus)
             raise
@@ -123,7 +121,7 @@ class CoverCW:
         """Loop at vertex 0 that runs the tree to edge e, along it, and back.
 
         Its lift from 0 is the fundamental cycle of e, so for a non-tree
-        edge walk(schreier_word(e), 0) is (edge_classes[e], 0). Edges are
+        edge walk(schreier_word(e), 0) is (the class of e, 0). Edges are
         checked as in edge_endpoints.
         """
         v, w = self.edge_endpoints(e)
@@ -143,16 +141,6 @@ class CoverCW:
             tree_words += [w + letter for w in tree_words]
         self.tree_words = tuple(tree_words)
         self.nontree_edges = tuple(e for e in range(self.n_edges) if (e // n) >> (e % n))
-        # Step table by (letter, start vertex): generator k from v runs along
-        # edge (v, k) = v * n + k - 1 to v ^ bit; its inverse from v runs
-        # generator k's edge from v ^ bit backwards, also to v ^ bit.
-        self._steps = {}
-        vertices = range(self.n_vertices)
-        for k in range(1, n + 1):
-            bit = 1 << (k - 1)
-            letter = tree_words[bit]
-            forward = self._steps[letter] = tuple((v * n + k - 1, v ^ bit) for v in vertices)
-            self._steps[inverse(letter)] = tuple((forward[v ^ bit][0], v ^ bit) for v in vertices)
 
     def _face_edges(self, f: int):
         """Yield face f's 4g edges in relator order, each with the face across it."""
@@ -191,7 +179,15 @@ class CoverCW:
                 classes[e] = h
             elif h:
                 raise AssertionError("face 0 relation does not hold")
-        self.edge_classes = tuple(classes)
+        # Step table by (letter, start vertex) of (class, end vertex): generator
+        # j + 1 from v runs edge (v, j + 1) = v * n + j to v ^ 2^j; its inverse
+        # runs the same generator's edge from v ^ 2^j backwards, also to v ^ 2^j.
+        n, self._steps = 2 * self.genus, {}
+        for j, letter in enumerate(from_letters(range(1, n + 1))):
+            ends = [v ^ (1 << j) for v in range(self.n_vertices)]
+            forward = classes[j::n]
+            self._steps[letter] = tuple(zip(forward, ends))
+            self._steps[inverse(letter)] = tuple(zip([forward[w] for w in ends], ends))
         self.unit_cycle_words = tuple(self.schreier_word(e) for e in basis)
 
 

@@ -1,11 +1,14 @@
 """Slow reference paths shared by the tests.
 
 The package reads H1 classes of lifted words only through ``CoverCW.walk``,
-and builds its edge-class table by tree-cotree over the closed-form faces,
-with no elimination. These helpers compute the same classes the long way,
-by Gaussian elimination over full-width edge chains and by the group law,
-so the tests can check the table, the walk and the deck-symmetry argument
-of the lift lemma in ``verify_non_geometric`` against an independent path.
+and builds the classes of its step table by tree-cotree over the
+closed-form faces, with no elimination. These helpers compute the same
+classes the long way, by Gaussian elimination over full-width edge chains
+and by the group law, so the tests can check the table, the walk and the
+deck-symmetry argument of the lift lemma in ``verify_non_geometric``
+against an independent path. ``edge_classes`` is the per-edge reference:
+each edge's class from the GF(2) quotient, read off neither the step table
+nor ``CoverCW.walk``.
 ``abelianization_mod2`` reads a word's mod-2 class off its letters, the
 reference for the vertex a walk ends at.
 The package keeps no boundary matrices either: ``incidence`` and
@@ -23,6 +26,11 @@ parts of a product are twisted by it and by a spanning-tree cocycle.
 
 ``random_reduced_word`` draws the random words of the property tests.
 
+``census(g, L)`` counts the short kernel words with no code of the
+package: free conjugacy classes of words in the free group whose lift to
+the (Z/2)^k cube of the generators they use runs every edge an even number
+of times, found by meeting in the middle on signed-integer tuples.
+
 The package spells a word as a string, one character per letter. The word
 layer keeps its earlier spelling here as a reference: a word as a tuple of
 signed generator indices (+k for generator k, -k for its inverse), with
@@ -39,6 +47,7 @@ period that divides the length.
 """
 
 import functools
+import math
 import random
 
 from simpleloop.curves import SimpleClass, root_word, standard_curves, twist_table
@@ -161,6 +170,64 @@ def tuple_dehn_normal_form(w, genus: int) -> tuple:
     return w
 
 
+@functools.cache
+def _cube_halves(k: int, m: int) -> dict:
+    """Reduced words of length m over generators 1..k, as signed-integer
+    tuples, keyed by the end vertex and the odd-edge bitmask of their lift
+    from 0 in the (Z/2)^k cube: generator j from v runs edge (v, j), and
+    its inverse from v runs edge (v ^ bit, j) backwards."""
+    if m == 0:
+        return {(0, 0): [()]}
+    grown = {}
+    for (v, odd), words in _cube_halves(k, m - 1).items():
+        for x in (*range(1, k + 1), *range(-k, 0)):
+            bit = 1 << (abs(x) - 1)
+            edge = (v if x > 0 else v ^ bit) * k + abs(x) - 1
+            grown.setdefault((v ^ bit, odd ^ (1 << edge)), []).extend(
+                w + (x,) for w in words if not w or w[-1] != -x
+            )
+    return grown
+
+
+@functools.cache
+def even_cube_classes(k: int, n: int) -> int:
+    """Free conjugacy classes, up to inversion, of cyclically reduced words
+    of length n that use each of generators 1..k and whose lift from 0 runs
+    every edge of the (Z/2)^k cube an even number of times.
+
+    A word u v^-1 (|u| = ceil(n/2), |v| = floor(n/2)) has such a lift exactly
+    when u and v share their ``_cube_halves`` key.
+    """
+    classes = set()
+    halves = _cube_halves(k, n // 2)
+    for key, us in _cube_halves(k, (n + 1) // 2).items():
+        for v in halves.get(key, ()):
+            for u in us:
+                if v and (u[-1] == v[-1] or u[0] == v[0]):
+                    continue
+                w = u + tuple_inverse(v)
+                if len({abs(x) for x in w}) == k:
+                    keys = []
+                    for side in (w, tuple_inverse(w)):
+                        order = [letter_order_key(x) for x in side]
+                        keys += [tuple(order[i:] + order[:i]) for i in range(n)]
+                    classes.add(min(keys))
+    return len(classes)
+
+
+def census(genus: int, max_len: int) -> int:
+    """Short kernel words by count: the sum over k of C(2g, k) N_k(L).
+
+    N_k(L) is ``even_cube_classes(k, n)`` summed over n <= L: each class
+    uses exactly k of the 2g generators, which the binomial chooses. A
+    generator used once runs one edge once, so k <= L / 2.
+    """
+    return sum(
+        math.comb(2 * genus, k) * sum(even_cube_classes(k, n) for n in range(1, max_len + 1))
+        for k in range(1, min(2 * genus, max_len // 2) + 1)
+    )
+
+
 def tree_chains(cover) -> tuple[int, ...]:
     """Per vertex, the edge chain of the breadth-first tree path from 0.
 
@@ -232,7 +299,7 @@ def full_quotient(cover) -> QuotientMap:
 
     Eliminates the fundamental cycles against the lifted faces without
     contracting the tree or growing a cotree, so its coordinates check the
-    cover's edge table. The cycles that ``unit_cycle_words`` lift to go
+    cover's step table. The cycles that ``unit_cycle_words`` lift to go
     first, so cycle j gets coordinates 1 << j only if they are independent
     modulo the faces: then both sides use the same basis.
     """
@@ -240,6 +307,17 @@ def full_quotient(cover) -> QuotientMap:
     first = set(units)
     cycles = units + [c for c in cycle_basis(cover) if c not in first]
     return QuotientMap(cycles, face_chains(cover))
+
+
+@functools.cache
+def edge_classes(cover) -> tuple[int, ...]:
+    """Per edge, its H1 coordinates from the GF(2) quotient: 0 on a tree
+    edge, the coordinates of its fundamental cycle on a non-tree edge."""
+    quotient = full_quotient(cover)
+    classes = [0] * cover.n_edges
+    for e, cycle in zip(cover.nontree_edges, cycle_basis(cover)):
+        classes[e] = coords(quotient, cycle)
+    return tuple(classes)
 
 
 def image_rank_by_group_law(ctx, n_samples: int = 500, seed: int = 0) -> dict:
@@ -281,7 +359,7 @@ def loop_class(cover, chain: int) -> int:
     if chain < 0 or chain >> cover.n_edges:
         raise ValueError("chain has bits outside the edge range")
     width = 2 * cover.genus
-    classes = cover.edge_classes
+    classes = edge_classes(cover)
     h = 0
     boundary = 0
     while chain:

@@ -14,7 +14,7 @@ from simpleloop.cover import (
     group_order_log2,
 )
 from simpleloop.gf2 import GF2Matrix, kernel_basis, rank
-from simpleloop.quotient import GroupContext, search_kernel_elements
+from simpleloop.quotient import GroupContext, image_rank, search_kernel_elements
 from simpleloop.realize import recipe_for_G
 from simpleloop.words import (
     commutator,
@@ -29,6 +29,7 @@ from oracles import (
     cycle_basis,
     deck_action,
     deck_apply,
+    edge_classes,
     face_chains,
     full_quotient,
     incidence,
@@ -187,11 +188,13 @@ def test_every_edge_lies_in_exactly_two_faces(genus):
         assert faces == set(faces_of[e])
 
 
-@pytest.mark.parametrize("genus", [2, 3, 4])
-def test_dual_graph_is_the_doubled_cube(genus):
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_dual_graph_is_the_doubled_cube(genus, monkeypatch):
     # Face f meets f ^ a_i across two edges and f ^ b_i across two edges,
     # and no other face: the dual graph is the 2g-cube with every edge
-    # doubled. The short-word kernel criterion rests on this.
+    # doubled. The short-word kernel criterion rests on this. Genus 5 runs
+    # with the genus cap raised.
+    monkeypatch.setattr(cover_module, "MAX_GENUS", 5)
     cover = build_mod2_cover(genus)
     faces_of = [[] for _ in range(cover.n_edges)]
     for f in range(cover.n_faces):
@@ -347,7 +350,7 @@ def test_edges_at_the_ends_of_their_ranges_accepted():
     assert cover.edge_index(15, 4) == 63
     assert cover.edge_endpoints(0) == (0, 1)
     assert cover.edge_endpoints(63) == (15, 7)
-    assert cover.walk(cover.schreier_word(63), 0) == (cover.edge_classes[63], 0)
+    assert cover.walk(cover.schreier_word(63), 0) == (edge_classes(cover)[63], 0)
 
 
 @pytest.mark.parametrize("method", ["walk"])
@@ -359,9 +362,10 @@ def test_start_at_the_last_vertex_accepted(method):
 
 @pytest.mark.parametrize("genus", [2, 3, 4])
 def test_walk_reads_key_strings_as_words(genus):
-    # Reference: the edge classes XORed over the chain of the oracle's lift,
+    # Reference: the oracle's edge classes XORed over the chain of its lift,
     # which reads the word back as signed generator indices.
     cover = build_mod2_cover(genus)
+    classes = edge_classes(cover)
     rng = random.Random(genus)
     for _ in range(300):
         word = from_letters(random_letters(rng, genus, rng.randrange(0, 20)))
@@ -370,25 +374,27 @@ def test_walk_reads_key_strings_as_words(genus):
         h = 0
         for e in range(cover.n_edges):
             if chain >> e & 1:
-                h ^= cover.edge_classes[e]
+                h ^= classes[e]
         assert cover.walk(word, start) == (h, v)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4])
 def test_step_table_is_the_closed_form(genus):
-    # Generator k from v: edge (v, k), ending at v ^ bit; its inverse from v:
-    # the same edge from v ^ bit, run backwards to v ^ bit.
+    # Generator k from v: the class of edge (v, k), ending at v ^ bit; its
+    # inverse from v: the class of the same edge from v ^ bit, run backwards
+    # to v ^ bit.
     cover = build_mod2_cover(genus)
+    classes = edge_classes(cover)
     letters = from_letters(x for k in range(1, 2 * genus + 1) for x in (k, -k))
     assert sorted(cover._steps) == sorted(letters)
     for k in range(1, 2 * genus + 1):
         bit = 1 << (k - 1)
         forward, back = (cover._steps[x] for x in from_letters((k, -k)))
         assert forward == tuple(
-            (cover.edge_index(v, k), v ^ bit) for v in range(cover.n_vertices)
+            (classes[cover.edge_index(v, k)], v ^ bit) for v in range(cover.n_vertices)
         )
         assert back == tuple(
-            (cover.edge_index(v ^ bit, k), v ^ bit) for v in range(cover.n_vertices)
+            (classes[cover.edge_index(v ^ bit, k)], v ^ bit) for v in range(cover.n_vertices)
         )
 
 
@@ -441,6 +447,21 @@ def test_genus3_cover_dimensions():
     assert cover.h1_dim == 258
 
 
+def test_genus5_cover_with_the_cap_raised(monkeypatch):
+    # The cover fits genus 5; the cap waits on the twist-depth and kernel
+    # search budgets. image_rank walks every unit cycle word.
+    monkeypatch.setattr(cover_module, "MAX_GENUS", 5)
+    cover = CoverCW(5)
+    assert cover.n_vertices == cover.n_faces == 1024
+    assert cover.h1_dim == 8194 == 2 * cover_genus(5)
+    assert image_rank(GroupContext(cover)) == {
+        "v_rank": 10,
+        "h_rank": 8194,
+        "v_dim": 10,
+        "h_dim": 8194,
+    }
+
+
 def test_genus_bounds():
     with pytest.raises(ValueError):
         build_mod2_cover(1)
@@ -450,14 +471,15 @@ def test_genus_bounds():
 
 @pytest.mark.parametrize("genus", [2, 3, 4])
 def test_edge_classes_are_fundamental_cycle_classes(genus):
+    # Every single-letter walk: generator k from v adds the class of edge
+    # (v, k), which the oracle takes from the GF(2) quotient (0 on a tree
+    # edge, the class of its fundamental cycle otherwise), and ends at v ^ bit.
     cover = build_mod2_cover(genus)
-    quotient = full_quotient(cover)
-    nontree = set(cover.nontree_edges)
-    for e in range(cover.n_edges):
-        if e not in nontree:
-            assert cover.edge_classes[e] == 0
-    for e, cycle in zip(cover.nontree_edges, cycle_basis(cover)):
-        assert cover.edge_classes[e] == coords(quotient, cycle)
+    classes = edge_classes(cover)
+    for k, letter in enumerate(from_letters(range(1, 2 * genus + 1)), 1):
+        bit = 1 << (k - 1)
+        for v in range(cover.n_vertices):
+            assert cover.walk(letter, v) == (classes[cover.edge_index(v, k)], v ^ bit)
 
 
 @pytest.mark.parametrize("genus", [2, 3])
@@ -466,7 +488,7 @@ def test_schreier_word_lifts_to_the_fundamental_cycle(genus):
     for e, cycle in zip(cover.nontree_edges, cycle_basis(cover)):
         word = cover.schreier_word(e)
         assert lift(cover, word, 0) == (cycle, 0)
-        assert cover.walk(word, 0) == (cover.edge_classes[e], 0)
+        assert cover.walk(word, 0) == (edge_classes(cover)[e], 0)
 
 
 @pytest.mark.parametrize("genus", [2, 3])

@@ -35,13 +35,16 @@ from simpleloop.words import (
     separating_word,
     substitute,
     surface_relator,
+    word_from_str,
 )
 
 from oracles import (
     abelianization_mod2,
+    census,
     cocycle,
     deck_action,
     deck_apply,
+    even_cube_classes,
     face_chains,
     image_rank_by_group_law,
     inv_by_deck_action,
@@ -534,3 +537,45 @@ def test_short_kernel_words_bound_at_most_one_face(ctx, kernel_len, single_face)
     # Up to length 8, 8g(3g - 1) witnesses have chain 0 at every genus here.
     up_to_8 = sum(len(w) <= 8 for w in witnesses)
     assert up_to_8 == 8 * genus * (3 * genus - 1) + single_face.get(8, 0)
+
+
+def test_census_counts_by_generator_count():
+    # N_k(L), k = 1..5: a^4 from length 4, a^8 and 12 two-generator classes
+    # such as [a^2, b^2] from length 8, and three generators from length 10.
+    def n(max_len):
+        return tuple(
+            sum(even_cube_classes(k, m) for m in range(1, max_len + 1)) for k in range(1, 6)
+        )
+
+    assert [n(L) for L in range(1, 4)] == [(0,) * 5] * 3
+    assert [n(L) for L in range(4, 8)] == [(1, 0, 0, 0, 0)] * 4
+    assert n(8) == n(9) == (2, 12, 0, 0, 0)
+    assert n(10) == (2, 48, 12, 0, 0)
+    assert [census(g, 8) for g in (2, 3, 4)] == [8 * g * (3 * g - 1) for g in (2, 3, 4)]
+    assert census(3, 10) == 972
+
+
+@pytest.mark.parametrize(
+    "ctx, kernel_len, counts",
+    [
+        (CTX, 8, [0, 0, 0, 4, 4, 4, 4, 81]),
+        (CTX3, 10, [0, 0, 0, 6, 6, 6, 6, 192, 192, 972]),
+        (CTX4, 8, [0, 0, 0, 8, 8, 8, 8, 352]),
+    ],
+    ids=["g2", "g3", "g4"],
+)
+def test_search_counts_the_census_below_length_4g(ctx, kernel_len, counts):
+    # Below length 4g the kernel words are the words of [E, E]E^2, E the
+    # free subgroup of words with even exponent sums, which the census
+    # counts without the package. From length 4g the relator adds words:
+    # at genus 2 and length 8, one face's boundary.
+    genus = ctx.genus
+    witnesses = search_kernel_elements(ctx, kernel_len)
+    found = [sum(len(w) <= L for w in witnesses) for L in range(1, kernel_len + 1)]
+    assert found == counts
+    for L in range(1, min(kernel_len, 4 * genus - 1) + 1):
+        assert found[L - 1] == census(genus, L)
+    if kernel_len >= 4 * genus:
+        face = word_from_str("a1 b1 A1 B1 b2 a2 B2 A2", genus)
+        assert found[4 * genus - 1] == census(genus, 4 * genus) + 1
+        assert [w for w in witnesses if lift(ctx.cover, w, 0)[0]] == [face]

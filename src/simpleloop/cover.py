@@ -52,21 +52,18 @@ def group_order_log2(genus: int) -> int:
 class CoverCW:
     """CW complex of the mod-2 homology cover of a genus-g surface.
 
-    The cells are not stored: edge_index and edge_endpoints name the edges,
-    and face v is the lift of the surface relator from vertex v. The complex
-    is read through walk, which follows each letter of a word through one
-    step table, keyed by letter, of (H1 class, end vertex) per start vertex.
+    The cells are not stored: face v is the lift of the surface relator from
+    vertex v, and edge (v, k) the lift of loop k from v. The complex is read
+    through walk, which follows each letter of a word through one step
+    table, keyed by letter, of (H1 class, end vertex) per start vertex.
 
     Attributes:
         genus: genus of the base surface.
         n_vertices, n_edges, n_faces: cell counts (2^2g, 2g*2^2g, 2^2g).
-        tree_words: per vertex v, the tree path from 0: the generators of
-            the set bits of v, ascending.
-        nontree_edges: edges outside the spanning tree, ascending.
         h1_dim: dimension of H1 of the cover over GF(2), checked against
             2 * cover_genus(genus).
         unit_cycle_words: per H1 coordinate j, a loop at vertex 0 of class
-            1 << j: the Schreier word of basis edge j (non-tree, non-cotree).
+            1 << j: the tree path to basis edge j, along it, and back.
     """
 
     def __init__(self, genus: int):
@@ -75,23 +72,7 @@ class CoverCW:
         self.n_vertices = 1 << (2 * genus)
         self.n_edges = self.n_vertices * 2 * genus
         self.n_faces = self.n_vertices
-        self._build_tree()
         self._build_h1()
-
-    def edge_index(self, v: int, k: int) -> int:
-        """Index of the lift of loop k (1-based) from vertex v; ValueError outside the genus."""
-        if not 0 <= v < self.n_vertices:
-            self._outside("vertex", v)
-        if not 1 <= k <= 2 * self.genus:
-            self._outside("generator", k)
-        return v * (2 * self.genus) + (k - 1)
-
-    def edge_endpoints(self, e: int) -> tuple[int, int]:
-        """Start and end vertex of edge e; an edge outside the genus raises ValueError."""
-        if not 0 <= e < self.n_edges:
-            self._outside("edge", e)
-        v, j = divmod(e, 2 * self.genus)
-        return v, v ^ (1 << j)
 
     def walk(self, word: Word, start: int) -> tuple[int, int]:
         """XOR the edge classes along a word's lift from a start vertex.
@@ -103,7 +84,7 @@ class CoverCW:
             a start outside range(n_vertices) one naming the vertex.
         """
         if not 0 <= start < self.n_vertices:
-            self._outside("vertex", start)
+            raise ValueError("vertex %d outside genus %d" % (start, self.genus))
         steps, h, v = self._steps, 0, start
         try:
             for x in word:
@@ -114,49 +95,30 @@ class CoverCW:
             raise
         return h, v
 
-    def _outside(self, kind: str, value: int):
-        raise ValueError("%s %d outside genus %d" % (kind, value, self.genus))
-
-    def schreier_word(self, e: int) -> Word:
-        """Loop at vertex 0 that runs the tree to edge e, along it, and back.
-
-        Its lift from 0 is the fundamental cycle of e, so for a non-tree
-        edge walk(schreier_word(e), 0) is (the class of e, 0). Edges are
-        checked as in edge_endpoints.
-        """
-        v, w = self.edge_endpoints(e)
-        # The tree path to the one-bit vertex 1 << j is generator j + 1.
-        letter = self.tree_words[v ^ w]
-        return self.tree_words[v] + letter + inverse(self.tree_words[w])
-
-    def _build_tree(self) -> None:
-        # The tree path to v spells the set bits of v in ascending order, so
-        # the tree edge into v != 0 is the lift of v's top letter from v with
-        # that bit cleared: edge (u, k) is a tree edge exactly when
-        # u < 2^(k - 1).
-        n = 2 * self.genus
-        # The path to v in [2^j, 2^(j+1)) is the path to v - 2^j, then j + 1.
-        tree_words = [""]
-        for letter in from_letters(range(1, n + 1)):
-            tree_words += [w + letter for w in tree_words]
-        self.tree_words = tuple(tree_words)
-        self.nontree_edges = tuple(e for e in range(self.n_edges) if (e // n) >> (e % n))
-
     def _face_edges(self, f: int):
-        """Yield face f's 4g edges in relator order, each with the face across it."""
-        for k in range(1, 2 * self.genus, 2):
-            a, b = 1 << (k - 1), 1 << k
-            yield self.edge_index(f, k), f ^ b
-            yield self.edge_index(f ^ a, k + 1), f ^ a
-            yield self.edge_index(f ^ b, k), f ^ b
-            yield self.edge_index(f, k + 1), f ^ a
+        """Yield face f's 4g edges in relator order, each with the face across it.
+
+        Edge (v, k), the lift of loop k from v, is numbered v * 2g + k - 1.
+        """
+        n = 2 * self.genus
+        for j in range(0, n, 2):
+            a, b = 1 << j, 1 << (j + 1)
+            yield f * n + j, f ^ b
+            yield (f ^ a) * n + j + 1, f ^ a
+            yield (f ^ b) * n + j, f ^ b
+            yield f * n + j + 1, f ^ a
 
     def _build_h1(self) -> None:
+        # The tree path from 0 to v spells the set bits of v in ascending
+        # order, so the tree edge into v != 0 is the lift of v's top letter
+        # from v with that bit cleared: edge (u, k) is a tree edge exactly
+        # when u < 2^(k - 1).
+        n = 2 * self.genus
+        nontree = {e for e in range(self.n_edges) if (e // n) >> (e % n)}
         # Tree-cotree: a BFS over the faces from face 0, crossing non-tree
         # edges only, grows the cotree; the non-tree edges left over are the
         # basis. Leaves first, each face gives its cotree edge the XOR of its
         # other edges. Face 0's relation follows (each edge is in two faces).
-        nontree = set(self.nontree_edges)
         cotree = {0: None}
         order = [0]
         for f in order:
@@ -182,13 +144,21 @@ class CoverCW:
         # Step table by (letter, start vertex) of (class, end vertex): generator
         # j + 1 from v runs edge (v, j + 1) = v * n + j to v ^ 2^j; its inverse
         # runs the same generator's edge from v ^ 2^j backwards, also to v ^ 2^j.
-        n, self._steps = 2 * self.genus, {}
-        for j, letter in enumerate(from_letters(range(1, n + 1))):
+        letters, self._steps = from_letters(range(1, n + 1)), {}
+        for j, letter in enumerate(letters):
             ends = [v ^ (1 << j) for v in range(self.n_vertices)]
             forward = classes[j::n]
             self._steps[letter] = tuple(zip(forward, ends))
             self._steps[inverse(letter)] = tuple(zip([forward[w] for w in ends], ends))
-        self.unit_cycle_words = tuple(self.schreier_word(e) for e in basis)
+        # The path to v in [2^j, 2^(j+1)) is the path to v - 2^j, then j + 1.
+        tree_words = [""]
+        for letter in letters:
+            tree_words += [w + letter for w in tree_words]
+        # Basis edge (v, j + 1): the tree path to v, the edge, the path back.
+        self.unit_cycle_words = tuple(
+            tree_words[v] + letters[j] + inverse(tree_words[v ^ (1 << j)])
+            for v, j in (divmod(e, n) for e in basis)
+        )
 
 
 def build_mod2_cover(genus: int) -> CoverCW:

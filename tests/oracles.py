@@ -13,9 +13,12 @@ nor ``CoverCW.walk``.
 reference for the vertex a walk ends at.
 The package keeps no boundary matrices either: ``incidence`` and
 ``face_chains`` (the relator lifted from each vertex) state the cover's
-chain complex in full, so the tests can check that it is one. ``lift``
-gives a word's full-width edge chain from the closed form of the edges,
-one ``edge_index`` per letter, and never reads the step table that
+chain complex in full, so the tests can check that it is one. The cover
+keeps its edge numbering and spanning tree to itself; ``edge_index``,
+``edge_endpoints``, ``nontree_edges`` and ``tree_words`` state them here in
+closed form, so a wrong numbering in the build fails the tests instead of
+being shared by them. ``lift`` gives a word's full-width edge chain, one
+``edge_index`` per letter, and never reads the step table that
 ``CoverCW.walk`` follows; the face chains, the cycles of ``full_quotient``
 and the chain tests of the walk all come from it.
 
@@ -228,6 +231,40 @@ def census(genus: int, max_len: int) -> int:
     )
 
 
+def edge_index(cover, v: int, k: int) -> int:
+    """Index of edge (v, k), the lift of generator k (1-based) from vertex v."""
+    return v * 2 * cover.genus + k - 1
+
+
+def edge_endpoints(cover, e: int) -> tuple[int, int]:
+    """Start and end vertex of edge e: the lift of generator k flips bit k - 1."""
+    v, j = divmod(e, 2 * cover.genus)
+    return v, v ^ (1 << j)
+
+
+@functools.cache
+def tree_words(cover) -> tuple[str, ...]:
+    """Per vertex v, the tree path from 0: the generators of the set bits of
+    v, ascending."""
+    n = 2 * cover.genus
+    return tuple(
+        from_letters(k for k in range(1, n + 1) if v >> (k - 1) & 1)
+        for v in range(cover.n_vertices)
+    )
+
+
+@functools.cache
+def nontree_edges(cover) -> tuple[int, ...]:
+    """Edges off the spanning tree of ``tree_words``, ascending: edge (u, k)
+    with u >= 2^(k - 1), as the tree edge into v is v's top letter."""
+    return tuple(
+        edge_index(cover, u, k)
+        for u in range(cover.n_vertices)
+        for k in range(1, 2 * cover.genus + 1)
+        if u >> (k - 1)
+    )
+
+
 def tree_chains(cover) -> tuple[int, ...]:
     """Per vertex, the edge chain of the breadth-first tree path from 0.
 
@@ -246,7 +283,7 @@ def tree_chains(cover) -> tuple[int, ...]:
                 w = v ^ (1 << (k - 1))
                 if not seen[w]:
                     seen[w] = True
-                    chains[w] = chains[v] ^ (1 << cover.edge_index(v, k))
+                    chains[w] = chains[v] ^ (1 << edge_index(cover, v, k))
                     next_queue.append(w)
         queue = next_queue
     return tuple(chains)
@@ -256,8 +293,8 @@ def cycle_basis(cover) -> tuple[int, ...]:
     """One full-width fundamental cycle per non-tree edge, in edge order."""
     chains = tree_chains(cover)
     cycles = []
-    for e in cover.nontree_edges:
-        v, w = cover.edge_endpoints(e)
+    for e in nontree_edges(cover):
+        v, w = edge_endpoints(cover, e)
         cycles.append(chains[v] ^ (1 << e) ^ chains[w])
     return tuple(cycles)
 
@@ -266,7 +303,7 @@ def incidence(cover) -> GF2Matrix:
     """Vertex-by-edge boundary matrix: row v marks the edges that end at v."""
     rows = [0] * cover.n_vertices
     for e in range(cover.n_edges):
-        v, w = cover.edge_endpoints(e)
+        v, w = edge_endpoints(cover, e)
         rows[v] |= 1 << e
         rows[w] |= 1 << e
     return GF2Matrix(cover.n_vertices, cover.n_edges, tuple(rows))
@@ -283,7 +320,7 @@ def lift(cover, word: str, start: int) -> tuple[int, int]:
     for x in to_letters(word):
         k = abs(x)
         bit = 1 << (k - 1)
-        chain ^= 1 << cover.edge_index(v if x > 0 else v ^ bit, k)
+        chain ^= 1 << edge_index(cover, v if x > 0 else v ^ bit, k)
         v ^= bit
     return chain, v
 
@@ -315,7 +352,7 @@ def edge_classes(cover) -> tuple[int, ...]:
     edge, the coordinates of its fundamental cycle on a non-tree edge."""
     quotient = full_quotient(cover)
     classes = [0] * cover.n_edges
-    for e, cycle in zip(cover.nontree_edges, cycle_basis(cover)):
+    for e, cycle in zip(nontree_edges(cover), cycle_basis(cover)):
         classes[e] = coords(quotient, cycle)
     return tuple(classes)
 
@@ -358,15 +395,14 @@ def loop_class(cover, chain: int) -> int:
     """H1 coordinates of a closed edge chain (raises if not a cycle)."""
     if chain < 0 or chain >> cover.n_edges:
         raise ValueError("chain has bits outside the edge range")
-    width = 2 * cover.genus
     classes = edge_classes(cover)
     h = 0
     boundary = 0
     while chain:
         low = chain & -chain
         e = low.bit_length() - 1
-        v, j = divmod(e, width)
-        boundary ^= (1 << v) ^ (1 << (v ^ (1 << j)))
+        v, w = edge_endpoints(cover, e)
+        boundary ^= (1 << v) ^ (1 << w)
         h ^= classes[e]
         chain ^= low
     if boundary:
@@ -384,6 +420,7 @@ def translate_chain(cover, chain: int, u: int) -> int:
         low = chain & -chain
         e = low.bit_length() - 1
         v, j = divmod(e, width)
+        # edge_index(cover, v ^ u, j + 1), inlined in this hot loop
         out |= 1 << ((v ^ u) * width + j)
         chain ^= low
     return out
@@ -443,7 +480,7 @@ def cocycle(cover, v1: int, v2: int) -> int:
     Only the middle leg, the tree path to v2 translated to start at v1,
     leaves the spanning tree.
     """
-    return cover.walk(cover.tree_words[v2], v1)[0]
+    return cover.walk(tree_words(cover)[v2], v1)[0]
 
 
 def mul_by_deck_action(cover, x, y):

@@ -116,11 +116,21 @@ def test_sweep_help_states_the_budgets(capsys):
     depth = ", ".join("%d at genus %d" % (MAX_DEPTH[g], g) for g in (2, 3, 4))
     assert "standard curve, at most %s" % depth in text
     assert "the 3g - 1 standard curves are kept at any length" in text
-    stated = re.search(r"at most (\d+) at genus 2, (\d+) at genus 3, (\d+) at genus 4:", text)
-    for genus, longest in zip((2, 3, 4), map(int, stated.groups())):
-        check_search_budget(genus, longest)
+
+
+def test_kernel_len_help_states_the_search_budget(capsys):
+    # The help spells the longest kernel length per genus by hand: it must
+    # name every genus the cap allows, each with the largest length that
+    # check_search_budget accepts there.
+    text = help_text(capsys, "verify")
+    stated = re.search(r"longest kernel word searched, at most (.*?): its half-words", text)
+    pairs = re.findall(r"(\d+) at genus (\d+)", stated.group(1))
+    longest = {int(genus): int(length) for length, genus in pairs}
+    assert sorted(longest) == list(range(2, MAX_GENUS + 1))
+    for genus, length in longest.items():
+        check_search_budget(genus, length)
         with pytest.raises(ResourceLimitError):
-            check_search_budget(genus, longest + 1)
+            check_search_budget(genus, length + 1)
 
 
 def test_verify_depth0_ok(capsys):

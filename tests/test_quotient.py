@@ -1,5 +1,6 @@
 """Tests for rho, the group law it respects, and the kernel search."""
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -74,6 +75,13 @@ CTX = make_ctx()
 CTX3 = make_ctx(3)
 CTX4 = make_ctx(4)
 A1, B1 = from_letters((1, 2))
+
+
+@functools.cache
+def shared_search(ctx, max_len):
+    """One kernel search per context and length bound, for tests that only
+    read its witnesses."""
+    return tuple(search_kernel_elements(ctx, max_len))
 
 
 def dfs_search_kernel_elements(ctx: GroupContext, max_len: int) -> list[Word]:
@@ -530,7 +538,7 @@ def test_short_kernel_words_bound_at_most_one_face(ctx, kernel_len, single_face)
     rng = random.Random(67 + genus)
     for _ in range(3000):
         criterion(random_reduced_word(rng, genus, rng.randrange(0, 8 * genus - 4)))
-    witnesses = search_kernel_elements(ctx, kernel_len)
+    witnesses = shared_search(ctx, kernel_len)
     assert kernel_len < 8 * genus - 4
     on_one_face = Counter(len(w) for w in witnesses if criterion(w))
     assert on_one_face == single_face
@@ -570,7 +578,7 @@ def test_search_counts_the_census_below_length_4g(ctx, kernel_len, counts):
     # counts without the package. From length 4g the relator adds words:
     # at genus 2 and length 8, one face's boundary.
     genus = ctx.genus
-    witnesses = search_kernel_elements(ctx, kernel_len)
+    witnesses = shared_search(ctx, kernel_len)
     found = [sum(len(w) <= L for w in witnesses) for L in range(1, kernel_len + 1)]
     assert found == counts
     for L in range(1, min(kernel_len, 4 * genus - 1) + 1):

@@ -62,6 +62,11 @@ def _connector_word(i: int) -> Word:
     return from_letters((-(2 * i + 1), 2 * i, 2 * i - 1, -(2 * i)))
 
 
+def _partner(name: str) -> str:
+    """Name of the inverse twist of a table entry."""
+    return name[:-4] if name.endswith("_inv") else name + "_inv"
+
+
 def _validate_table(genus: int, table: dict[str, dict[int, Word]]) -> None:
     relator = surface_relator(genus)
     for name, images in table.items():
@@ -134,7 +139,7 @@ def commuting_twists(genus: int) -> frozenset[tuple[str, str]]:
     either twist moves (on the others both are the identity), or without
     substituting when neither twist moves a generator that the other moves
     or uses in its images. Substitution is a free group homomorphism, so
-    such twists commute on every word.
+    such twists commute on every word. Each twist pairs with its inverse.
     """
     table = twist_table(genus)
     names = sorted(table)
@@ -216,11 +221,6 @@ def check_depth(depth: int, genus: int | None = None) -> None:
         )
 
 
-def _partner(name: str) -> str:
-    """Name of the inverse twist of a table entry."""
-    return name[:-4] if name.endswith("_inv") else name + "_inv"
-
-
 def generate_simple_classes(
     genus: int, depth: int, max_len: int
 ) -> list[SimpleClass]:
@@ -235,28 +235,23 @@ def generate_simple_classes(
     class takes its separating flag from its parent, since twists are
     homeomorphisms.
 
-    Three kinds of twist are skipped at a class c = class(t(p)), found by
-    applying twist t to its parent p. Each would only give an image that is
-    already seen or over max_len, so the output is the same as when every
-    twist is tried.
-
-    - The undo twist, t's partner: _validate_table certifies that it undoes
-      t on every generator, so the image is p.
-    - A twist that moves no generator occurring in c: the image is c.
-    - A twist s that commutes with t (commuting_twists) when m = class(s(p))
-      was discovered before c. Classes are numbered in discovery order,
-      which is also the order in which they are expanded. Now class(s(c)) =
-      class(t(m)), and m was expanded before c: there t was evaluated, or
-      skipped by one of these rules, so class(t(m)) is already seen or over
-      max_len. A class discovered after c is expanded after it too, so
-      without the "before c" test s(c) could be skipped at c and found
-      later under another certificate.
+    A twist s is skipped at a class c = class(t(p)), found by applying twist
+    t to its parent p, when s commutes with t (commuting_twists) and m =
+    class(s(p)) was discovered before c. Classes are numbered in discovery
+    order, which is also the order in which they are expanded. Now
+    class(s(c)) = class(t(m)), and m was expanded before c: there t was
+    evaluated, or skipped by this rule, so class(t(m)) is already seen or
+    over max_len, and the output is the same as when every twist is tried.
+    A class discovered after c is expanded after it too, so without the
+    "before c" test s(c) could be skipped at c and found later under
+    another certificate. Every twist commutes with its inverse, so the rule
+    also skips t's inverse at c whenever class(t^-1(p)) was found before c.
 
     The record of an expanded class lists, per twist, the number of its
-    image class, or inf when that is over max_len. A skip of the third kind
-    defers c's entry for s: it is m's entry for t, copied when c's images
-    are numbered. m's record is final by then, as m is at an earlier level
-    or its images were numbered earlier in the same class order.
+    image class, or inf when that is over max_len. A skip defers c's entry
+    for s: it is m's entry for t, copied when c's images are numbered. m's
+    record is final by then, as m is at an earlier level or its images were
+    numbered earlier in the same class order.
 
     Each level decides every skip first, then applies each twist to its
     whole batch of classes at once (_canonical_images), then numbers the new
@@ -267,12 +262,8 @@ def generate_simple_classes(
     table = twist_table(genus)
     names = sorted(table)
     twists = [table[name] for name in names]
-    moves = [_moved(t) for t in twists]
-    undo = [names.index(_partner(name)) for name in names]
     pairs = commuting_twists(genus)
-    commutes = [
-        frozenset(j for j, s in enumerate(names) if (s, t) in pairs) for t in names
-    ]
+    commutes = [[j for j, s in enumerate(names) if (s, t) in pairs] for t in names]
     order = standard_curves(genus)
     position = {sc.cls: n for n, sc in enumerate(order)}
     # Per class number: its parent's and its last twist's, and its record
@@ -286,23 +277,16 @@ def generate_simple_classes(
     for _ in range(depth):
         batches = [[] for _ in twists]
         for n in level:
-            cls, t = order[n].cls, last[n]
-            letters = set(cls)
             record = [None] * len(twists)
             records.append(record)
-            undone, commuting = None, frozenset()
-            if t is not None:
-                undone, commuting, above = undo[t], commutes[t], records[parent[n]]
-                record[undone] = parent[n]
-            for j, moved in enumerate(moves):
-                if j == undone:
-                    continue
-                if moved.isdisjoint(letters):
-                    record[j] = n
-                elif j in commuting and above[j] < n:
-                    record[j] = unknown
-                else:
-                    batches[j].append(cls)
+            if last[n] is not None:
+                above = records[parent[n]]
+                for j in commutes[last[n]]:
+                    if above[j] < n:
+                        record[j] = unknown
+            for j, m in enumerate(record):
+                if m is None:
+                    batches[j].append(order[n].cls)
         next_image = [
             iter(_canonical_images(*tb, genus)).__next__ for tb in zip(twists, batches)
         ]

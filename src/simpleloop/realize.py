@@ -51,6 +51,9 @@ class Presentation(NamedTuple("Presentation", [("generators", tuple), ("relators
         for name in generators:
             if not name or not name[0].islower():
                 raise ValueError("generator name %r must start lowercase" % (name,))
+            # word_str joins names with spaces, and parse_word splits at them.
+            if any(c.isspace() for c in name):
+                raise ValueError("generator name %r contains whitespace" % (name,))
             # parse_word must read word_str's inverse spelling back.
             inverse = name[0].upper() + name[1:]
             if inverse[0].islower() or inverse[0].lower() + inverse[1:] != name:

@@ -578,7 +578,7 @@ def literal_power(w) -> bool:
 
 
 def twist_bfs(genus, depth, max_len):
-    """``generate_simple_classes`` applying every twist, undo twists included.
+    """``generate_simple_classes`` applying every twist to every class.
 
     Each image comes from ``substitute_per_letter`` and is canonicalised by
     ``naive_canonical_class``, which reduces it again.

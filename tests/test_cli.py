@@ -577,12 +577,18 @@ def test_verify_records_digest(capsys):
             402,
             "d0be0c43a39105c904a0e4173d28e204514c0884c57877601e73fb3012884075",
         ),
+        (
+            ["--genus", "4", "--depth", "3", "--kernel-len", "6"],
+            705,
+            "70ae0f331d39bcb0a02daa235d97343fe09f8bbb18f96793422035d1c8dfbeed",
+        ),
     ],
-    ids=["g2-max-len-12", "g3-max-len-16"],
+    ids=["g2-max-len-12", "g3-max-len-16", "g4-depth-3"],
 )
 def test_verify_records_digest_tight_max_len(capsys, argv, n_lines, digest):
     # A tight max_len drops some twist images, which the commutation skip
-    # must not confuse with images that are merely unknown.
+    # must not confuse with images that are merely unknown. Genus 4 has the
+    # most commuting twists for the skip to defer.
     check_records_digest(capsys, argv, n_lines, digest)
 
 

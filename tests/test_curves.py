@@ -319,7 +319,7 @@ def test_max_len_prunes():
     ],
 )
 def test_generation_matches_reference_bfs(genus, depth, max_len):
-    # The reference tries every twist, the undo twists included, reduces
+    # The reference tries every twist, each one's inverse included, reduces
     # every image from scratch and computes each separating flag; the list
     # must agree class by class. A tight max_len rejects s(p) but not t(p)
     # for some commuting twists s and t, so the commutation skip must not
@@ -347,6 +347,10 @@ def test_commuting_twists_match_brute_force(genus, count):
     }
     got = commuting_twists(genus)
     assert got == want
+    # The twist BFS skips each twist's inverse by the commuting rule alone.
+    inverses = {(t, t + "_inv") for t in table if t + "_inv" in table}
+    assert 2 * len(inverses) == len(table)
+    assert inverses | {(u, t) for t, u in inverses} <= got
     assert len(got) == count
     assert {("ta1", "ta2"), ("ta2", "ta1"), ("ta1", "tc1"), ("tc1", "ta1")} <= got
     assert ("tb1", "tc1") not in got and ("tc1", "tb1") not in got
@@ -355,20 +359,23 @@ def test_commuting_twists_match_brute_force(genus, count):
 @pytest.mark.parametrize(
     "genus, depth, classes, images",
     [
-        (2, 6, 11831, 15314),
+        (2, 6, 11831, 16307),
         # Genus 5 is over the cover's budget, but the twist BFS builds no cover.
-        (5, 4, 4739, 5867),
+        (5, 4, 4739, 6545),
         # The MAX_DEPTH budgets, the deepest runs a command allows.
-        (2, 7, 44490, 59868),
-        (3, 6, 48999, 60572),
-        (4, 6, 91004, 111251),
+        (2, 7, 44490, 63558),
+        (3, 6, 48999, 64382),
+        (4, 6, 91004, 118209),
+        # The sweeps of verify --genus 3 --depth 3 and lemma-check --genus 4
+        # --depth 2.
+        (3, 3, 449, 731),
+        (4, 2, 154, 401),
     ],
-    ids=["g2-d6", "g5-d4", "g2-d7", "g3-d6", "g4-d6"],
+    ids=["g2-d6", "g5-d4", "g2-d7", "g3-d6", "g4-d6", "g3-d3", "g4-d2"],
 )
 def test_generation_skips_decided_twist_images(monkeypatch, genus, depth, classes, images):
-    # Skipping only the undo twist reads 27 374 images at (2, 6). Without
-    # the entries a commuting skip defers, (2, 6) and (5, 4) read 18 981 and
-    # 7 399.
+    # With no skip, (2, 6) reads 30 410 images. Without the entries a
+    # commuting skip defers, (2, 6) and (5, 4) read 21 082 and 10 483.
     counts = []
     real = curves._canonical_images
 

@@ -52,6 +52,11 @@ NO_INVERSE = "has no uppercase inverse spelling"
         (Presentation, (("a", "\u00df"), ()), NO_INVERSE),
         (Presentation, (("\ufb00",), ()), NO_INVERSE),
         (parse_presentation, ("\u0131\nI",), NO_INVERSE),
+        (
+            Presentation,
+            (("a b", "c"), (from_letters((1, 2)),)),
+            "^generator name 'a b' contains whitespace$",
+        ),
         (recipe_for_presentation, (Presentation(("a",), ()), 3), DIMENSION),
         (recipe_for_G, (2, 3), DIMENSION),
         (recipe_for_G, (1, 3), DIMENSION),
@@ -66,6 +71,7 @@ NO_INVERSE = "has no uppercase inverse spelling"
         "sharp_s",
         "ff_ligature",
         "parse_presentation_dotless_i",
+        "whitespace_name",
         "realize",
         "recipe_for_G",
         "recipe_for_G_dimension_before_genus",
@@ -83,13 +89,13 @@ def test_accepted_names_read_their_inverse_back():
     inverse = from_letters((-1,))
     accepted = 0
     for code in range(0x10000):
-        name = chr(code) + "x"
-        try:
-            p = Presentation((name,), ())
-        except ValueError:
-            continue
-        assert p.parse_word(p.word_str(inverse)) == inverse, name
-        accepted += 1
+        for name in (chr(code) + "x", "x" + chr(code)):
+            try:
+                p = Presentation((name,), ())
+            except ValueError:
+                continue
+            assert p.parse_word(p.word_str(inverse)) == inverse, name
+            accepted += 1
     assert accepted > 1000
 
 

@@ -15,7 +15,7 @@ import importlib
 
 # The names each module exports at the package level.
 _EXPORTS = {
-    "cover": ("CoverCW", "ResourceLimitError", "build_mod2_cover"),
+    "cover": ("CoverCW", "ResourceLimitError"),
     "curves": (
         "SimpleClass",
         "VerificationReport",
@@ -35,7 +35,6 @@ _EXPORTS = {
     ),
     "quotient": (
         "GElement",
-        "GroupContext",
         "image_rank",
         "in_kernel",
         "rho",

@@ -34,9 +34,9 @@ from .cover import (
 from .curves import MAX_DEPTH, check_depth, generate_simple_classes, verify_non_geometric
 from .quotient import (
     MAX_HALF_WORDS,
-    GroupContext,
     check_search_budget,
     image_rank,
+    longest_kernel_len,
     search_kernel_elements,
 )
 from .words import (
@@ -145,24 +145,24 @@ def _sweep(args, timing, stage):
 
     The caller checks the usage bounds first, so a usage error wins over the
     depth budget. The verification pass is timed as timing[stage]. Returns
-    the group context, the classes, their VerificationReport and the lemma
+    the cover, the classes, their VerificationReport and the lemma
     record: verify nests it under "lemma", lemma-check spreads it into its
     summary.
     """
     check_genus(args.genus)
     check_depth(args.depth, args.genus)
-    ctx = GroupContext(_timed(timing, "build_s", build_mod2_cover, args.genus))
+    cover = _timed(timing, "build_s", build_mod2_cover, args.genus)
     classes = _timed(
         timing, "generate_s", generate_simple_classes, args.genus, args.depth, args.max_len
     )
-    report = _timed(timing, stage, verify_non_geometric, ctx, classes)
+    report = _timed(timing, stage, verify_non_geometric, cover, classes)
     lemma = {
         "separating_checked": report.n_separating,
         "nonseparating_checked": report.n_nonseparating,
-        "lifts_per_class": ctx.cover.n_vertices,
+        "lifts_per_class": cover.n_vertices,
         "failures": report.lemma_failures,
     }
-    return ctx, classes, report, lemma
+    return cover, classes, report, lemma
 
 
 def cmd_verify(args):
@@ -170,9 +170,9 @@ def cmd_verify(args):
     check_length_bound(args.max_len, "max_len")
     check_search_budget(args.genus, args.kernel_len)
     timing = {}
-    ctx, classes, report, lemma = _sweep(args, timing, "verify_s")
-    witnesses = _timed(timing, "search_s", search_kernel_elements, ctx, args.kernel_len)
-    rank = _timed(timing, "image_rank_s", image_rank, ctx)
+    cover, classes, report, lemma = _sweep(args, timing, "verify_s")
+    witnesses = _timed(timing, "search_s", search_kernel_elements, cover, args.kernel_len)
+    rank = _timed(timing, "image_rank_s", image_rank, cover)
 
     # A contradiction of rho outranks an inconclusive search bound.
     if report.kernel_hits:
@@ -194,7 +194,7 @@ def cmd_verify(args):
             "kernel_len": args.kernel_len,
             "seed": args.seed,
         },
-        "cover": _cover_stats_record(ctx.cover),
+        "cover": _cover_stats_record(cover),
         "classes_total": report.total,
         "classes_separating": report.n_separating,
         "classes_nonseparating": report.n_nonseparating,
@@ -249,8 +249,7 @@ def cmd_verify(args):
 
 def cmd_search_kernel(args):
     check_search_budget(args.genus, args.kernel_len)
-    ctx = GroupContext(build_mod2_cover(args.genus))
-    witnesses = search_kernel_elements(ctx, args.kernel_len)
+    witnesses = search_kernel_elements(build_mod2_cover(args.genus), args.kernel_len)
     records = [
         {
             "kind": "summary",
@@ -427,11 +426,13 @@ def build_parser():
         help="longest class the twist BFS keeps; the 3g - 1 standard curves are kept at any length",
     )
     kernel = argparse.ArgumentParser(add_help=False)
+    kernel_budget = ", ".join(
+        "%d at genus %d" % (longest_kernel_len(g), g) for g in range(2, MAX_GENUS + 1)
+    )
     kernel.add_argument(
         "--kernel-len", type=int, default=8, dest="kernel_len",
-        help="longest kernel word searched, at most 12 at genus 2, 10 at genus 3, 8 at "
-        "genus 4: its half-words, up to half its length, fill at most %d table entries"
-        % MAX_HALF_WORDS,
+        help="longest kernel word searched, at most %s: its half-words, up to half its "
+        "length, fill at most %d table entries" % (kernel_budget, MAX_HALF_WORDS),
     )
 
     def add_command(name, func, help_text, *parents):

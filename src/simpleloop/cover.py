@@ -16,8 +16,9 @@ simpleloop.words, and walk reads one (class, end vertex) step per letter.
 from .words import Word, check_letters, check_min_genus, from_letters, inverse
 
 # The build alone would fit genus 5 (0.03 s, 23 MB peak RSS in process on a
-# 2-vCPU VM) and genus 6 (0.24 s, 160 MB). The cap stays at 4 until the twist
-# depth and the kernel search have budgets for genus 5 and 6.
+# 2-vCPU VM) and genus 6 (0.24 s, 160 MB), and MAX_DEPTH budgets both. The
+# kernel search holds the cap: MAX_HALF_WORDS counts half-words, not bytes, and
+# genus 6 at kernel length 8 fits (305 280) but took about 3.7 s and 750 MB.
 MAX_GENUS = 4
 
 

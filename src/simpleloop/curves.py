@@ -20,10 +20,10 @@ the lift lemma.
 """
 
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
-from .cover import ResourceLimitError
-from .quotient import GroupContext
+from .cover import CoverCW, ResourceLimitError
 from .words import (
     Word,
     _canonical_images,
@@ -82,11 +82,12 @@ def _validate_table(genus: int, table: dict[str, dict[int, Word]]) -> None:
 
 
 @lru_cache(maxsize=None)
-def twist_table(genus: int) -> dict[str, dict[int, Word]]:
+def twist_table(genus: int) -> MappingProxyType[str, MappingProxyType[int, Word]]:
     """The certified twist table for a genus: each twist's name mapped to its
     image word for each positive generator index it moves.
 
-    A twist acts on a word w as substitute(w, table[name]).
+    A twist acts on a word w as substitute(w, table[name]). Both levels are
+    read-only, so no caller can edit the cached, certified table.
     """
     check_min_genus(genus)
     table = {}
@@ -106,7 +107,7 @@ def twist_table(genus: int) -> dict[str, dict[int, Word]]:
                 b2: free_reduce(letter_b2 + inverse(L)),
             }
     _validate_table(genus, table)
-    return table
+    return MappingProxyType({name: MappingProxyType(images) for name, images in table.items()})
 
 
 def _moved(images: dict[int, Word]) -> frozenset[str]:
@@ -346,9 +347,7 @@ def _class_record(sc: SimpleClass, flag: int) -> dict:
     }
 
 
-def verify_non_geometric(
-    ctx: GroupContext, classes: list[SimpleClass]
-) -> VerificationReport:
+def verify_non_geometric(cover: CoverCW, classes: list[SimpleClass]) -> VerificationReport:
     """Evaluate rho on every certified class; collect kernel hits and lift failures.
 
     A kernel hit would contradict the non-geometric-kernel claim and is
@@ -362,7 +361,7 @@ def verify_non_geometric(
     certificate's root curve, so these two checks test the certificate
     against rho.
 
-    rho(ctx, w) is (v, h) for (h, v) = ctx.cover.walk(w, 0), which is read
+    rho(cover, w) is (v, h) for (h, v) = cover.walk(w, 0), which is read
     here directly, once per class: v is its mod-2 class and h the class of
     its lift from 0. With v == 0 every lift closes, and the lift from vertex
     u is the deck translate by u of the lift from 0, so its class is the
@@ -370,7 +369,7 @@ def verify_non_geometric(
     H1, so the lifts all have nonzero class when h != 0 and all fail when
     h == 0. A letter outside the genus raises the walk's ValueError.
     """
-    n_vertices, walk = ctx.cover.n_vertices, ctx.cover.walk
+    n_vertices, walk = cover.n_vertices, cover.walk
     flags = bytearray()
     hits, failures = [], []
     n_sep = 0

@@ -12,8 +12,8 @@ character equals the target character composed with the induced map.
 import math
 from typing import NamedTuple
 
-from .cover import build_mod2_cover
-from .quotient import GroupContext, in_kernel
+from .cover import CoverCW
+from .quotient import in_kernel
 from .realize import Presentation, check_dimension, generator_letters
 from .words import Word, from_letters, gen_name, substitute, surface_relator
 
@@ -155,14 +155,14 @@ def main_construction_sidedness(genus: int = 2) -> dict:
     target), so the map is 2-sided whatever the generator images are. The
     target's word problem is G's, in_kernel, which checks the relator image.
     """
-    ctx = GroupContext(build_mod2_cover(genus))
+    cover = CoverCW(genus)
     n = 2 * genus
     report = sidedness_report(
         _surface_group(genus),
         OrientationCharacter((0,) * n),
         OrientationCharacter((0,) * n),
         _generators(n),
-        lambda w: in_kernel(ctx, w),
+        lambda w: in_kernel(cover, w),
     )
     report["name"] = "surface into the realized target (genus %d)" % genus
     return report

@@ -34,52 +34,52 @@ class GElement(NamedTuple):
 
 
 class GroupContext:
-    """Context for rho onto the quotient group of a surface group.
-
-    Holds the cover, its genus and the identity; immutable after construction.
-    """
-
-    def __init__(self, cover: CoverCW):
-        self.cover = cover
-        self.genus = cover.genus
-        self.identity = GElement(0, 0)
+    """Empty: rho and its callers take the CoverCW. It exists only because
+    perfbench/tracing.py (CLASSES) and test_traced_layers_and_classes_resolve
+    look the name up; ROADMAP item 8 removes it with them."""
 
 
-def rho(ctx: GroupContext, w: Word) -> GElement:
+def rho(cover: CoverCW, w: Word) -> GElement:
     """Image of a word, read from one walk of its lift from vertex 0.
 
     v is the vertex the lift ends at (the mod-2 abelianization) and h the
     lift's class closed up through the tree. A letter outside the genus
     raises the walk's ValueError.
     """
-    h, v = ctx.cover.walk(w, 0)
+    h, v = cover.walk(w, 0)
     return GElement(v, h)
 
 
-def in_kernel(ctx: GroupContext, w: Word) -> bool:
+def in_kernel(cover: CoverCW, w: Word) -> bool:
     """Whether a word maps to the identity (lift closed and bounding mod 2)."""
-    return rho(ctx, w) == ctx.identity
+    return rho(cover, w) == GElement(0, 0)
+
+
+def longest_kernel_len(genus: int) -> int:
+    """The longest kernel search whose half-word tables fit MAX_HALF_WORDS.
+
+    A search to length L holds the 4g (4g - 1)^(k - 1) reduced words of
+    each length k <= ceil(L / 2), a count known before any work starts.
+    """
+    check_genus(genus)
+    total, k = 4 * genus, 0
+    while total <= MAX_HALF_WORDS:
+        k += 1
+        total += 4 * genus * (4 * genus - 1) ** k
+    return 2 * k
 
 
 def check_search_budget(genus: int, max_len: int) -> None:
-    """Reject a kernel search whose half-word tables exceed MAX_HALF_WORDS.
-
-    They hold the 4g (4g - 1)^(k - 1) reduced words of each length
-    k <= ceil(max_len / 2), a count known before any work starts.
-    """
+    """Reject a kernel search longer than longest_kernel_len(genus)."""
     check_length_bound(max_len, "kernel length")
-    check_genus(genus)
-    total = 0
-    for k in range((max_len + 1) // 2):
-        total += 4 * genus * (4 * genus - 1) ** k
-        if total > MAX_HALF_WORDS:
-            raise ResourceLimitError(
-                "kernel length %d needs more than %d half-words at genus %d"
-                % (max_len, MAX_HALF_WORDS, genus)
-            )
+    if max_len > longest_kernel_len(genus):
+        raise ResourceLimitError(
+            "kernel length %d needs more than %d half-words at genus %d"
+            % (max_len, MAX_HALF_WORDS, genus)
+        )
 
 
-def search_kernel_elements(ctx: GroupContext, max_len: int) -> list[Word]:
+def search_kernel_elements(cover: CoverCW, max_len: int) -> list[Word]:
     """Find nontrivial kernel words up to a length bound.
 
     Meet in the middle: a cyclically reduced word of length L is u v^-1 with
@@ -93,8 +93,8 @@ def search_kernel_elements(ctx: GroupContext, max_len: int) -> list[Word]:
     Returns:
         The kept words, by length and then in the letter order.
     """
-    check_search_budget(ctx.genus, max_len)
-    genus, walk = ctx.genus, ctx.cover.walk
+    genus, walk = cover.genus, cover.walk
+    check_search_budget(genus, max_len)
     letters = from_letters(x for k in range(1, 2 * genus + 1) for x in (k, -k))
     steps = [(x, inverse(x)) for x in letters]
     # tables[k] maps walk(u, 0) to the reduced words u of length k.
@@ -125,7 +125,7 @@ def search_kernel_elements(ctx: GroupContext, max_len: int) -> list[Word]:
     return hits
 
 
-def image_rank(ctx: GroupContext) -> dict:
+def image_rank(cover: CoverCW) -> dict:
     """Ranks of the v and h parts of rho's image, from one walk per word.
 
     Generator k maps to v = 1 << (k - 1), so the v parts span all 2g deck
@@ -137,12 +137,11 @@ def image_rank(ctx: GroupContext) -> dict:
     Returns:
         Dict with v_rank, h_rank, v_dim, h_dim.
     """
-    v_dim, h_dim = 2 * ctx.genus, ctx.cover.h1_dim
+    v_dim, h_dim = 2 * cover.genus, cover.h1_dim
     for k, letter in enumerate(from_letters(range(1, v_dim + 1)), 1):
-        if rho(ctx, letter).v != 1 << (k - 1):
+        if rho(cover, letter).v != 1 << (k - 1):
             raise AssertionError("generator %d does not map to deck bit %d" % (k, k - 1))
-    walk = ctx.cover.walk
-    for j, word in enumerate(ctx.cover.unit_cycle_words):
-        if walk(word, 0) != (1 << j, 0):
+    for j, word in enumerate(cover.unit_cycle_words):
+        if cover.walk(word, 0) != (1 << j, 0):
             raise AssertionError("unit cycle word %d does not have class 1 << %d" % (j, j))
     return {"v_rank": v_dim, "h_rank": h_dim, "v_dim": v_dim, "h_dim": h_dim}

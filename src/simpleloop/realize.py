@@ -69,7 +69,7 @@ class Presentation(NamedTuple("Presentation", [("generators", tuple), ("relators
 
     def word_str(self, w: Word) -> str:
         parts = []
-        for x in map(letter_index, w):
+        for x in generator_letters(w, len(self.generators)):
             name = self.generators[abs(x) - 1]
             parts.append(name if x > 0 else name[0].upper() + name[1:])
         return " ".join(parts)

@@ -29,6 +29,11 @@ parts of a product are twisted by it and by a spanning-tree cocycle.
 
 ``random_reduced_word`` draws the random words of the property tests.
 
+``shared_cover(g)`` is the one cover per genus that the tests share, so
+every per-cover cache here (the GF(2) quotient, the deck actions) is filled
+once per genus in a test run. A test that monkeypatches the build, edits a
+cover, or expects the build to fail, builds its own.
+
 ``census(g, L)`` counts the short kernel words with no code of the
 package: free conjugacy classes of words in the free group whose lift to
 the (Z/2)^k cube of the generators they use runs every edge an even number
@@ -53,6 +58,7 @@ import functools
 import math
 import random
 
+from simpleloop.cover import CoverCW
 from simpleloop.curves import SimpleClass, root_word, standard_curves, twist_table
 from simpleloop.gf2 import Echelon, GF2Matrix, QuotientMap
 from simpleloop.quotient import GElement, rho
@@ -62,6 +68,16 @@ from simpleloop.words import (
     surface_relator,
     word_to_str,
 )
+
+
+@functools.cache
+def shared_cover(genus: int) -> CoverCW:
+    """The genus's cover, built once per test run and only read.
+
+    Patch a CoverCW method on the class, not on this instance: undoing an
+    instance patch leaves the bound method on the instance, which would
+    hide every later patch of the class."""
+    return CoverCW(genus)
 
 
 def to_letters(w: str) -> tuple[int, ...]:
@@ -357,7 +373,7 @@ def edge_classes(cover) -> tuple[int, ...]:
     return tuple(classes)
 
 
-def image_rank_by_group_law(ctx, n_samples: int = 500, seed: int = 0) -> dict:
+def image_rank_by_group_law(cover, n_samples: int = 500, seed: int = 0) -> dict:
     """Sampled lower bound on ``image_rank``, formed by the group law.
 
     Reports the rank of the v parts of the images of random words and the
@@ -370,24 +386,24 @@ def image_rank_by_group_law(ctx, n_samples: int = 500, seed: int = 0) -> dict:
     h_span = Echelon()
     elements = []
     for _ in range(n_samples):
-        w = random_reduced_word(rng, ctx.genus, rng.randrange(1, 16))
-        el = rho(ctx, w)
+        w = random_reduced_word(rng, cover.genus, rng.randrange(1, 16))
+        el = rho(cover, w)
         elements.append(el)
         v_span.insert(el.v, 0)
-    mul = functools.partial(mul_by_deck_action, ctx.cover)
+    mul = functools.partial(mul_by_deck_action, cover)
     for _ in range(n_samples):
         x = elements[rng.randrange(len(elements))]
         y = elements[rng.randrange(len(elements))]
         square = mul(x, x)
-        comm = mul(mul(x, y), inv_by_deck_action(ctx.cover, mul(y, x)))
+        comm = mul(mul(x, y), inv_by_deck_action(cover, mul(y, x)))
         for el in (square, comm):
             if el.v == 0:
                 h_span.insert(el.h, 0)
     return {
         "v_rank": len(v_span.rows),
         "h_rank": len(h_span.rows),
-        "v_dim": 2 * ctx.genus,
-        "h_dim": ctx.cover.h1_dim,
+        "v_dim": 2 * cover.genus,
+        "h_dim": cover.h1_dim,
     }
 
 
@@ -495,19 +511,18 @@ def inv_by_deck_action(cover, x):
     return GElement(x.v, h)
 
 
-def lemma_check_all_vertices(ctx, classes) -> tuple[int, int, list[dict]]:
+def lemma_check_all_vertices(cover, classes) -> tuple[int, int, list[dict]]:
     """The lift lemma with every lift of a separating class walked explicitly.
 
     Reads off the end vertex and closed-up H1 class of the lift from each of
     the 2^(2g) vertices instead of relying on deck symmetry. Returns the
     number of separating and of nonseparating classes, and the failures.
     """
-    cover = ctx.cover
     failures = []
     n_sep = 0
     n_nonsep = 0
     for sc in classes:
-        phi = abelianization_mod2(sc.cls, ctx.genus)
+        phi = abelianization_mod2(sc.cls, cover.genus)
         if sc.separating:
             n_sep += 1
             if phi != 0:

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from simpleloop.cli import _cover_stats_record
-from simpleloop.cover import build_mod2_cover
+from simpleloop.cover import CoverCW
 from simpleloop.curves import (
     generate_simple_classes,
     twist_table,
@@ -22,12 +22,7 @@ from simpleloop.demos import (
     torus_kernel_scan,
 )
 from simpleloop.gf2 import GF2Matrix, kernel_basis, rank
-from simpleloop.quotient import (
-    GroupContext,
-    in_kernel,
-    rho,
-    search_kernel_elements,
-)
+from simpleloop.quotient import in_kernel, rho, search_kernel_elements
 from simpleloop.realize import Presentation, recipe_for_presentation
 from simpleloop.words import (
     canonical_class,
@@ -42,16 +37,16 @@ from simpleloop.words import (
     surface_relator,
 )
 
-from oracles import abelianization_mod2, lift, loop_class, mul_by_deck_action, random_reduced_word
+from oracles import (
+    abelianization_mod2,
+    lift,
+    loop_class,
+    mul_by_deck_action,
+    random_reduced_word,
+    shared_cover,
+)
 
 _CACHE = {}
-
-
-def _ctx(genus=2):
-    key = ("ctx", genus)
-    if key not in _CACHE:
-        _CACHE[key] = GroupContext(build_mod2_cover(genus))
-    return _CACHE[key]
 
 
 def _family():
@@ -78,7 +73,7 @@ def _report(num, label, elapsed=None, bound=None):
 
 def test_criterion_01_cover_statistics():
     start = time.perf_counter()
-    record = _cover_stats_record(build_mod2_cover(2))
+    record = _cover_stats_record(CoverCW(2))
     elapsed = time.perf_counter() - start
     assert record["degree"] == 16
     assert record["euler_characteristic"] == -32
@@ -89,7 +84,7 @@ def test_criterion_01_cover_statistics():
 
 def test_criterion_02_separating_orbit_lifts():
     start = time.perf_counter()
-    cover = _ctx().cover
+    cover = shared_cover(2)
     table = twist_table(2)
     seed = canonical_class(commutator(*from_letters((1, 2))))
     orbit = {seed}
@@ -137,7 +132,7 @@ def test_criterion_03_nonseparating_nonzero_image():
 def test_criterion_04_no_simple_class_in_kernel():
     family = _family()
     start = time.perf_counter()
-    report = verify_non_geometric(_ctx(), family)
+    report = verify_non_geometric(shared_cover(2), family)
     elapsed = _CACHE["family_s"] + (time.perf_counter() - start)
     assert report.total == 11831  # regression pin from the first full run
     assert report.total >= 5000
@@ -153,17 +148,17 @@ def test_criterion_04_no_simple_class_in_kernel():
 
 
 def test_criterion_05_kernel_is_nontrivial():
-    ctx = _ctx()
+    cover = shared_cover(2)
     start = time.perf_counter()
-    witnesses = search_kernel_elements(ctx, 8)
+    witnesses = search_kernel_elements(cover, 8)
     assert witnesses
     assert any(not is_proper_power(w) for w in witnesses)
     for w in witnesses:
-        assert in_kernel(ctx, w)
+        assert in_kernel(cover, w)
         assert not is_trivial(w, 2)
     a1, b1 = from_letters((1, 2))
     direct = commutator(a1 * 2, b1 * 2)
-    assert in_kernel(ctx, direct)
+    assert in_kernel(cover, direct)
     assert not is_trivial(direct, 2)
     elapsed = time.perf_counter() - start
     _report(
@@ -176,13 +171,13 @@ def test_criterion_05_kernel_is_nontrivial():
 
 
 def test_criterion_06_group_law_matches_evaluation():
-    ctx = _ctx()
+    cover = shared_cover(2)
     rng = random.Random(0)
     start = time.perf_counter()
     for _ in range(1000):
         w1 = random_reduced_word(rng, 2, rng.randrange(0, 12))
         w2 = random_reduced_word(rng, 2, rng.randrange(0, 12))
-        assert mul_by_deck_action(ctx.cover, rho(ctx, w1), rho(ctx, w2)) == rho(ctx, w1 + w2)
+        assert mul_by_deck_action(cover, rho(cover, w1), rho(cover, w2)) == rho(cover, w1 + w2)
     relator = surface_relator(2)
     for _ in range(1000):
         w = random_reduced_word(rng, 2, rng.randrange(0, 12))
@@ -190,7 +185,7 @@ def test_criterion_06_group_law_matches_evaluation():
         r = relator if rng.randrange(2) else inverse(relator)
         pos = rng.randrange(0, len(w) + 1)
         spliced = w[:pos] + concat(u, r, inverse(u)) + w[pos:]
-        assert rho(ctx, spliced) == rho(ctx, w)
+        assert rho(cover, spliced) == rho(cover, w)
     elapsed = time.perf_counter() - start
     _report(
         6,
@@ -237,10 +232,10 @@ def test_criterion_08_torus_demo():
 
 def test_criterion_09_genus3_smoke():
     start = time.perf_counter()
-    ctx = _ctx(3)
-    assert ctx.cover.h1_dim == 258
+    cover = shared_cover(3)
+    assert cover.h1_dim == 258
     classes = generate_simple_classes(3, 2, 64)
-    report = verify_non_geometric(ctx, classes)
+    report = verify_non_geometric(cover, classes)
     assert report.total == len(classes)
     assert report.kernel_hits == []
     elapsed = time.perf_counter() - start

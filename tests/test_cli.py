@@ -11,9 +11,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from simpleloop import cli, demos
+from simpleloop import cli, demos, quotient
 from simpleloop.cli import main
-from simpleloop.cover import MAX_GENUS, CoverCW, ResourceLimitError, build_mod2_cover
+from simpleloop.cover import MAX_GENUS, CoverCW, ResourceLimitError
 from simpleloop.curves import (
     MAX_DEPTH,
     generate_simple_classes,
@@ -21,8 +21,10 @@ from simpleloop.curves import (
     twist_table,
     verify_non_geometric,
 )
-from simpleloop.quotient import GroupContext, check_search_budget, in_kernel
+from simpleloop.quotient import check_search_budget, in_kernel
 from simpleloop.words import from_letters, is_trivial, word_from_str, word_to_str
+
+from oracles import shared_cover
 
 
 def run_main(capsys, *argv):
@@ -119,9 +121,8 @@ def test_sweep_help_states_the_budgets(capsys):
 
 
 def test_kernel_len_help_states_the_search_budget(capsys):
-    # The help spells the longest kernel length per genus by hand: it must
-    # name every genus the cap allows, each with the largest length that
-    # check_search_budget accepts there.
+    # The help must name every genus the cap allows, each with the largest
+    # length that check_search_budget accepts there.
     text = help_text(capsys, "verify")
     stated = re.search(r"longest kernel word searched, at most (.*?): its half-words", text)
     pairs = re.findall(r"(\d+) at genus (\d+)", stated.group(1))
@@ -131,6 +132,15 @@ def test_kernel_len_help_states_the_search_budget(capsys):
         check_search_budget(genus, length)
         with pytest.raises(ResourceLimitError):
             check_search_budget(genus, length + 1)
+
+
+def test_kernel_len_help_follows_the_search_budget(capsys, monkeypatch):
+    # The lengths come from the bound check_search_budget applies, so a
+    # budget of 2 000 000 half-words raises genus 2 to length 14 and genus 4
+    # to length 10.
+    monkeypatch.setattr(quotient, "MAX_HALF_WORDS", 2_000_000)
+    text = help_text(capsys, "verify")
+    assert "at most 14 at genus 2, 10 at genus 3, 10 at genus 4:" in text
 
 
 def test_verify_depth0_ok(capsys):
@@ -181,15 +191,15 @@ def test_verify_status_ranks_failures_by_severity(
     # A contradiction of rho outranks an inconclusive search bound.
     verify = cli.verify_non_geometric
 
-    def planted(ctx, classes):
-        return verify(ctx, classes)._replace(
+    def planted(cover, classes):
+        return verify(cover, classes)._replace(
             kernel_hits=[{"word": "a1"}] if hit else [],
             lemma_failures=[{"word": "a1", "reason": "planted"}] if failure else [],
         )
 
     found = [from_letters((1, 1, 2, 2, -1, -1, -2, -2))] if witness else []
     monkeypatch.setattr(cli, "verify_non_geometric", planted)
-    monkeypatch.setattr(cli, "search_kernel_elements", lambda ctx, max_len: found)
+    monkeypatch.setattr(cli, "search_kernel_elements", lambda cover, max_len: found)
     code, out = run_main(capsys, "verify", "--depth", "0", "--kernel-len", "8")
     assert json_records(out)[0]["status"] == status
     assert code == (0 if status == "ok" else 1)
@@ -291,12 +301,11 @@ def test_witnesses_reverify_on_load(capsys):
     code, out = run_main(capsys, "search-kernel", "--kernel-len", "6")
     assert code == 0
     records = json_records(out)
-    ctx = GroupContext(build_mod2_cover(2))
     witnesses = [r for r in records if r["kind"] == "witness"]
     assert witnesses
     for record in witnesses:
         word = word_from_str(record["word"], 2)
-        assert in_kernel(ctx, word) and not is_trivial(word, 2)
+        assert in_kernel(shared_cover(2), word) and not is_trivial(word, 2)
 
 
 def test_search_kernel_empty_bound(capsys):
@@ -624,8 +633,7 @@ def test_class_lines_match_encoded_records(capsys, genus, depth):
     _, out = run_main(
         capsys, "verify", "--genus", str(genus), "--depth", str(depth), "--kernel-len", "4"
     )
-    ctx = GroupContext(build_mod2_cover(genus))
-    report = verify_non_geometric(ctx, generate_simple_classes(genus, depth, 64))
+    report = verify_non_geometric(shared_cover(genus), generate_simple_classes(genus, depth, 64))
     expected = [
         cli._encode({"schema": cli.SCHEMA, "kind": "class", **rec}) for rec in report.records
     ]

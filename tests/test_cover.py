@@ -1,6 +1,5 @@
 """Tests for the mod-2 homology cover CW complex."""
 
-import functools
 import random
 from collections import Counter
 
@@ -10,12 +9,11 @@ from simpleloop import cover as cover_module
 from simpleloop.cover import (
     CoverCW,
     ResourceLimitError,
-    build_mod2_cover,
     cover_genus,
     group_order_log2,
 )
 from simpleloop.gf2 import GF2Matrix, kernel_basis, rank
-from simpleloop.quotient import GroupContext, image_rank, search_kernel_elements
+from simpleloop.quotient import image_rank, search_kernel_elements
 from simpleloop.realize import recipe_for_G
 from simpleloop.words import (
     commutator,
@@ -40,19 +38,13 @@ from oracles import (
     nontree_edges,
     random_letters,
     random_reduced_word,
+    shared_cover,
     translate_chain,
     tree_chains,
     tree_words,
 )
 
 A1, B1 = from_letters((1, 2))
-
-
-@functools.cache
-def shared_cover(genus):
-    """One cover per genus for the tests that only read it, so the oracles'
-    per-cover caches (the GF(2) quotient above all) are filled once."""
-    return build_mod2_cover(genus)
 
 
 def test_genus2_cell_counts_and_invariants():
@@ -188,7 +180,7 @@ def test_cover_genus_and_group_order_agree(genus, cover_genus_, order_log2):
 def test_h1_dim_is_checked_against_the_cover_genus(monkeypatch):
     monkeypatch.setattr(cover_module, "cover_genus", lambda genus: 1)
     with pytest.raises(AssertionError, match="cover genus"):
-        build_mod2_cover(2)
+        CoverCW(2)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4])
@@ -225,7 +217,7 @@ def test_dual_graph_is_the_doubled_cube(genus, monkeypatch):
     # doubled. The short-word kernel criterion rests on this. Genus 5 runs
     # with the genus cap raised.
     monkeypatch.setattr(cover_module, "MAX_GENUS", 5)
-    cover = build_mod2_cover(genus)
+    cover = CoverCW(genus)
     faces_of = [[] for _ in range(cover.n_edges)]
     for f in range(cover.n_faces):
         across = Counter()
@@ -303,7 +295,7 @@ def test_face_zero_relation_is_checked(monkeypatch):
     face_edges = CoverCW._face_edges
     monkeypatch.setattr(CoverCW, "_face_edges", lambda self, f: list(face_edges(self, f))[1:])
     with pytest.raises(AssertionError, match="face 0 relation"):
-        build_mod2_cover(2)
+        CoverCW(2)
 
 
 def test_lift_endpoint_tracks_abelianization():
@@ -438,13 +430,13 @@ def test_genus3_cover_dimensions():
 
 
 def test_genus5_cover_with_the_cap_raised(monkeypatch):
-    # The cover fits genus 5; the cap waits on the twist-depth and kernel
-    # search budgets. image_rank walks every unit cycle word.
+    # The cover fits genus 5; the cap waits on the kernel search's budget.
+    # image_rank walks every unit cycle word.
     monkeypatch.setattr(cover_module, "MAX_GENUS", 5)
     cover = CoverCW(5)
     assert cover.n_vertices == cover.n_faces == 1024
     assert cover.h1_dim == 8194 == 2 * cover_genus(5)
-    assert image_rank(GroupContext(cover)) == {
+    assert image_rank(cover) == {
         "v_rank": 10,
         "h_rank": 8194,
         "v_dim": 10,
@@ -454,9 +446,9 @@ def test_genus5_cover_with_the_cap_raised(monkeypatch):
 
 def test_genus_bounds():
     with pytest.raises(ValueError):
-        build_mod2_cover(1)
+        CoverCW(1)
     with pytest.raises(ResourceLimitError):
-        build_mod2_cover(5)
+        CoverCW(5)
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4])
@@ -528,7 +520,7 @@ def test_walk_is_deck_equivariant_on_closed_words(genus):
     # words cover the h == 0 case.
     cover = shared_cover(genus)
     words = [commutator(A1 * 2, B1 * 2), surface_relator(genus)]
-    words += search_kernel_elements(GroupContext(cover), 6)
+    words += search_kernel_elements(cover, 6)
     rng = random.Random(53 + genus)
     while len(words) < 150:
         w = random_reduced_word(rng, genus, rng.randrange(1, 16))

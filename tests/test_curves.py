@@ -10,7 +10,6 @@ from simpleloop.cover import (
     MAX_GENUS,
     CoverCW,
     ResourceLimitError,
-    build_mod2_cover,
     check_genus,
 )
 from simpleloop.curves import (
@@ -26,7 +25,6 @@ from simpleloop.curves import (
     twist_table,
     verify_non_geometric,
 )
-from simpleloop.quotient import GroupContext
 from simpleloop.words import (
     canonical_class,
     check_min_genus,
@@ -43,12 +41,12 @@ from oracles import (
     abelianization_mod2,
     lemma_check_all_vertices,
     random_reduced_word,
+    shared_cover,
     substitute_per_letter,
     to_letters,
     twist_bfs,
 )
 
-CTX = GroupContext(build_mod2_cover(2))
 A1 = from_letters((1,))
 
 
@@ -80,7 +78,7 @@ def test_verify_rejects_letters_outside_the_genus():
     # The pass reads the walk directly and raises its error on a bad letter.
     liar = SimpleClass(from_letters((1, 5)), "a1", (), False)
     with pytest.raises(ValueError, match="^letter a3 outside genus 2$"):
-        verify_non_geometric(CTX, standard_curves(2) + [liar])
+        verify_non_geometric(shared_cover(2), standard_curves(2) + [liar])
 
 
 def test_every_twist_fixes_relator_exactly():
@@ -118,6 +116,18 @@ def test_validation_rejects_twists_that_do_not_cancel():
     table["ta1_inv"] = table["ta1"]
     with pytest.raises(AssertionError, match="twist ta1 and its inverse do not cancel"):
         _validate_table(2, table)
+
+
+def test_twist_table_is_read_only():
+    # The table is cached for the process, so an edit by one caller would
+    # reach every later BFS and replay without certification.
+    table = twist_table(2)
+    with pytest.raises(TypeError):
+        table["ta1"] = {}
+    with pytest.raises(TypeError):
+        table["ta1"][2] = from_letters((2,))
+    assert replay_certificate(2, "b1", ("ta1",)) == canonical_class(from_letters((2, 1)))
+    assert len(generate_simple_classes(2, 3, 64)) == 201
 
 
 def test_standard_curves_reject_low_genus():
@@ -444,7 +454,7 @@ def test_generation_rejects_max_len_below_one(max_len):
 
 
 def test_verify_standard_curves():
-    report = verify_non_geometric(CTX, standard_curves(2))
+    report = verify_non_geometric(shared_cover(2), standard_curves(2))
     assert report.total == 5
     assert report.n_separating == 1
     assert report.n_nonseparating == 4
@@ -461,7 +471,7 @@ def test_verify_standard_curves():
 def test_verify_depth3_no_kernel_hits():
     fam = generate_simple_classes(2, 3, 64)
     assert len(fam) == 201
-    report = verify_non_geometric(CTX, fam)
+    report = verify_non_geometric(shared_cover(2), fam)
     assert report.kernel_hits == []
     assert report.total == 201
 
@@ -473,7 +483,7 @@ def test_simple_class_holds_its_canonical_word():
 
 
 def test_lemma_check_standard_curves():
-    report = verify_non_geometric(CTX, standard_curves(2))
+    report = verify_non_geometric(shared_cover(2), standard_curves(2))
     assert report.lemma_failures == []
     assert report.n_separating == 1
     assert report.n_nonseparating == 4
@@ -481,7 +491,7 @@ def test_lemma_check_standard_curves():
 
 def test_lemma_check_catches_false_separating_flag():
     liar = SimpleClass(cls=A1, root="a1", twists=(), separating=True)
-    report = verify_non_geometric(CTX, [liar])
+    report = verify_non_geometric(shared_cover(2), [liar])
     assert "nonzero mod-2" in report.lemma_failures[0]["reason"]
 
 
@@ -492,7 +502,7 @@ def test_lemma_check_catches_false_nonseparating_flag():
         twists=(),
         separating=False,
     )
-    report = verify_non_geometric(CTX, [liar])
+    report = verify_non_geometric(shared_cover(2), [liar])
     assert "zero mod-2" in report.lemma_failures[0]["reason"]
 
 
@@ -500,7 +510,7 @@ def test_twist_images_of_separating_curve_still_certified():
     fam = generate_simple_classes(2, 3, 64)
     separating = [sc for sc in fam if sc.separating]
     assert separating
-    report = verify_non_geometric(CTX, separating)
+    report = verify_non_geometric(shared_cover(2), separating)
     assert report.lemma_failures == []
     assert report.n_separating == len(separating)
 
@@ -512,7 +522,7 @@ def test_lemma_check_catches_separating_lift_that_bounds():
         twists=(),
         separating=True,
     )
-    report = verify_non_geometric(CTX, [liar])
+    report = verify_non_geometric(shared_cover(2), [liar])
     assert report.n_separating == 1
     assert len(report.lemma_failures) == 16
     for v, failure in enumerate(report.lemma_failures):
@@ -526,21 +536,23 @@ def _relator_liar():
 
 
 @pytest.mark.parametrize(
-    "ctx, classes",
+    "genus, classes",
     [
-        (CTX, generate_simple_classes(2, 4, 64)),
-        (GroupContext(build_mod2_cover(3)), generate_simple_classes(3, 2, 64)),
-        (CTX, [_relator_liar()]),
+        (2, generate_simple_classes(2, 4, 64)),
+        (3, generate_simple_classes(3, 2, 64)),
+        (2, [_relator_liar()]),
     ],
     ids=["g2-depth4", "g3-depth2", "relator-liar"],
 )
-def test_lemma_check_matches_all_vertex_oracle(ctx, classes):
-    report = verify_non_geometric(ctx, classes)
+def test_lemma_check_matches_all_vertex_oracle(genus, classes):
+    cover = shared_cover(genus)
+    report = verify_non_geometric(cover, classes)
     got = (report.n_separating, report.n_nonseparating, report.lemma_failures)
-    assert got == lemma_check_all_vertices(ctx, classes)
+    assert got == lemma_check_all_vertices(cover, classes)
 
 
 def test_lemma_check_walks_once_per_class(monkeypatch):
+    cover = shared_cover(2)
     classes = generate_simple_classes(2, 4, 64) + [_relator_liar()]
     calls = []
     walk = CoverCW.walk
@@ -550,10 +562,10 @@ def test_lemma_check_walks_once_per_class(monkeypatch):
         return walk(self, word, start)
 
     monkeypatch.setattr(CoverCW, "walk", counting_walk)
-    report = verify_non_geometric(CTX, classes)
+    report = verify_non_geometric(cover, classes)
     separating = [sc.cls for sc in classes if sc.separating]
     assert len(separating) > 1
     # One walk from vertex 0 per class, on its canonical word, decides rho
     # and the lift lemma.
     assert calls == [(sc.cls, 0) for sc in classes]
-    assert len(report.lemma_failures) == CTX.cover.n_vertices
+    assert len(report.lemma_failures) == cover.n_vertices

@@ -131,7 +131,7 @@ def test_main_construction_is_two_sided():
 
 
 def test_main_construction_checks_the_relator_image_in_G(monkeypatch):
-    monkeypatch.setattr(demos, "in_kernel", lambda ctx, w: False)
+    monkeypatch.setattr(demos, "in_kernel", lambda cover, w: False)
     with pytest.raises(ValueError, match="relator image is nontrivial"):
         main_construction_sidedness(2)
 

@@ -140,8 +140,9 @@ def test_lazy_exports_resolve_in_a_fresh_process():
 
 
 # Names removed from the package: the group law, the free product and the
-# mod-2 abelianization, which no command called, and the GF(2) linear algebra
-# that only the tests use as their reference for H1 (import simpleloop.gf2).
+# mod-2 abelianization, which no command called, the GF(2) linear algebra
+# that only the tests use as their reference for H1 (import simpleloop.gf2),
+# and the two pass-throughs to the cover: rho and its callers take a CoverCW.
 REMOVED = (
     "representative",
     "mul",
@@ -153,6 +154,8 @@ REMOVED = (
     "kernel_basis",
     "rank",
     "rref",
+    "GroupContext",
+    "build_mod2_cover",
 )
 
 

@@ -48,6 +48,7 @@ NO_INVERSE = "has no uppercase inverse spelling"
         (Presentation, (("a",), (from_letters((1, -3)),)), "^unknown generator 3$"),
         (OrientationCharacter((0,)).on_word, (from_letters((-2,)),), "^unknown generator 2$"),
         (z2xz_is_trivial, (from_letters((1, 3)),), "^unknown generator 3$"),
+        (Presentation(("a", "b"), ()).word_str, (from_letters((3,)),), "^unknown generator 3$"),
         (Presentation, (("\u0131",), ()), NO_INVERSE),
         (Presentation, (("a", "\u00df"), ()), NO_INVERSE),
         (Presentation, (("\ufb00",), ()), NO_INVERSE),
@@ -67,6 +68,7 @@ NO_INVERSE = "has no uppercase inverse spelling"
         "presentation_inverse_letter",
         "on_word",
         "z2xz_is_trivial",
+        "word_str",
         "dotless_i",
         "sharp_s",
         "ff_ligature",

@@ -65,8 +65,8 @@ _BOOL = ("false", "true")
 
 
 def _write(lines, out_path):
-    """Write lines one at a time, to out_path if given, else to stdout."""
-    out = open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout)
+    """Write lines one at a time, to out_path (UTF-8) if given, else to stdout."""
+    out = open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext(sys.stdout)
     with out as handle:
         handle.writelines(line + "\n" for line in lines)
 

@@ -33,6 +33,8 @@ parts of a product are twisted by it and by a spanning-tree cocycle.
 every per-cover cache here (the GF(2) quotient, the deck actions) is filled
 once per genus in a test run. A test that monkeypatches the build, edits a
 cover, or expects the build to fail, builds its own.
+``cover_past_cap(g, monkeypatch)`` is ``shared_cover`` up to the genus cap
+and, above it, a cover built with the cap raised, outside the cache.
 
 ``census(g, L)`` counts the short kernel words with no code of the
 package: free conjugacy classes of words in the free group whose lift to
@@ -58,6 +60,7 @@ import functools
 import math
 import random
 
+from simpleloop import cover as cover_module
 from simpleloop.cover import CoverCW
 from simpleloop.curves import SimpleClass, root_word, standard_curves, twist_table
 from simpleloop.gf2 import Echelon, GF2Matrix, QuotientMap
@@ -77,6 +80,15 @@ def shared_cover(genus: int) -> CoverCW:
     Patch a CoverCW method on the class, not on this instance: undoing an
     instance patch leaves the bound method on the instance, which would
     hide every later patch of the class."""
+    return CoverCW(genus)
+
+
+def cover_past_cap(genus: int, monkeypatch) -> CoverCW:
+    """``shared_cover`` up to cover.MAX_GENUS; above it, a cover built with
+    the cap raised by monkeypatch and kept out of the cache."""
+    if genus <= cover_module.MAX_GENUS:
+        return shared_cover(genus)
+    monkeypatch.setattr(cover_module, "MAX_GENUS", genus)
     return CoverCW(genus)
 
 

@@ -832,6 +832,23 @@ def test_realize_rejects_bad_presentation_file_via_subprocess(tmp_path):
         assert message in result.stderr
 
 
+def test_out_file_is_utf8_under_ascii_locale(tmp_path):
+    # Under the C locale with UTF-8 mode off the default encoding is ASCII;
+    # the report file is written as UTF-8 all the same.
+    path = tmp_path / "p.txt"
+    path.write_text("α β\nα β Α Β\n", encoding="utf-8")
+    out = tmp_path / "r.txt"
+    result = subprocess.run(
+        [sys.executable, "-m", "simpleloop.cli", "realize", str(path)]
+        + ["--format", "text", "--out", str(out)],
+        capture_output=True,
+        env={**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0"},
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert "  step 1: surgery along 'α β Α Β'" in lines
+
+
 def test_realize_missing_file(capsys):
     code, _ = run_main(capsys, "realize", "/nonexistent/pres.txt")
     assert code == 2

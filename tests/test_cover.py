@@ -25,6 +25,7 @@ from simpleloop.words import (
 from oracles import (
     abelianization_mod2,
     coords,
+    cover_past_cap,
     cycle_basis,
     deck_action,
     deck_apply,
@@ -255,12 +256,13 @@ def _is_cocycle(cover, edges):
     )
 
 
-@pytest.mark.parametrize("genus", [2, 3, 4])
-def test_separating_curve_certificates(genus):
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_separating_curve_certificates(genus, monkeypatch):
     # The closed-form certificate that rho(s_k) != 1 at every genus: the
     # mod-2 cocycle Z_k = {(0, a1), (0, a_{k+1}), (b1, a_{k+1}), (b_{k+1}, a1)}
     # pairs to 1 with the lift of s_k from 0, which meets it only in (0, a1).
-    cover = shared_cover(genus)
+    # Genus 5 runs with the genus cap raised.
+    cover = cover_past_cap(genus, monkeypatch)
     a1_edge = edge_index(cover, 0, 1)
     for k in range(1, genus):
         # a_{k+1} is generator 2k + 1; vertex b_i is 1 << (2i - 1).
@@ -442,6 +444,15 @@ def test_genus5_cover_with_the_cap_raised(monkeypatch):
         "v_dim": 10,
         "h_dim": 8194,
     }
+
+
+def test_genus6_cover_with_the_cap_raised(monkeypatch):
+    # The build fits genus 6 too; the cap waits on the kernel search's
+    # budget.
+    monkeypatch.setattr(cover_module, "MAX_GENUS", 6)
+    cover = CoverCW(6)
+    assert cover.n_vertices == cover.n_faces == 4096
+    assert cover.h1_dim == 40962 == 2 * cover_genus(6)
 
 
 def test_genus_bounds():

@@ -341,7 +341,11 @@ def test_generation_matches_reference_bfs(genus, depth, max_len):
     ]
 
 
-@pytest.mark.parametrize("genus, count", [(2, 58), (3, 184), (4, 382)])
+# MAX_DEPTH lets the twist BFS run at genus 5 and 6 without a cover.
+COMMUTING_COUNTS = [(2, 58), (3, 184), (4, 382), (5, 652), (6, 994)]
+
+
+@pytest.mark.parametrize("genus, count", COMMUTING_COUNTS)
 def test_commuting_twists_match_brute_force(genus, count):
     table = twist_table(genus)
     want = {
@@ -364,6 +368,28 @@ def test_commuting_twists_match_brute_force(genus, count):
     assert len(got) == count
     assert {("ta1", "ta2"), ("ta2", "ta1"), ("ta1", "tc1"), ("tc1", "ta1")} <= got
     assert ("tb1", "tc1") not in got and ("tc1", "tb1") not in got
+
+
+@pytest.mark.parametrize("genus", [g for g, _ in COMMUTING_COUNTS])
+def test_commuting_twists_agree_on_random_words(genus):
+    # The brute force above substitutes on the generators, as the package
+    # does. This check shares no code with it: composing by per-letter
+    # substitution on random reduced words, every accepted pair agrees on
+    # every word and every other pair disagrees on some word.
+    table = twist_table(genus)
+    rng = random.Random(genus)
+    words = [random_reduced_word(rng, genus, rng.randrange(1, 13)) for _ in range(20)]
+    image = {t: [substitute_per_letter(w, table[t]) for w in words] for t in table}
+    got = commuting_twists(genus)
+    for s in table:
+        for t in table:
+            if s == t:
+                continue
+            agree = [
+                substitute_per_letter(tw, table[s]) == substitute_per_letter(sw, table[t])
+                for tw, sw in zip(image[t], image[s])
+            ]
+            assert all(agree) if (s, t) in got else not all(agree), (s, t)
 
 
 @pytest.mark.parametrize(

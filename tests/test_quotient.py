@@ -42,6 +42,7 @@ from oracles import (
     abelianization_mod2,
     census,
     cocycle,
+    cover_past_cap,
     deck_action,
     deck_apply,
     even_cube_classes,
@@ -502,11 +503,12 @@ def test_walks_raise_the_letter_check_error(call):
         assert str(raised.value) == message
 
 
-@pytest.mark.parametrize("genus", [2, 3, 4], ids=["g2", "g3", "g4"])
-def test_orbit_facts(genus):
+@pytest.mark.parametrize("genus", [2, 3, 4, 5], ids=["g2", "g3", "g4", "g5"])
+def test_orbit_facts(genus, monkeypatch):
     # The orbit argument reduces the verdict to a1, the separating curves
-    # s_k and one kernel witness, at every genus.
-    cover = shared_cover(genus)
+    # s_k and one kernel witness, at every genus. Genus 5 runs with the genus
+    # cap raised.
+    cover = cover_past_cap(genus, monkeypatch)
     assert rho(cover, A1).v == 1
     for k in range(1, genus):
         el = rho(cover, separating_word(genus, k))
